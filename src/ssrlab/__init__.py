@@ -11,7 +11,7 @@ from .pipeline import (ExperimentOutcome, ExperimentRecord,
                        selection_metrics)
 from .relabel import PredictionMatrix, relabel, relabel_metrics
 from .selector import (NeighbourIndex, SelectionResult, build_neighbour_index,
-                       compute_selection, cosine_similarity, select_clean)
+                       compute_selection, select_clean)
 from .ssrd import load_embeddings, load_pool, write_dataset, write_pool
 
 __all__ = [
@@ -23,6 +23,6 @@ __all__ = [
     "run_experiment", "selection_metrics",
     "PredictionMatrix", "relabel", "relabel_metrics",
     "NeighbourIndex", "SelectionResult", "build_neighbour_index",
-    "compute_selection", "cosine_similarity", "select_clean",
+    "compute_selection", "select_clean",
     "load_embeddings", "load_pool", "write_dataset", "write_pool",
 ]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import sys
@@ -28,7 +29,7 @@ log = logging.getLogger("ssrlab")
 
 CSV_COLUMNS = ["epoch", "relabelled_fraction", "relabel_accuracy",
                "sel_precision", "sel_recall", "sel_fscore", "selected_count",
-               "test_acc", "t_train_s", "t_feat_s", "t_select_s", "t_relabel_s"]
+               "test_acc", "t_train_s", "t_select_s", "t_relabel_s"]
 
 _INT_COLUMNS = {"epoch", "selected_count"}
 
@@ -64,18 +65,6 @@ def emit_metrics(record: ExperimentRecord, out_dir) -> None:
     for col in CSV_COLUMNS[1:]:
         data = "\n".join(f"{row['epoch']} {_fmt(col, row[col])}" for row in rows)
         (plots / f"{col}.dat").write_text(data + "\n")
-
-
-def _write_manifest(out_dir: Path, config_path, seed: int, started: float) -> None:
-    manifest = {
-        "config_path": str(config_path) if config_path else None,
-        "output_dir": str(out_dir),
-        "seed": seed,
-        "artifact_version": __version__,
-        "started": started,
-        "finished": time.time(),
-    }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 def _run_dir(root: Path, seed: int) -> Path:
@@ -149,19 +138,34 @@ def _cmd_inject(args) -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
+def _with_data(verb, args) -> int:
+    """Shared frame of run, grid and compare-modes: parse the config with the
+    flag overrides, load or generate the data, call verb(args, parsed, data,
+    test), and write manifest.json into the directory it returns."""
     started = time.time()
     parsed = _apply_overrides(parse_config(args.config), args)
-    dataset, test = _prepare_data(parsed, args.input, args.test, args.ood)
+    data, test = _prepare_data(parsed, args.input, args.test, args.ood)
+    out = verb(args, parsed, data, test)
+    manifest = {
+        "config_path": str(args.config) if args.config else None,
+        "output_dir": str(out),
+        "seed": parsed.train.seed,
+        "artifact_version": __version__,
+        "started": started,
+        "finished": time.time(),
+    }
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    return 0
+
+
+def _cmd_run(args, parsed, data, test) -> Path:
     out = _run_dir(Path(args.out), parsed.train.seed)
-    outcome = run_experiment(dataset, parsed.train, test=test)
-    record = outcome.record
+    record = run_experiment(data, parsed.train, test=test).record
     record.config = parsed.echo()
     emit_metrics(record, out)
-    _write_manifest(out, args.config, parsed.train.seed, started)
     log.info("run finished: best=%.4f last=%.4f -> %s",
              record.best_test_acc, record.last_test_acc, out)
-    return 0
+    return out
 
 
 _SWEEPABLE = {"theta_s": float, "theta_r": float, "k_neighbours": int}
@@ -194,26 +198,19 @@ def run_grid(parsed: ParsedConfig, param: str, values, out_root,
     return summary
 
 
-def _cmd_grid(args) -> int:
-    started = time.time()
-    parsed = _apply_overrides(parse_config(args.config), args)
+def _cmd_grid(args, parsed, data, test) -> Path:
     caster = _SWEEPABLE.get(args.param, float)
     try:
         values = [caster(v) for v in args.values.split(",")]
     except ValueError as exc:
         raise ConfigError("RANGE_ERROR",
                           f"bad sweep values {args.values!r}: {exc}") from exc
-    data, test = _prepare_data(parsed, args.input, args.test, args.ood)
     run_grid(parsed, args.param, values, args.out, data=data, test=test)
-    _write_manifest(Path(args.out), args.config, parsed.train.seed, started)
     log.info("grid finished: %d points -> %s", len(values), args.out)
-    return 0
+    return Path(args.out)
 
 
-def _cmd_compare_modes(args) -> int:
-    started = time.time()
-    parsed = _apply_overrides(parse_config(args.config), args)
-    data, test = _prepare_data(parsed, args.input, args.test, args.ood)
+def _cmd_compare_modes(args, parsed, data, test) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     runs = compare_selection_modes(data, parsed.train, test=test)
@@ -223,9 +220,8 @@ def _cmd_compare_modes(args) -> int:
         emit_metrics(record, out / name)
         lines.append(f"{name},{record.best_test_acc!r},{record.last_test_acc!r}")
     (out / "comparison.csv").write_text("\n".join(lines) + "\n")
-    _write_manifest(out, args.config, parsed.train.seed, started)
     log.info("mode comparison -> %s", out)
-    return 0
+    return out
 
 
 def _add_common(p, with_input=True):
@@ -259,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run a single experiment")
     _add_common(p)
-    p.set_defaults(func=_cmd_run)
+    p.set_defaults(func=functools.partial(_with_data, _cmd_run))
 
     p = sub.add_parser("grid", help="sweep one hyperparameter")
     _add_common(p)
@@ -267,11 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=sorted(_SWEEPABLE))
     p.add_argument("--values", required=True,
                    help="comma-separated sweep values")
-    p.set_defaults(func=_cmd_grid)
+    p.set_defaults(func=functools.partial(_with_data, _cmd_grid))
 
     p = sub.add_parser("compare-modes", help="compare selection mechanisms")
     _add_common(p)
-    p.set_defaults(func=_cmd_compare_modes)
+    p.set_defaults(func=functools.partial(_with_data, _cmd_compare_modes))
     return parser
 
 

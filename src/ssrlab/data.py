@@ -150,7 +150,6 @@ class TrainConfig:
     use_mixup: bool = True
     balance_voting: bool = True
     oversample: bool = True
-    persistent_relabel: bool = False     # experimental: carry relabels across epochs
     stop_gradient: bool = True
     record_timings: bool = True  # set false for byte-identical metric files
 

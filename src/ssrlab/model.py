@@ -7,6 +7,7 @@ rate; mixup interpolates inputs and soft labels within each batch.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -19,22 +20,35 @@ _NORM_EPS = 1e-12
 _PROB_CLAMP = 1e-12
 
 
-@dataclass
 class PmcModel:
-    trunk: list        # [(W, b)] chaining d -> h1 -> ... -> e
-    head: tuple        # (W, b), e -> M
-    projector: tuple   # (W, b), e -> e'
-    predictor: tuple   # (W, b), e' -> e'
+    """Encoder trunk, softmax head, projector and predictor.
 
-    def param_pairs(self):
-        """All (W, b) pairs in a fixed order."""
-        return [*self.trunk, self.head, self.projector, self.predictor]
+    Every parameter lives in one float64 buffer, ``flat``; each (W, b) pair
+    is a view into it, in ``[*trunk, head, projector, predictor]`` order.
+    The constructor copies the given arrays into a new buffer.
+    """
 
-    def arrays(self):
-        out = []
-        for w, b in self.param_pairs():
-            out.extend((w, b))
-        return out
+    def __init__(self, trunk, head, projector, predictor):
+        pairs = [*trunk, head, projector, predictor]
+        self._shapes = [np.shape(w) for w, _ in pairs]
+        self._n_trunk = len(trunk)
+        self._bind(np.concatenate([np.ravel(a) for pair in pairs for a in pair],
+                                  dtype=np.float64))
+
+    def _bind(self, flat: np.ndarray) -> "PmcModel":
+        self.flat, pairs, pos = flat, [], 0
+        for d_in, d_out in self._shapes:
+            pairs.append((flat[pos:pos + d_in * d_out].reshape(d_in, d_out),
+                          flat[pos + d_in * d_out:pos + (d_in + 1) * d_out]))
+            pos += (d_in + 1) * d_out
+        self.trunk = pairs[:self._n_trunk]   # [(W, b)] chaining d -> ... -> e
+        self.head, self.projector, self.predictor = pairs[self._n_trunk:]
+        return self
+
+    def zeros(self) -> "PmcModel":
+        """A model of the same layout with every parameter zero, used to
+        hold gradients."""
+        return copy.copy(self)._bind(np.zeros_like(self.flat))
 
 
 def init_model(dim: int, num_classes: int, hidden_dims=(64, 32),
@@ -55,19 +69,6 @@ def init_model(dim: int, num_classes: int, hidden_dims=(64, 32),
     return PmcModel(trunk, head, projector, predictor)
 
 
-def zeros_like_model(model: PmcModel) -> PmcModel:
-    z = lambda layer: (np.zeros_like(layer[0]), np.zeros_like(layer[1]))
-    return PmcModel([z(l) for l in model.trunk], z(model.head),
-                    z(model.projector), z(model.predictor))
-
-
-def add_scaled(acc: PmcModel, grads: PmcModel, scale: float = 1.0) -> PmcModel:
-    for (aw, ab), (gw, gb) in zip(acc.param_pairs(), grads.param_pairs()):
-        aw += scale * gw
-        ab += scale * gb
-    return acc
-
-
 def trunk_forward(model: PmcModel, x: np.ndarray):
     """Returns (embeddings, cache) where cache holds per-layer inputs and
     pre-activations for the backward pass."""
@@ -83,16 +84,22 @@ def trunk_forward(model: PmcModel, x: np.ndarray):
     return h, (acts, pre)
 
 
-def trunk_backward(model: PmcModel, cache, grad_emb: np.ndarray) -> list:
+def trunk_backward(model: PmcModel, cache, grad_emb: np.ndarray,
+                   grads: PmcModel, accumulate: bool = False) -> None:
+    """Writes the trunk gradients into ``grads.trunk``, or adds them to what
+    is there with ``accumulate``."""
     acts, pre = cache
     g = grad_emb
-    grads = [None] * len(model.trunk)
     for i in range(len(model.trunk) - 1, -1, -1):
-        w, _ = model.trunk[i]
-        grads[i] = (acts[i].T @ g, g.sum(axis=0))
+        gw, gb = grads.trunk[i]
+        if accumulate:
+            gw += acts[i].T @ g
+            gb += g.sum(axis=0)
+        else:
+            gw[:] = acts[i].T @ g
+            gb[:] = g.sum(axis=0)
         if i > 0:
-            g = (g @ w.T) * (pre[i - 1] > 0)
-    return grads
+            g = (g @ model.trunk[i][0].T) * (pre[i - 1] > 0)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -123,7 +130,6 @@ def cross_entropy_loss(probs: np.ndarray, soft_labels: np.ndarray):
 class MiniBatch:
     inputs: np.ndarray           # (B, d)
     soft_labels: np.ndarray      # (B, M), rows sum to 1
-    view2: Optional[np.ndarray] = None  # second augmented view for the fc loss
 
 
 def sample_beta(alpha: float, rng) -> float:
@@ -150,7 +156,7 @@ def mixup_pair(batch: MiniBatch, alpha: float, rng,
     partner = rng.integers(0, b, size=b)
     mixed_x = gam * batch.inputs + (1.0 - gam) * batch.inputs[partner]
     mixed_y = gam * batch.soft_labels + (1.0 - gam) * batch.soft_labels[partner]
-    return MiniBatch(mixed_x, mixed_y, batch.view2)
+    return MiniBatch(mixed_x, mixed_y)
 
 
 def classification_grads(model: PmcModel, inputs: np.ndarray,
@@ -160,13 +166,10 @@ def classification_grads(model: PmcModel, inputs: np.ndarray,
     wh, bh = model.head
     probs = softmax(emb @ wh + bh)
     loss, grad_logits = cross_entropy_loss(probs, soft_labels)
-    grads = zeros_like_model(model)
+    grads = model.zeros()
     grads.head[0][:] = emb.T @ grad_logits
     grads.head[1][:] = grad_logits.sum(axis=0)
-    grad_emb = grad_logits @ wh.T
-    for slot, (gw, gb) in zip(grads.trunk, trunk_backward(model, cache, grad_emb)):
-        slot[0][:] = gw
-        slot[1][:] = gb
+    trunk_backward(model, cache, grad_logits @ wh.T, grads)
     return loss, grads
 
 
@@ -211,23 +214,17 @@ def feature_consistency_loss(model: PmcModel, view1: np.ndarray, view2: np.ndarr
     h2 = emb2 @ wp + bp
     loss, gh1, gh2 = _fc_head_grad(h1, h2, distance)
 
-    grads = zeros_like_model(model)
+    grads = model.zeros()
     grads.predictor[0][:] = z1.T @ gh1
     grads.predictor[1][:] = gh1.sum(axis=0)
     gz1 = gh1 @ wq.T
     grads.projector[0][:] = emb1.T @ gz1
     grads.projector[1][:] = gz1.sum(axis=0)
-    for slot, (gw, gb) in zip(grads.trunk,
-                              trunk_backward(model, cache1, gz1 @ wp.T)):
-        slot[0][:] = gw
-        slot[1][:] = gb
+    trunk_backward(model, cache1, gz1 @ wp.T, grads)
     if not stop_gradient:
         grads.projector[0][:] += emb2.T @ gh2
         grads.projector[1][:] += gh2.sum(axis=0)
-        for slot, (gw, gb) in zip(grads.trunk,
-                                  trunk_backward(model, cache2, gh2 @ wp.T)):
-            slot[0][:] += gw
-            slot[1][:] += gb
+        trunk_backward(model, cache2, gh2 @ wp.T, grads, accumulate=True)
     return loss, grads
 
 
@@ -240,26 +237,22 @@ def total_loss_grads(model: PmcModel, batch: MiniBatch, lambda_fc: float,
     ce, grads = classification_grads(model, batch.inputs, batch.soft_labels)
     fc = 0.0
     if lambda_fc > 0:
-        v1 = batch.inputs if fc_view1 is None else fc_view1
-        v2 = batch.view2 if fc_view2 is None else fc_view2
-        fc, fc_grads = feature_consistency_loss(model, v1, v2, distance,
-                                                stop_gradient)
-        add_scaled(grads, fc_grads, lambda_fc)
+        fc, fc_grads = feature_consistency_loss(model, fc_view1, fc_view2,
+                                                distance, stop_gradient)
+        grads.flat += lambda_fc * fc_grads.flat
     return ce + lambda_fc * fc, grads, {"ce": ce, "fc": fc}
 
 
 @dataclass
 class OptimizerState:
-    velocity: PmcModel
-    base_lr: float
+    velocity: np.ndarray   # same length as the model's flat buffer
     momentum: float
     weight_decay: float
-    epoch: int = 0
 
     @classmethod
-    def for_model(cls, model: PmcModel, base_lr: float, momentum: float,
+    def for_model(cls, model: PmcModel, momentum: float,
                   weight_decay: float) -> "OptimizerState":
-        return cls(zeros_like_model(model), base_lr, momentum, weight_decay)
+        return cls(np.zeros_like(model.flat), momentum, weight_decay)
 
 
 def cosine_lr(base_lr: float, epoch: int, total_epochs: int) -> float:
@@ -267,19 +260,12 @@ def cosine_lr(base_lr: float, epoch: int, total_epochs: int) -> float:
 
 
 def sgd_step(model: PmcModel, grads: PmcModel, opt: OptimizerState,
-             lr: Optional[float] = None) -> PmcModel:
+             lr: float) -> PmcModel:
     """In-place SGD update: v <- mu*v + g + wd*theta; theta <- theta - lr*v."""
-    if lr is None:
-        lr = opt.base_lr
-    for (w, b), (gw, gb), (vw, vb) in zip(model.param_pairs(),
-                                          grads.param_pairs(),
-                                          opt.velocity.param_pairs()):
-        vw *= opt.momentum
-        vw += gw + opt.weight_decay * w
-        w -= lr * vw
-        vb *= opt.momentum
-        vb += gb + opt.weight_decay * b
-        b -= lr * vb
+    v = opt.velocity
+    v *= opt.momentum
+    v += grads.flat + opt.weight_decay * model.flat
+    model.flat -= lr * v
     return model
 
 

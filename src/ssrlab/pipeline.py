@@ -1,15 +1,15 @@
 """Per-epoch orchestration: relabel, select, train, evaluate.
 
-Each epoch runs, in order: softmax predictions on the raw features feed the
-relabelling rule; current trunk embeddings feed the neighbour index and the
-clean-subset selection; the selection (oversampled per class) is trained for
-one pass with the composite loss; metrics are recorded against the hidden
-ground truth without ever feeding back into training.
+Each epoch runs, in order: one forward pass over the raw features gives the
+softmax predictions, which feed the relabelling rule, and the trunk
+embeddings, which feed the neighbour index and the clean-subset selection;
+the selection (oversampled per class) is trained for one pass with the
+composite loss; metrics are recorded against the hidden ground truth without
+ever feeding back into training.
 """
 from __future__ import annotations
 
 import logging
-import math
 import time
 from dataclasses import dataclass, asdict, replace
 from typing import Optional
@@ -17,18 +17,16 @@ from typing import Optional
 import numpy as np
 
 from .data import LabelState, NoisyDataset, TrainConfig, validate
-from .errors import DataError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .model import (MiniBatch, OptimizerState, PmcModel, cosine_lr, forward,
                     init_model, mixup_pair, oversample_balanced, sgd_step,
-                    total_loss_grads, trunk_forward)
+                    total_loss_grads)
+from .model import trunk_forward  # noqa: F401 (uncalled; perfbench patches it)
 from .relabel import PredictionMatrix, relabel, relabel_metrics
 from .selector import (baseline_gmm_loss, baseline_small_loss_predefined,
                        build_neighbour_index, compute_selection)
 
 log = logging.getLogger(__name__)
-
-SELECTION_MODES = ("consistency", "predefined_npk", "gmm", "predefined_pmc",
-                   "all", "oracle_clean")
 
 
 @dataclass
@@ -42,7 +40,6 @@ class EpochMetrics:
     selected_count: int
     test_acc: float
     t_train_s: float
-    t_feat_s: float
     t_select_s: float
     t_relabel_s: float
 
@@ -59,14 +56,6 @@ class ExperimentRecord:
 class ExperimentOutcome:
     record: ExperimentRecord
     model: PmcModel
-    final_state: LabelState
-    final_clean_mask: np.ndarray
-
-
-def _fscore(precision: float, recall: float) -> float:
-    if precision + recall == 0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
 
 
 def selection_metrics(clean_mask: np.ndarray, state: LabelState,
@@ -80,22 +69,10 @@ def selection_metrics(clean_mask: np.ndarray, state: LabelState,
     tp = int((clean_mask & correct).sum())
     n_sel = int(clean_mask.sum())
     n_correct = int(correct.sum())
-    precision = tp / n_sel if n_sel else 0.0
-    recall = tp / n_correct if n_correct else 0.0
-    return {"precision": precision, "recall": recall,
-            "fscore": _fscore(precision, recall)}
-
-
-def macro_f1(predicted: np.ndarray, true: np.ndarray, num_classes: int) -> float:
-    scores = []
-    for cls in range(num_classes):
-        tp = int(((predicted == cls) & (true == cls)).sum())
-        fp = int(((predicted == cls) & (true != cls)).sum())
-        fn = int(((predicted != cls) & (true == cls)).sum())
-        p = tp / (tp + fp) if tp + fp else 0.0
-        r = tp / (tp + fn) if tp + fn else 0.0
-        scores.append(_fscore(p, r))
-    return float(np.mean(scores))
+    p = tp / n_sel if n_sel else 0.0
+    r = tp / n_correct if n_correct else 0.0
+    return {"precision": p, "recall": r,
+            "fscore": 2.0 * p * r / (p + r) if p + r else 0.0}
 
 
 def _per_sample_ce(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -103,60 +80,62 @@ def _per_sample_ce(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return -np.log(np.maximum(p, 1e-12))
 
 
-_NEIGHBOUR_MODES = ("consistency", "predefined_npk")
+def _knn_selection(state, fwd, config):
+    index = build_neighbour_index(fwd["embeddings"], config.k_neighbours)
+    return compute_selection(index, state, config.theta_s,
+                             balance=config.balance_voting)
 
 
-def _select(mode, dataset, state, embeddings, probs, config, tau):
-    """Returns (clean_mask, consistency or None)."""
-    n = dataset.n_samples
-    if mode == "all":
-        return np.ones(n, dtype=bool), None
-    if mode == "oracle_clean":
-        if dataset.is_noisy is None:
-            raise DataError("MISSING_GROUND_TRUTH", "oracle mode needs is_noisy")
-        return ~dataset.is_noisy, None
-    if mode in ("gmm", "predefined_pmc"):
-        losses = _per_sample_ce(probs, state.working_labels)
-        if mode == "predefined_pmc":
-            return baseline_small_loss_predefined(losses, tau), None
-        try:
-            return baseline_gmm_loss(losses), None
-        except NumericError as exc:
-            if exc.code != "DEGENERATE_FIT":
-                raise
-            fallback = tau if tau is not None else 0.5
-            log.warning("GMM fit degenerate; falling back to predefined tau=%s",
-                        fallback)
-            return baseline_small_loss_predefined(losses, fallback), None
-    index = build_neighbour_index(embeddings, config.k_neighbours)
-    result = compute_selection(index, state, config.theta_s,
-                               balance=config.balance_voting)
-    if mode == "consistency":
-        return result.clean_mask, result.consistency
-    if mode == "predefined_npk":
-        c = result.consistency
-        m = math.ceil((1.0 - tau) * n)
-        order = np.lexsort((np.arange(n), -c))
-        mask = np.zeros(n, dtype=bool)
-        mask[order[:m]] = True
-        return mask, c
-    raise DataError("SHAPE_MISMATCH", f"unknown selection mode {mode!r}")
+def _gmm(dataset, state, fwd, config, tau):
+    losses = _per_sample_ce(fwd["probs"], state.working_labels)
+    try:
+        return baseline_gmm_loss(losses)
+    except NumericError as exc:
+        if exc.code != "DEGENERATE_FIT":
+            raise
+        fallback = tau if tau is not None else 0.5
+        log.warning("GMM fit degenerate; falling back to predefined tau=%s",
+                    fallback)
+        return baseline_small_loss_predefined(losses, fallback)
+
+
+def _oracle_clean(dataset, state, fwd, config, tau):
+    if dataset.is_noisy is None:
+        raise DataError("MISSING_GROUND_TRUTH", "oracle mode needs is_noisy")
+    return ~dataset.is_noisy
+
+
+# selection mode -> (name in compare_selection_modes, clean-mask function of
+# (dataset, label state, forward outputs, config, tau)); the predefined modes
+# keep the ceil((1 - tau) * N) most consistent / smallest-loss samples
+SELECTORS = {
+    "consistency": ("npk_automatic", lambda ds, st, fwd, cfg, tau:
+                    _knn_selection(st, fwd, cfg).clean_mask),
+    "gmm": ("pmc_gmm_automatic", _gmm),
+    "predefined_npk": ("npk_predefined", lambda ds, st, fwd, cfg, tau:
+                       baseline_small_loss_predefined(
+                           -_knn_selection(st, fwd, cfg).consistency, tau)),
+    "predefined_pmc": ("pmc_predefined", lambda ds, st, fwd, cfg, tau:
+                       baseline_small_loss_predefined(
+                           _per_sample_ce(fwd["probs"], st.working_labels),
+                           tau)),
+    "all": ("whole_dataset", lambda ds, st, fwd, cfg, tau:
+            np.ones(ds.n_samples, dtype=bool)),
+    "oracle_clean": ("clean_subset", _oracle_clean),
+}
 
 
 def _train_pass(model, opt, lr, dataset, state, train_idx, config, rng, feat_std):
-    n, d = dataset.features.shape
-    m = dataset.num_classes
     xs = dataset.features
-    eye = np.eye(m)
+    n, d = xs.shape
+    eye = np.eye(dataset.num_classes)
     strong = config.sigma_strong * feat_std
     weak = config.sigma_weak * feat_std
     use_fc = config.lambda_fc > 0
     fc_order = rng.permutation(n) if use_fc else None
     fc_pos = 0
-    bs = config.batch_size
-    steps = math.ceil(train_idx.size / bs)
-    for s in range(steps):
-        idx = train_idx[s * bs:(s + 1) * bs]
+    for start in range(0, train_idx.size, config.batch_size):
+        idx = train_idx[start:start + config.batch_size]
         x = xs[idx] + rng.standard_normal((idx.size, d)) * strong
         batch = MiniBatch(x, eye[state.working_labels[idx]])
         if config.use_mixup:
@@ -185,41 +164,33 @@ def run_experiment(dataset: NoisyDataset, config: TrainConfig,
     """Train from scratch for config.epochs, applying relabel -> select ->
     train each epoch, and record per-epoch quality metrics."""
     validate(dataset)
-    if selection_mode not in SELECTION_MODES:
+    if selection_mode not in SELECTORS:
         raise DataError("SHAPE_MISMATCH",
                         f"unknown selection mode {selection_mode!r}")
+    if (selection_mode in ("predefined_npk", "predefined_pmc")
+            and not (tau is not None and 0.0 <= tau < 1.0)):
+        raise ConfigError("RANGE_ERROR", f"selection mode {selection_mode!r} "
+                          f"needs tau in [0, 1), got {tau}")
+    select = SELECTORS[selection_mode][1]
     rng = np.random.default_rng(config.seed)
-    n, d = dataset.features.shape
-    m = dataset.num_classes
-    model = init_model(d, m, config.hidden_dims, config.proj_dim, rng)
-    opt = OptimizerState.for_model(model, config.learning_rate, config.momentum,
-                                   config.weight_decay)
+    model = init_model(dataset.dim, dataset.num_classes, config.hidden_dims,
+                       config.proj_dim, rng)
+    opt = OptimizerState.for_model(model, config.momentum, config.weight_decay)
     feat_std = dataset.features.std(axis=0)
     feat_std[feat_std == 0] = 1.0
-    base_labels = dataset.observed_labels
     epochs = []
-    state = LabelState.initial(base_labels, m)
-    clean_mask = np.zeros(n, dtype=bool)
     clock = time.perf_counter if config.record_timings else (lambda: 0.0)
     for epoch in range(config.epochs):
         lr = cosine_lr(config.learning_rate, epoch, config.epochs)
 
         t0 = clock()
-        preds = PredictionMatrix(forward(model, dataset.features)["probs"])
-        state = relabel(preds, base_labels, config.theta_r)
-        if config.persistent_relabel:
-            base_labels = state.working_labels
+        fwd = forward(model, dataset.features)
+        preds = PredictionMatrix(fwd["probs"])
+        state = relabel(preds, dataset.observed_labels, config.theta_r)
         t_relabel = clock() - t0
 
         t0 = clock()
-        embeddings = None
-        if selection_mode in _NEIGHBOUR_MODES:
-            embeddings, _ = trunk_forward(model, dataset.features)
-        t_feat = clock() - t0
-
-        t0 = clock()
-        clean_mask, _ = _select(selection_mode, dataset, state, embeddings,
-                                preds.probs, config, tau)
+        clean_mask = select(dataset, state, fwd, config, tau)
         t_select = clock() - t0
 
         t0 = clock()
@@ -256,13 +227,12 @@ def run_experiment(dataset: NoisyDataset, config: TrainConfig,
             sel_fscore=sel["fscore"],
             selected_count=int(clean_mask.sum()),
             test_acc=test_acc,
-            t_train_s=t_train, t_feat_s=t_feat, t_select_s=t_select,
-            t_relabel_s=t_relabel))
+            t_train_s=t_train, t_select_s=t_select, t_relabel_s=t_relabel))
 
     record = ExperimentRecord(config=asdict(config), epochs=epochs,
                               best_test_acc=max(e.test_acc for e in epochs),
                               last_test_acc=epochs[-1].test_acc)
-    return ExperimentOutcome(record, model, state, clean_mask)
+    return ExperimentOutcome(record, model)
 
 
 def compare_selection_modes(dataset: NoisyDataset, config: TrainConfig,
@@ -278,13 +248,6 @@ def compare_selection_modes(dataset: NoisyDataset, config: TrainConfig,
     # loss are all switched off so only the selection mechanism differs
     base = replace(config, theta_r=1.0, lambda_fc=0.0,
                    sigma_strong=0.0, sigma_weak=0.0, use_mixup=False)
-    runs = {}
-    for name, mode in [("npk_automatic", "consistency"),
-                       ("pmc_gmm_automatic", "gmm"),
-                       ("npk_predefined", "predefined_npk"),
-                       ("pmc_predefined", "predefined_pmc"),
-                       ("whole_dataset", "all"),
-                       ("clean_subset", "oracle_clean")]:
-        runs[name] = run_experiment(dataset, base, test=test,
-                                    selection_mode=mode, tau=tau).record
-    return runs
+    return {name: run_experiment(dataset, base, test=test, selection_mode=mode,
+                                 tau=tau).record
+            for mode, (name, _) in SELECTORS.items()}

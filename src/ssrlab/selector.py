@@ -18,17 +18,6 @@ from .errors import ConfigError, DataError, NumericError
 _NORM_EPS = 1e-12
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine of two vectors, clamped to [-1, 1]."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na < _NORM_EPS or nb < _NORM_EPS:
-        raise NumericError("ZERO_NORM_VECTOR", "cannot take cosine of a zero vector")
-    return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
-
-
 @dataclass(frozen=True)
 class NeighbourIndex:
     """Top-K neighbours per sample, sorted by descending similarity.
@@ -42,10 +31,6 @@ class NeighbourIndex:
     @property
     def k(self) -> int:
         return self.neighbour_ids.shape[1]
-
-    @property
-    def n_samples(self) -> int:
-        return self.neighbour_ids.shape[0]
 
 
 def build_neighbour_index(features: np.ndarray, k: int) -> NeighbourIndex:
@@ -96,26 +81,12 @@ def neighbour_label_counts(index: NeighbourIndex, state: LabelState) -> np.ndarr
     return counts
 
 
-def neighbour_label_distribution(index: NeighbourIndex, state: LabelState) -> np.ndarray:
-    """Normalised neighbour label distribution (rows sum to 1)."""
-    return neighbour_label_counts(index, state) / index.k
-
-
 def balance_distribution(q_raw: np.ndarray, class_counts: np.ndarray) -> np.ndarray:
     """Divide each column by its class count; columns with zero count stay zero."""
     pi = np.asarray(class_counts, dtype=np.float64)
     out = np.zeros_like(q_raw, dtype=np.float64)
     np.divide(q_raw, pi[None, :], out=out, where=pi[None, :] > 0)
     return out
-
-
-def consistency_measure(q_balanced_row: np.ndarray, working_label: int) -> float:
-    """Ratio of the balanced vote at the sample's label to the row maximum."""
-    row = np.asarray(q_balanced_row, dtype=np.float64)
-    top = row.max()
-    if top <= 0:
-        raise NumericError("ALL_ZERO_ROW", "balanced vote row is all zero")
-    return float(row[int(working_label)] / top)
 
 
 def exact_top_mask(counts: np.ndarray, class_counts: np.ndarray,
@@ -141,15 +112,13 @@ def exact_top_mask(counts: np.ndarray, class_counts: np.ndarray,
 class SelectionResult:
     consistency: np.ndarray   # (N,) in [0, 1]; exactly 1.0 iff label attains row max
     clean_mask: np.ndarray    # (N,) bool
-    q_raw: np.ndarray         # (N, M)
-    q_balanced: np.ndarray    # (N, M)
 
 
 def compute_selection(index: NeighbourIndex, state: LabelState, theta_s: float,
                       balance: bool = True) -> SelectionResult:
     counts = neighbour_label_counts(index, state)
     q_raw = counts / index.k
-    q_bal = balance_distribution(q_raw, state.class_counts) if balance else q_raw.copy()
+    q_bal = balance_distribution(q_raw, state.class_counts) if balance else q_raw
     n = counts.shape[0]
     lab = state.working_labels
     top = q_bal.max(axis=1)
@@ -160,7 +129,7 @@ def compute_selection(index: NeighbourIndex, state: LabelState, theta_s: float,
     # Pin c to exactly 1.0 iff the integer predicate holds, so thresholding at
     # theta_s = 1 is an exact argmax-membership test rather than a float compare.
     c = np.where(exact, 1.0, np.minimum(c, np.nextafter(1.0, 0.0)))
-    return SelectionResult(c, select_clean(c, theta_s), q_raw, q_bal)
+    return SelectionResult(c, select_clean(c, theta_s))
 
 
 def select_clean(consistency: np.ndarray, theta_s: float) -> np.ndarray:

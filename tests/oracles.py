@@ -1,0 +1,63 @@
+"""Reference implementations the tests check the package against.
+
+None of these is used by the package itself: they are slow or scalar
+restatements of quantities the pipeline computes in bulk, or evaluation
+helpers the acceptance gate needs.
+"""
+import numpy as np
+
+from ssrlab.errors import NumericError
+from ssrlab.selector import neighbour_label_counts
+
+_NORM_EPS = 1e-12
+
+
+def cosine_similarity(a, b) -> float:
+    """Cosine of two vectors, clamped to [-1, 1]."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    na = np.linalg.norm(a)
+    nb = np.linalg.norm(b)
+    if na < _NORM_EPS or nb < _NORM_EPS:
+        raise NumericError("ZERO_NORM_VECTOR", "cannot take cosine of a zero vector")
+    return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
+
+
+def neighbour_label_distribution(index, state) -> np.ndarray:
+    """Normalised neighbour label distribution (rows sum to 1)."""
+    return neighbour_label_counts(index, state) / index.k
+
+
+def consistency_measure(q_balanced_row, working_label: int) -> float:
+    """Ratio of the balanced vote at the sample's label to the row maximum."""
+    row = np.asarray(q_balanced_row, dtype=np.float64)
+    top = row.max()
+    if top <= 0:
+        raise NumericError("ALL_ZERO_ROW", "balanced vote row is all zero")
+    return float(row[int(working_label)] / top)
+
+
+def macro_f1(predicted: np.ndarray, true: np.ndarray, num_classes: int) -> float:
+    """Unweighted mean of the per-class F1 scores."""
+    scores = []
+    for cls in range(num_classes):
+        tp = int(((predicted == cls) & (true == cls)).sum())
+        fp = int(((predicted == cls) & (true != cls)).sum())
+        fn = int(((predicted != cls) & (true == cls)).sum())
+        p = tp / (tp + fp) if tp + fp else 0.0
+        r = tp / (tp + fn) if tp + fn else 0.0
+        scores.append(0.0 if p + r == 0 else 2.0 * p * r / (p + r))
+    return float(np.mean(scores))
+
+
+def sgd_step_per_pair(model, grads, velocity, lr, momentum, weight_decay):
+    """The momentum/weight-decay update applied one (W, b) array at a time;
+    ``velocity`` holds one array per model parameter array."""
+    pairs = [*model.trunk, model.head, model.projector, model.predictor]
+    grad_pairs = [*grads.trunk, grads.head, grads.projector, grads.predictor]
+    params = [a for pair in pairs for a in pair]
+    grad_arrays = [a for pair in grad_pairs for a in pair]
+    for p, g, v in zip(params, grad_arrays, velocity):
+        v *= momentum
+        v += g + weight_decay * p
+        p -= lr * v

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import numeric_grad, rel_err
+from oracles import macro_f1
 from ssrlab import (NoiseSpec, SynthSpec, TrainConfig, apply_noise,
                     compare_selection_modes, make_gaussian_dataset,
                     run_experiment)
@@ -19,7 +20,6 @@ from ssrlab.cli import emit_metrics
 from ssrlab.model import (MiniBatch, classification_grads,
                           feature_consistency_loss, init_model, mixup_pair,
                           total_loss_grads, trunk_forward)
-from ssrlab.pipeline import macro_f1
 from ssrlab.selector import build_neighbour_index, exact_top_mask, select_clean
 from ssrlab.ssrd import load_embeddings, write_dataset
 
@@ -134,8 +134,8 @@ def test_criterion_2_gradients():
             num = numeric_grad(
                 lambda: classification_grads(model, batch.inputs,
                                              batch.soft_labels)[0],
-                model.arrays())
-            worst = max(worst, rel_err(g.arrays(), num))
+                [model.flat])
+            worst = max(worst, rel_err([g.flat], num))
             checks += 1
 
             # (b) consistency loss, stop-gradient branch held frozen
@@ -143,8 +143,8 @@ def test_criterion_2_gradients():
                                             stop_gradient=True)
             num = numeric_grad(
                 lambda: fc_loss_frozen_h2(model, v1, h2_base, distance),
-                model.arrays())
-            worst = max(worst, rel_err(g.arrays(), num))
+                [model.flat])
+            worst = max(worst, rel_err([g.flat], num))
             checks += 1
 
             # (c) full composite objective
@@ -155,8 +155,8 @@ def test_criterion_2_gradients():
                 lambda: classification_grads(model, batch.inputs,
                                              batch.soft_labels)[0]
                 + lam * fc_loss_frozen_h2(model, v1, h2_base, distance),
-                model.arrays())
-            worst = max(worst, rel_err(g.arrays(), num))
+                [model.flat])
+            worst = max(worst, rel_err([g.flat], num))
             checks += 1
 
             # (d) both-branch gradients without the stop
@@ -164,8 +164,8 @@ def test_criterion_2_gradients():
                 model, v1, v2, distance, stop_gradient=False)[0]
             _, g = feature_consistency_loss(model, v1, v2, distance,
                                             stop_gradient=False)
-            num = numeric_grad(loss_fn, model.arrays())
-            worst = max(worst, rel_err(g.arrays(), num))
+            num = numeric_grad(loss_fn, [model.flat])
+            worst = max(worst, rel_err([g.flat], num))
             checks += 1
             instances += 1
         except Exception:  # dead-ReLU zero embeddings: draw another instance

@@ -52,6 +52,12 @@ def test_unknown_key_rejected():
     assert exc.value.code == "UNKNOWN_KEY"
 
 
+def test_removed_persistent_relabel_key_rejected():
+    with pytest.raises(ConfigError) as exc:
+        parse_config_dict({"persistent_relabel": True})
+    assert exc.value.code == "UNKNOWN_KEY"
+
+
 def test_combined_noise_section():
     parsed = parse_config_dict({"noise": {"kind": "combined",
                                           "total_ratio": 0.3,

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import numeric_grad, rel_err
+from oracles import sgd_step_per_pair
 from ssrlab.errors import DataError, NumericError
 from ssrlab.model import (MiniBatch, OptimizerState, PmcModel, cosine_lr,
                           cross_entropy_loss, feature_consistency_loss,
                           forward, init_model, mixup_pair, oversample_balanced,
                           sample_beta, sgd_step, softmax, total_loss_grads,
-                          trunk_forward, zeros_like_model)
+                          trunk_forward)
 
 
 # --- forward pass ------------------------------------------------------------
@@ -197,9 +200,8 @@ def test_total_loss_weighted_sum(tiny_model):
     assert abs(total - (parts["ce"] + lam * parts["fc"])) < 1e-12
     ce_grads = total_loss_grads(tiny_model, batch, 0.0)[1]
     fc_grads = feature_consistency_loss(tiny_model, v1, v2)[1]
-    for got, ce_g, fc_g in zip(grads.arrays(), ce_grads.arrays(),
-                               fc_grads.arrays()):
-        assert np.allclose(got, ce_g + lam * fc_g, atol=1e-12)
+    assert np.allclose(grads.flat, ce_grads.flat + lam * fc_grads.flat,
+                       atol=1e-12)
 
 
 # --- optimizer ---------------------------------------------------------------
@@ -212,32 +214,58 @@ def scalar_model(theta=0.0):
 
 
 def unit_grads(model):
-    g = zeros_like_model(model)
+    g = model.zeros()
     g.trunk[0][0][:] = 1.0
     return g
 
 
 def test_sgd_zero_grad_no_change(tiny_model):
-    opt = OptimizerState.for_model(tiny_model, 0.1, 0.9, 0.0)
-    before = [a.copy() for a in tiny_model.arrays()]
-    sgd_step(tiny_model, zeros_like_model(tiny_model), opt, 0.1)
-    for b, a in zip(before, tiny_model.arrays()):
-        assert np.array_equal(b, a)
+    opt = OptimizerState.for_model(tiny_model, 0.9, 0.0)
+    before = tiny_model.flat.copy()
+    sgd_step(tiny_model, tiny_model.zeros(), opt, 0.1)
+    assert np.array_equal(before, tiny_model.flat)
 
 
 def test_sgd_single_step():
     model = scalar_model(0.0)
-    opt = OptimizerState.for_model(model, 0.1, 0.0, 0.0)
+    opt = OptimizerState.for_model(model, 0.0, 0.0)
     sgd_step(model, unit_grads(model), opt, 0.1)
     assert abs(model.trunk[0][0][0, 0] + 0.1) < 1e-15
 
 
 def test_sgd_momentum_two_steps():
     model = scalar_model(0.0)
-    opt = OptimizerState.for_model(model, 0.1, 0.9, 0.0)
+    opt = OptimizerState.for_model(model, 0.9, 0.0)
     sgd_step(model, unit_grads(model), opt, 0.1)
     sgd_step(model, unit_grads(model), opt, 0.1)
     assert abs(model.trunk[0][0][0, 0] + 0.29) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(2, 5),
+       st.lists(st.integers(1, 7), min_size=1, max_size=3),
+       st.one_of(st.none(), st.integers(1, 5)),
+       st.floats(0.0, 0.99), st.floats(0.0, 1e-2), st.floats(1e-4, 1.0),
+       st.integers(0, 2**32 - 1))
+def test_flat_sgd_matches_per_pair_reference(dim, classes, hidden, proj,
+                                             momentum, wd, lr, seed):
+    rng = np.random.default_rng(seed)
+    model = init_model(dim, classes, tuple(hidden), proj, rng)
+    model.flat[:] = rng.normal(size=model.flat.size)
+    ref = model.zeros()
+    ref.flat[:] = model.flat
+    opt = OptimizerState.for_model(model, momentum, wd)
+    velocity = [np.zeros_like(a) for pair in [*ref.trunk, ref.head,
+                                             ref.projector, ref.predictor]
+                for a in pair]
+    for _ in range(4):
+        grads = model.zeros()
+        grads.flat[:] = rng.normal(size=grads.flat.size)
+        sgd_step(model, grads, opt, lr)
+        sgd_step_per_pair(ref, grads, velocity, lr, momentum, wd)
+        assert np.array_equal(model.flat, ref.flat)
+    assert np.array_equal(opt.velocity,
+                          np.concatenate([v.ravel() for v in velocity]))
 
 
 def test_cosine_annealing_schedule():

@@ -7,8 +7,8 @@ from ssrlab import (NoiseSpec, NoisyDataset, SynthSpec, TrainConfig,
                     apply_noise, compare_selection_modes, make_gaussian_dataset,
                     run_experiment, selection_metrics)
 from ssrlab.data import LabelState
-from ssrlab.errors import DataError
-from ssrlab.pipeline import macro_f1
+from oracles import macro_f1
+from ssrlab.errors import ConfigError, DataError
 
 
 def small_config(**kwargs):
@@ -104,7 +104,7 @@ def test_best_last_and_ranges(small_noisy):
         for v in (e.relabelled_fraction, e.relabel_accuracy, e.sel_precision,
                   e.sel_recall, e.sel_fscore, e.test_acc):
             assert 0.0 <= v <= 1.0
-        for t in (e.t_train_s, e.t_feat_s, e.t_select_s, e.t_relabel_s):
+        for t in (e.t_train_s, e.t_select_s, e.t_relabel_s):
             assert t >= 0.0
 
 
@@ -112,6 +112,18 @@ def test_unknown_selection_mode(small_noisy):
     noisy, _ = small_noisy
     with pytest.raises(DataError):
         run_experiment(noisy, small_config(), selection_mode="magic")
+
+
+@pytest.mark.parametrize("mode", ["predefined_npk", "predefined_pmc"])
+@pytest.mark.parametrize("tau", [None, 1.0, -0.1])
+def test_predefined_modes_need_tau_in_range(small_noisy, monkeypatch, mode, tau):
+    def no_init(*args, **kwargs):
+        raise AssertionError("model initialised before tau was checked")
+    monkeypatch.setattr("ssrlab.pipeline.init_model", no_init)
+    noisy, _ = small_noisy
+    with pytest.raises(ConfigError) as exc:
+        run_experiment(noisy, small_config(), selection_mode=mode, tau=tau)
+    assert exc.value.code == "RANGE_ERROR"
 
 
 def test_empty_selection_skips_training():

@@ -1,13 +1,18 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ssrlab import LabelState, build_neighbour_index, cosine_similarity
+from oracles import (consistency_measure, cosine_similarity,
+                     neighbour_label_distribution)
+from ssrlab import LabelState, build_neighbour_index
 from ssrlab.errors import ConfigError, DataError, NumericError
 from ssrlab.selector import (NeighbourIndex, balance_distribution,
                              baseline_gmm_loss, baseline_small_loss_predefined,
-                             compute_selection, consistency_measure,
-                             exact_top_mask, neighbour_label_counts,
-                             neighbour_label_distribution, select_clean)
+                             compute_selection, exact_top_mask,
+                             neighbour_label_counts, select_clean)
 
 
 def full_sort_oracle(feats, k):
@@ -274,6 +279,21 @@ def test_predefined_hand_case():
 def test_predefined_tie_break():
     mask = baseline_small_loss_predefined(np.ones(4), 0.5)
     assert mask.tolist() == [True, True, False, False]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 0.25, 0.5, np.nextafter(1.0, 0.0), 1.0]),
+                min_size=1, max_size=60),
+       st.floats(0.0, 1.0, exclude_max=True))
+def test_predefined_on_negated_consistency_matches_lexsort(values, tau):
+    # the fixed-ratio consistency selector keeps the ceil((1-tau)*N) most
+    # consistent samples, ties by ascending index
+    c = np.array(values)
+    n = c.size
+    order = np.lexsort((np.arange(n), -c))
+    expect = np.zeros(n, dtype=bool)
+    expect[order[:math.ceil((1.0 - tau) * n)]] = True
+    assert np.array_equal(baseline_small_loss_predefined(-c, tau), expect)
 
 
 def test_gmm_separated_clusters():

@@ -9,7 +9,7 @@ from .noise import (NoiseSpec, SynthSpec, apply_noise, inject_asymmetric,
 from .pipeline import (ExperimentOutcome, ExperimentRecord,
                        compare_selection_modes, run_experiment,
                        selection_metrics)
-from .relabel import PredictionMatrix, relabel, relabel_metrics
+from .relabel import relabel, relabel_metrics
 from .selector import (NeighbourIndex, SelectionResult, build_neighbour_index,
                        compute_selection, select_clean)
 from .ssrd import load_embeddings, load_pool, write_dataset, write_pool
@@ -21,7 +21,7 @@ __all__ = [
     "inject_combined", "inject_symmetric", "make_gaussian_dataset",
     "ExperimentOutcome", "ExperimentRecord", "compare_selection_modes",
     "run_experiment", "selection_metrics",
-    "PredictionMatrix", "relabel", "relabel_metrics",
+    "relabel", "relabel_metrics",
     "NeighbourIndex", "SelectionResult", "build_neighbour_index",
     "compute_selection", "select_clean",
     "load_embeddings", "load_pool", "write_dataset", "write_pool",

@@ -22,16 +22,14 @@ from . import __version__
 from .config import ParsedConfig, parse_config
 from .errors import ConfigError, DataError, NumericError
 from .noise import apply_noise, make_gaussian_dataset
-from .pipeline import ExperimentRecord, compare_selection_modes, run_experiment
+from .pipeline import (EpochMetrics, EpochTimings, ExperimentRecord,
+                       compare_selection_modes, run_experiment)
 from .ssrd import load_embeddings, load_pool, write_dataset, write_pool
 
 log = logging.getLogger("ssrlab")
 
-CSV_COLUMNS = ["epoch", "relabelled_fraction", "relabel_accuracy",
-               "sel_precision", "sel_recall", "sel_fscore", "selected_count",
-               "test_acc", "t_train_s", "t_select_s", "t_relabel_s"]
-
-_INT_COLUMNS = {"epoch", "selected_count"}
+CSV_COLUMNS = [f.name for f in dataclasses.fields(EpochMetrics)]
+TIMING_COLUMNS = [f.name for f in dataclasses.fields(EpochTimings)]
 
 # flags mirroring the most common config keys; flags win over the file
 _OVERRIDE_FLAGS = {
@@ -41,30 +39,27 @@ _OVERRIDE_FLAGS = {
 }
 
 
-def _fmt(column: str, value) -> str:
-    if column in _INT_COLUMNS:
-        return str(int(value))
-    return repr(float(value))
+def _write_csv(path: Path, columns: list, rows: list) -> None:
+    lines = [",".join(columns)]
+    for row in rows:
+        values = (getattr(row, c) for c in columns)
+        lines.append(",".join(str(v) if isinstance(v, int) else repr(float(v))
+                              for v in values))
+    path.write_text("\n".join(lines) + "\n")
 
 
 def emit_metrics(record: ExperimentRecord, out_dir) -> None:
-    """Write metrics.csv, record.json, and per-metric plot data files."""
+    """Write metrics.csv and record.json, which repeat byte for byte for a
+    given config and data, and the wall-clock timings.csv."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = [dataclasses.asdict(e) for e in record.epochs]
-    lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_fmt(c, row[c]) for c in CSV_COLUMNS))
-    (out / "metrics.csv").write_text("\n".join(lines) + "\n")
-    payload = {"config": record.config, "epochs": rows,
+    _write_csv(out / "metrics.csv", CSV_COLUMNS, record.epochs)
+    payload = {"config": record.config,
+               "epochs": [dataclasses.asdict(e) for e in record.epochs],
                "best_test_acc": record.best_test_acc,
                "last_test_acc": record.last_test_acc}
     (out / "record.json").write_text(json.dumps(payload, indent=2) + "\n")
-    plots = out / "plots"
-    plots.mkdir(exist_ok=True)
-    for col in CSV_COLUMNS[1:]:
-        data = "\n".join(f"{row['epoch']} {_fmt(col, row[col])}" for row in rows)
-        (plots / f"{col}.dat").write_text(data + "\n")
+    _write_csv(out / "timings.csv", TIMING_COLUMNS, record.timings)
 
 
 def _run_dir(root: Path, seed: int) -> Path:
@@ -172,15 +167,13 @@ _SWEEPABLE = {"theta_s": float, "theta_r": float, "k_neighbours": int}
 
 
 def run_grid(parsed: ParsedConfig, param: str, values, out_root,
-             data=None, test=None) -> list:
+             data, test=None) -> list:
     """One independent run per sweep value, plus an aggregated summary CSV."""
     if param not in _SWEEPABLE:
         raise ConfigError("RANGE_ERROR",
                           f"sweep parameter must be one of {sorted(_SWEEPABLE)}")
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)
-    if data is None:
-        data, test = _prepare_data(parsed)
     summary = []
     for value in values:
         cfg = dataclasses.replace(parsed.train, **{param: value})

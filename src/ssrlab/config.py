@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .data import TrainConfig, config_field_names
+from .data import TrainConfig
 from .errors import ConfigError
 from .noise import NoiseSpec, SynthSpec
 
@@ -45,10 +45,6 @@ def _build(cls, obj: dict, context: str):
 def parse_config_dict(obj: dict) -> ParsedConfig:
     if not isinstance(obj, dict):
         raise ConfigError("PARSE_ERROR", "config root must be a JSON object")
-    allowed = config_field_names() | {"noise", "synth"}
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigError("UNKNOWN_KEY", f"unknown key(s): {sorted(unknown)}")
     train_kwargs = {k: v for k, v in obj.items() if k not in ("noise", "synth")}
     train = _build(TrainConfig, train_kwargs, "train")
     noise = _build(NoiseSpec, obj["noise"], "noise") if "noise" in obj else None

@@ -1,7 +1,7 @@
 """Core dataset and label-state containers shared by all modules."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -151,7 +151,6 @@ class TrainConfig:
     balance_voting: bool = True
     oversample: bool = True
     stop_gradient: bool = True
-    record_timings: bool = True  # set false for byte-identical metric files
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
@@ -185,7 +184,3 @@ class TrainConfig:
             bad(f"hidden_dims={self.hidden_dims} must be positive")
         if self.proj_dim is not None and self.proj_dim < 1:
             bad(f"proj_dim={self.proj_dim} must be >= 1")
-
-
-def config_field_names() -> set:
-    return {f.name for f in fields(TrainConfig)}

@@ -1,24 +1,12 @@
 """Confidence-based relabelling from classifier softmax outputs."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import OPEN_SET, LabelState, NoisyDataset
 from .errors import ConfigError, DataError
 
 _ROW_SUM_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class PredictionMatrix:
-    """Row-stochastic softmax outputs, one row per sample."""
-
-    probs: np.ndarray  # (N, M)
-
-    def __post_init__(self):
-        object.__setattr__(self, "probs", np.asarray(self.probs, dtype=np.float64))
 
 
 def _check_rows(probs: np.ndarray) -> None:
@@ -29,17 +17,18 @@ def _check_rows(probs: np.ndarray) -> None:
                         f"row {bad[0]} is not a probability vector")
 
 
-def relabel(preds: PredictionMatrix, observed_labels: np.ndarray,
+def relabel(probs: np.ndarray, observed_labels: np.ndarray,
             theta_r: float) -> LabelState:
-    """Overwrite a sample's label with the argmax prediction when the maximum
-    confidence strictly exceeds theta_r; keep the observed label otherwise.
+    """Overwrite a sample's label with the argmax of its (N, M) row-stochastic
+    softmax row when the maximum confidence strictly exceeds theta_r; keep the
+    observed label otherwise.
 
     Pure function of its arguments: labels are recomputed from the observed
     labels every call, nothing persists across epochs.
     """
     if not 0.0 < theta_r <= 1.0:
         raise ConfigError("RANGE_ERROR", f"theta_r={theta_r} not in (0, 1]")
-    probs = preds.probs
+    probs = np.asarray(probs, dtype=np.float64)
     _check_rows(probs)
     observed = np.asarray(observed_labels, dtype=np.int64)
     conf = probs.max(axis=1)

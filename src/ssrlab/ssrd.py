@@ -4,6 +4,7 @@ Layout (little-endian): magic "SSRD", u16 version, u32 N, u32 d, u32 M,
 u8 flags (bit0 = has true labels, bit1 = has noisy mask), then N*d float32
 features row-major, N u32 observed labels, optionally N int32 true labels
 (-1 = open-set sentinel) and N u8 noisy mask. Pools are stored with M = 0.
+The reader is strict: other flag bits and bytes past the payload are errors.
 """
 from __future__ import annotations
 
@@ -58,6 +59,8 @@ def _read(path) -> dict:
     magic, version, n, d, m, flags = _HEADER.unpack_from(data)
     if version != VERSION:
         raise DataError("BAD_MAGIC", f"unsupported SSRD version {version}")
+    if flags & ~(FLAG_TRUE_LABELS | FLAG_NOISY_MASK):
+        raise DataError("BAD_FLAGS", f"{path} sets unknown flag bits {flags:#04x}")
     off = _HEADER.size
 
     def take(dtype, count):
@@ -74,6 +77,9 @@ def _read(path) -> dict:
     obs = take("<u4", n).astype(np.int64)
     true = take("<i4", n).astype(np.int64) if flags & FLAG_TRUE_LABELS else None
     mask = take(np.uint8, n).astype(bool) if flags & FLAG_NOISY_MASK else None
+    if off != len(data):
+        raise DataError("TRAILING_BYTES", f"{path} has {len(data) - off} bytes "
+                        "past its declared payload")
     return {"features": feats, "observed_labels": obs, "num_classes": int(m),
             "true_labels": true, "is_noisy": mask}
 

@@ -34,17 +34,11 @@ BASE_SYNTH = SynthSpec(num_classes=4, per_class=500, dim=16, separation=4.0,
                        seed=0, ood_classes=4)
 
 
-def pinned_config(**kwargs):
-    defaults = dict(record_timings=False)
-    defaults.update(kwargs)
-    return TrainConfig(**defaults)
-
-
 @pytest.fixture(scope="module")
 def sym50_run():
     synth = make_gaussian_dataset(BASE_SYNTH)
     noisy = apply_noise(synth.train, NoiseSpec("symmetric", 0.5, seed=0))
-    out = run_experiment(noisy, pinned_config(), test=synth.test)
+    out = run_experiment(noisy, TrainConfig(), test=synth.test)
     return noisy, out.record
 
 
@@ -235,7 +229,7 @@ def test_criterion_5_open_set_conservatism():
     noisy = apply_noise(synth.train,
                         NoiseSpec("combined", 0.3, open_ratio=1.0, seed=0),
                         synth.ood_pool)
-    record = run_experiment(noisy, pinned_config(), test=synth.test).record
+    record = run_experiment(noisy, TrainConfig(), test=synth.test).record
     peak = max(e.relabelled_fraction for e in record.epochs)
     report(5, peak < 0.05, f"max relabelled_fraction over epochs = {peak:.4f}")
 
@@ -244,22 +238,22 @@ def test_criterion_5_open_set_conservatism():
 
 def test_criterion_7_ablations(sym80_data):
     noisy80, test = sym80_data
-    with_sel = run_experiment(noisy80, pinned_config(theta_s=1.0),
+    with_sel = run_experiment(noisy80, TrainConfig(theta_s=1.0),
                               test=test).record.last_test_acc
-    no_sel = run_experiment(noisy80, pinned_config(theta_s=0.0),
+    no_sel = run_experiment(noisy80, TrainConfig(theta_s=0.0),
                             test=test).record.last_test_acc
 
     synth = make_gaussian_dataset(BASE_SYNTH)
     asym40 = apply_noise(synth.train,
                          NoiseSpec("asymmetric", 0.4, pair_map=(1, 2, 3, 0),
                                    seed=0))
-    k1 = run_experiment(asym40, pinned_config(k_neighbours=1),
+    k1 = run_experiment(asym40, TrainConfig(k_neighbours=1),
                         test=synth.test).record.last_test_acc
-    k100 = run_experiment(asym40, pinned_config(k_neighbours=100),
+    k100 = run_experiment(asym40, TrainConfig(k_neighbours=100),
                           test=synth.test).record.last_test_acc
 
     accs = [with_sel if theta_r == 0.9 else
-            run_experiment(noisy80, pinned_config(theta_r=theta_r),
+            run_experiment(noisy80, TrainConfig(theta_r=theta_r),
                            test=test).record.last_test_acc
             for theta_r in (0.7, 0.8, 0.9)]
     spread = max(accs) - min(accs)
@@ -277,7 +271,7 @@ def test_criterion_8_mode_comparison(sym80_data):
     votes = 0
     details = []
     for seed in (0, 1, 2):
-        runs = compare_selection_modes(noisy80, pinned_config(seed=seed),
+        runs = compare_selection_modes(noisy80, TrainConfig(seed=seed),
                                        test=test)
         last = {name: r.last_test_acc for name, r in runs.items()}
         ordered = (last["clean_subset"] > last["npk_automatic"]
@@ -304,7 +298,7 @@ def test_criterion_9_balancing():
                                       pair_map=(1, 0, 3, 2), seed=seed))
         scores = {}
         for balanced in (True, False):
-            cfg = pinned_config(seed=seed, balance_voting=balanced,
+            cfg = TrainConfig(seed=seed, balance_voting=balanced,
                                 oversample=balanced)
             out = run_experiment(noisy, cfg, test=synth.test)
             from ssrlab.model import forward
@@ -325,7 +319,7 @@ def test_criterion_10_determinism(tmp_path):
     synth = make_gaussian_dataset(SynthSpec(num_classes=3, per_class=80,
                                             dim=8, seed=0))
     noisy = apply_noise(synth.train, NoiseSpec("symmetric", 0.4, seed=0))
-    cfg = pinned_config(epochs=5, k_neighbours=20)
+    cfg = TrainConfig(epochs=5, k_neighbours=20)
     blobs = []
     for name in ("a", "b"):
         record = run_experiment(noisy, cfg, test=synth.test).record

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ssrlab import load_embeddings, load_pool
-from ssrlab.cli import CSV_COLUMNS, main
+from ssrlab.cli import CSV_COLUMNS, TIMING_COLUMNS, main
 from ssrlab.config import parse_config_dict
 from ssrlab.errors import ConfigError
 
@@ -14,7 +14,6 @@ BASE_CONFIG = {
     "epochs": 2,
     "k_neighbours": 5,
     "batch_size": 32,
-    "record_timings": False,
     "synth": {"num_classes": 3, "per_class": 30, "dim": 8,
               "separation": 4.0, "seed": 0, "ood_classes": 2},
     "noise": {"kind": "symmetric", "total_ratio": 0.3, "seed": 0},
@@ -53,9 +52,10 @@ def test_unknown_key_rejected():
 
 
 def test_removed_persistent_relabel_key_rejected():
-    with pytest.raises(ConfigError) as exc:
-        parse_config_dict({"persistent_relabel": True})
-    assert exc.value.code == "UNKNOWN_KEY"
+    for key in ("persistent_relabel", "record_timings"):
+        with pytest.raises(ConfigError) as exc:
+            parse_config_dict({key: True})
+        assert exc.value.code == "UNKNOWN_KEY"
 
 
 def test_combined_noise_section():
@@ -143,9 +143,25 @@ def test_run_emits_artifacts(tmp_path, config_path):
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert manifest["seed"] == 0
     assert manifest["finished"] >= manifest["started"]
-    for col in CSV_COLUMNS[1:]:
-        dat = (run_dir / "plots" / f"{col}.dat").read_text().strip().split("\n")
-        assert len(dat) == 2
+    header, rows = read_csv(run_dir / "timings.csv")
+    assert header == TIMING_COLUMNS == ["epoch", "relabel_s", "select_s",
+                                        "train_s"]
+    assert [row["epoch"] for row in rows] == ["0", "1"]
+    for row in rows:
+        assert all(float(row[c]) >= 0.0 for c in header[1:])
+    assert not (run_dir / "plots").exists()
+    assert sorted(p.name for p in run_dir.iterdir()) == [
+        "manifest.json", "metrics.csv", "record.json", "timings.csv"]
+
+
+def test_default_run_is_byte_identical(tmp_path, config_path):
+    dirs = []
+    for name in ("a", "b"):
+        assert main(["run", "-c", str(config_path),
+                     "-o", str(tmp_path / name)]) == 0
+        dirs.append(run_dir_of(tmp_path / name))
+    for fname in ("metrics.csv", "record.json"):
+        assert (dirs[0] / fname).read_bytes() == (dirs[1] / fname).read_bytes()
 
 
 def test_run_flag_overrides_config(tmp_path, config_path):

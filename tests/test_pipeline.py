@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +16,7 @@ from ssrlab.errors import ConfigError, DataError
 
 
 def small_config(**kwargs):
-    defaults = dict(k_neighbours=10, epochs=3, batch_size=32,
-                    record_timings=False, seed=0)
+    defaults = dict(k_neighbours=10, epochs=3, batch_size=32, seed=0)
     defaults.update(kwargs)
     return TrainConfig(**defaults)
 
@@ -95,7 +98,7 @@ def test_zero_noise_high_recall():
 
 def test_best_last_and_ranges(small_noisy):
     noisy, test = small_noisy
-    out = run_experiment(noisy, small_config(record_timings=True), test=test)
+    out = run_experiment(noisy, small_config(), test=test)
     record = out.record
     accs = [e.test_acc for e in record.epochs]
     assert record.best_test_acc == max(accs)
@@ -104,8 +107,10 @@ def test_best_last_and_ranges(small_noisy):
         for v in (e.relabelled_fraction, e.relabel_accuracy, e.sel_precision,
                   e.sel_recall, e.sel_fscore, e.test_acc):
             assert 0.0 <= v <= 1.0
-        for t in (e.t_train_s, e.t_select_s, e.t_relabel_s):
-            assert t >= 0.0
+    assert [t.epoch for t in record.timings] == [e.epoch for e in record.epochs]
+    for t in record.timings:
+        for v in (t.relabel_s, t.select_s, t.train_s):
+            assert v >= 0.0
 
 
 def test_unknown_selection_mode(small_noisy):
@@ -180,3 +185,37 @@ def test_comparison_needs_ground_truth():
                       labels, 2)
     with pytest.raises(DataError):
         compare_selection_modes(ds, small_config())
+
+
+# the criterion-10 config, written with emit_metrics plus the final parameters
+_THREADS_CHILD = """
+import sys
+from pathlib import Path
+from ssrlab import (NoiseSpec, SynthSpec, TrainConfig, apply_noise,
+                    make_gaussian_dataset, run_experiment)
+from ssrlab.cli import emit_metrics
+out = Path(sys.argv[1])
+synth = make_gaussian_dataset(SynthSpec(num_classes=3, per_class=80, dim=8,
+                                        seed=0))
+noisy = apply_noise(synth.train, NoiseSpec("symmetric", 0.4, seed=0))
+outcome = run_experiment(noisy, TrainConfig(epochs=5, k_neighbours=20),
+                         test=synth.test)
+emit_metrics(outcome.record, out)
+(out / "model.flat").write_bytes(outcome.model.flat.tobytes())
+"""
+
+
+def test_determinism_across_blas_threads(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    blobs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        subprocess.run([sys.executable, "-c", _THREADS_CHILD, str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        blobs.append(((out / "metrics.csv").read_bytes(),
+                      (out / "model.flat").read_bytes()))
+    assert blobs[0][0] == blobs[1][0]
+    assert blobs[0][1] == blobs[1][1]

@@ -1,19 +1,19 @@
 import numpy as np
 import pytest
 
-from ssrlab import OPEN_SET, NoisyDataset, PredictionMatrix, relabel, relabel_metrics
+from ssrlab import OPEN_SET, NoisyDataset, relabel, relabel_metrics
 from ssrlab.data import LabelState
 from ssrlab.errors import ConfigError, DataError
 
 
 def test_confident_row_is_relabelled():
-    state = relabel(PredictionMatrix([[0.95, 0.05]]), [1], 0.9)
+    state = relabel([[0.95, 0.05]], [1], 0.9)
     assert state.working_labels.tolist() == [0]
     assert state.relabel_mask.tolist() == [True]
 
 
 def test_unconfident_row_keeps_observed():
-    state = relabel(PredictionMatrix([[0.6, 0.4]]), [1], 0.9)
+    state = relabel([[0.6, 0.4]], [1], 0.9)
     assert state.working_labels.tolist() == [1]
     assert not state.relabel_mask.any()
 
@@ -22,37 +22,37 @@ def test_theta_one_disables_relabelling():
     rng = np.random.default_rng(0)
     probs = rng.dirichlet(np.ones(4), size=50)
     observed = rng.integers(0, 4, 50)
-    state = relabel(PredictionMatrix(probs), observed, 1.0)
+    state = relabel(probs, observed, 1.0)
     assert np.array_equal(state.working_labels, observed)
 
 
 def test_confidence_exactly_at_threshold_not_relabelled():
-    state = relabel(PredictionMatrix([[0.9, 0.1]]), [1], 0.9)
+    state = relabel([[0.9, 0.1]], [1], 0.9)
     assert state.working_labels.tolist() == [1]
 
 
 def test_argmax_tie_lowest_class():
-    state = relabel(PredictionMatrix([[0.5, 0.5]]), [1], 0.4)
+    state = relabel([[0.5, 0.5]], [1], 0.4)
     assert state.working_labels.tolist() == [0]
 
 
 def test_invalid_probability_row():
     with pytest.raises(DataError) as exc:
-        relabel(PredictionMatrix([[0.7, 0.7]]), [0], 0.9)
+        relabel([[0.7, 0.7]], [0], 0.9)
     assert exc.value.code == "INVALID_PROBABILITY_ROW"
 
 
 def test_bad_threshold():
     with pytest.raises(ConfigError):
-        relabel(PredictionMatrix([[1.0, 0.0]]), [0], 0.0)
+        relabel([[1.0, 0.0]], [0], 0.0)
 
 
 def test_relabel_is_pure():
     rng = np.random.default_rng(1)
     probs = rng.dirichlet(np.ones(3), size=40)
     observed = rng.integers(0, 3, 40)
-    a = relabel(PredictionMatrix(probs), observed, 0.8)
-    b = relabel(PredictionMatrix(probs), observed, 0.8)
+    a = relabel(probs, observed, 0.8)
+    b = relabel(probs, observed, 0.8)
     assert np.array_equal(a.working_labels, b.working_labels)
     assert np.array_equal(a.relabel_mask, b.relabel_mask)
     assert np.array_equal(a.class_counts, b.class_counts)
@@ -64,7 +64,7 @@ def test_relabel_monotone_conservative():
     observed = rng.integers(0, 3, 200)
     prev = None
     for theta in [0.4, 0.6, 0.8, 0.95, 1.0]:
-        mask = relabel(PredictionMatrix(probs), observed, theta).relabel_mask
+        mask = relabel(probs, observed, theta).relabel_mask
         if prev is not None:
             assert not (mask & ~prev).any()
         prev = mask
@@ -73,7 +73,7 @@ def test_relabel_monotone_conservative():
 def test_class_counts_sum_to_n():
     rng = np.random.default_rng(3)
     probs = rng.dirichlet(np.ones(5), size=77)
-    state = relabel(PredictionMatrix(probs), rng.integers(0, 5, 77), 0.5)
+    state = relabel(probs, rng.integers(0, 5, 77), 0.5)
     assert state.class_counts.sum() == 77
 
 

@@ -2,10 +2,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ssrlab import (OPEN_SET, NoisyDataset, load_embeddings, load_pool,
                     write_dataset, write_pool)
 from ssrlab.errors import DataError
+from ssrlab.ssrd import _HEADER, MAGIC, _read
 
 
 def f32_dataset(seed=0, n=25, d=6, m=3, with_truth=True):
@@ -101,3 +103,60 @@ def test_loaded_dataset_validates(tmp_path):
     with pytest.raises(DataError) as exc:
         load_embeddings(path)
     assert exc.value.code == "LABEL_OUT_OF_RANGE"
+
+
+def test_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "tail.ssrd"
+    write_dataset(path, f32_dataset())
+    path.write_bytes(path.read_bytes() + b"garbage")
+    with pytest.raises(DataError) as exc:
+        load_embeddings(path)
+    assert exc.value.code == "TRAILING_BYTES"
+
+
+def test_unknown_flag_bit_rejected(tmp_path):
+    path = tmp_path / "flags.ssrd"
+    write_dataset(path, f32_dataset())
+    blob = bytearray(path.read_bytes())
+    blob[_HEADER.size - 1] |= 0x80   # flags are the last header byte
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DataError) as exc:
+        load_embeddings(path)
+    assert exc.value.code == "BAD_FLAGS"
+
+
+def _payload_size(n, d, flags):
+    return 4 * n * d + 4 * n + 4 * n * (flags & 1) + n * ((flags >> 1) & 1)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(version=st.sampled_from([1, 1, 1, 0, 2]),
+       n=st.one_of(st.integers(0, 8), st.integers(0, 2**32 - 1)),
+       d=st.one_of(st.integers(0, 5), st.integers(0, 2**32 - 1)),
+       m=st.integers(0, 2**32 - 1),
+       flags=st.integers(0, 255),
+       exact=st.booleans(),
+       noise=st.binary(max_size=64),
+       cut=st.one_of(st.none(), st.integers(0, 400)))
+def test_read_fuzz_raises_only_data_error(tmp_path, version, n, d, m, flags,
+                                          exact, noise, cut):
+    """Random headers, flags and payload lengths: _read either raises
+    DataError or returns arrays that fill the file exactly."""
+    size = _payload_size(n, d, flags)
+    body = (bytes(size) if exact and size <= 4096 else b"") + noise
+    blob = _HEADER.pack(MAGIC, version, n, d, m, flags) + body
+    if cut is not None:
+        blob = blob[:cut]
+    path = tmp_path / "fuzz.ssrd"
+    path.write_bytes(blob)
+    try:
+        raw = _read(path)
+    except DataError:
+        return
+    assert version == 1 and flags & ~0x03 == 0
+    assert len(blob) == _HEADER.size + size
+    assert raw["features"].shape == (n, d)
+    assert raw["observed_labels"].shape == (n,)
+    assert (raw["true_labels"] is not None) == bool(flags & 0x01)
+    assert (raw["is_noisy"] is not None) == bool(flags & 0x02)

@@ -25,7 +25,7 @@ from .model import (MiniBatch, OptimizerState, PmcModel, cosine_lr, forward,
 from .model import trunk_forward  # noqa: F401 (uncalled; perfbench patches it)
 from .relabel import relabel, relabel_metrics
 from .selector import (baseline_gmm_loss, baseline_small_loss_predefined,
-                       build_neighbour_index, compute_selection)
+                       build_neighbour_index, check_k, compute_selection)
 
 log = logging.getLogger(__name__)
 
@@ -178,6 +178,8 @@ def run_experiment(dataset: NoisyDataset, config: TrainConfig,
             and not (tau is not None and 0.0 <= tau < 1.0)):
         raise ConfigError("RANGE_ERROR", f"selection mode {selection_mode!r} "
                           f"needs tau in [0, 1), got {tau}")
+    if selection_mode in ("consistency", "predefined_npk"):
+        check_k(config.k_neighbours, dataset.n_samples)
     select = SELECTORS[selection_mode][1]
     rng = np.random.default_rng(config.seed)
     model = init_model(dataset.dim, dataset.num_classes, config.hidden_dims,

@@ -16,6 +16,7 @@ from .data import LabelState
 from .errors import ConfigError, DataError, NumericError
 
 _NORM_EPS = 1e-12
+_TILE_ELEMS = 1 << 20   # similarities held at once by build_neighbour_index
 
 
 @dataclass(frozen=True)
@@ -33,42 +34,60 @@ class NeighbourIndex:
         return self.neighbour_ids.shape[1]
 
 
-def build_neighbour_index(features: np.ndarray, k: int) -> NeighbourIndex:
-    """Exhaustive cosine top-K; deterministic for fixed input."""
-    feats = np.asarray(features, dtype=np.float64)
-    n = feats.shape[0]
+def check_k(k: int, n: int) -> None:
+    """Raise K_TOO_LARGE unless each of n samples has k neighbours besides itself."""
     if not 1 <= k <= n - 1:
         raise DataError("K_TOO_LARGE", f"k={k} must be in [1, {n - 1}]")
+
+
+def build_neighbour_index(features: np.ndarray, k: int) -> NeighbourIndex:
+    """Exhaustive cosine top-K; deterministic for fixed input.
+
+    Similarities exist one tile of rows at a time, so memory grows as N*K
+    plus one tile of _TILE_ELEMS values, not as N*N.
+    """
+    feats = np.asarray(features, dtype=np.float64)
+    n = feats.shape[0]
+    check_k(k, n)
     norms = np.linalg.norm(feats, axis=1)
+    bad = np.flatnonzero(~np.isfinite(norms))
+    if bad.size:
+        raise NumericError("NON_FINITE_INPUT",
+                           f"feature row {bad[0]} has a non-finite norm")
     bad = np.flatnonzero(norms < _NORM_EPS)
     if bad.size:
         raise NumericError("ZERO_NORM_VECTOR", f"feature row {bad[0]} has zero norm")
     unit = feats / norms[:, None]
-    sims = unit @ unit.T
-    np.clip(sims, -1.0, 1.0, out=sims)
-    np.fill_diagonal(sims, -np.inf)
-    ids = _topk_desc(sims, k)
-    rows = np.arange(n)[:, None]
-    return NeighbourIndex(ids, sims[rows, ids])
+    ids = np.empty((n, k), dtype=np.int64)
+    sims = np.empty((n, k), dtype=np.float64)
+    rows = max(1, _TILE_ELEMS // n)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        tile = unit[lo:hi] @ unit.T
+        np.clip(tile, -1.0, 1.0, out=tile)
+        own = np.arange(hi - lo)
+        tile[own, lo + own] = -np.inf
+        ids[lo:hi] = _topk_desc(tile, k)
+        sims[lo:hi] = np.take_along_axis(tile, ids[lo:hi], axis=1)
+    return NeighbourIndex(ids, sims)
 
 
 def _topk_desc(sims: np.ndarray, k: int) -> np.ndarray:
-    """Row-wise top-k indices by (descending value, ascending index)."""
-    n = sims.shape[0]
-    rows = np.arange(n)[:, None]
-    part = np.argpartition(-sims, k - 1, axis=1)[:, :k]
-    part_vals = sims[rows, part]
-    kth = part_vals.min(axis=1)
-    order = np.lexsort((part, -part_vals), axis=1)
-    ids = np.take_along_axis(part, order, axis=1)
-    # Ties straddling the k-th position need the index tie-break applied over
-    # the whole boundary group, which argpartition does not guarantee.
-    tie_rows = np.flatnonzero((sims >= kth[:, None]).sum(axis=1) > k)
-    for i in tie_rows:
-        cand = np.flatnonzero(sims[i] >= kth[i])
-        cand = cand[np.lexsort((cand, -sims[i, cand]))]
-        ids[i] = cand[:k]
-    return ids.astype(np.int64)
+    """Row-wise top-k indices by (descending value, ascending index).
+
+    Every entry at least the row's k-th largest value is a candidate, so a
+    tie group straddling position k is kept whole. The candidates, in
+    ascending column order, are sorted stably by descending value.
+    """
+    kth = np.partition(sims, -k, axis=1)[:, -k]
+    rows, cols = np.nonzero(sims >= kth[:, None])
+    counts = np.bincount(rows, minlength=sims.shape[0])
+    starts = np.cumsum(counts) - counts
+    pos = np.arange(rows.size) - starts[rows]
+    neg = np.full((sims.shape[0], counts.max()), np.inf)
+    neg[rows, pos] = -sims[rows, cols]
+    order = np.argsort(neg, axis=1, kind="stable")[:, :k]
+    return cols[starts[:, None] + order]
 
 
 def neighbour_label_counts(index: NeighbourIndex, state: LabelState) -> np.ndarray:

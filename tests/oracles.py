@@ -23,6 +23,27 @@ def cosine_similarity(a, b) -> float:
     return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
 
 
+def dense_cosine(feats) -> np.ndarray:
+    """Full N x N cosine matrix, clipped to [-1, 1], with -inf on the diagonal."""
+    feats = np.asarray(feats, dtype=np.float64)
+    unit = feats / np.linalg.norm(feats, axis=1, keepdims=True)
+    sims = np.clip(unit @ unit.T, -1.0, 1.0)
+    np.fill_diagonal(sims, -np.inf)
+    return sims
+
+
+def topk_lexsort(sims, k) -> np.ndarray:
+    """Row-wise top-k column indices by (descending value, ascending index)."""
+    idx = np.broadcast_to(np.arange(sims.shape[1]), sims.shape)
+    return np.lexsort((idx, -sims), axis=1)[:, :k]
+
+
+def full_sort_oracle(feats, k) -> np.ndarray:
+    """Exhaustive O(N^2) top-k neighbour ids by (descending cosine, ascending
+    index), self excluded."""
+    return topk_lexsort(dense_cosine(feats), k)
+
+
 def neighbour_label_distribution(index, state) -> np.ndarray:
     """Normalised neighbour label distribution (rows sum to 1)."""
     return neighbour_label_counts(index, state) / index.k

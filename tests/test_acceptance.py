@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import numeric_grad, rel_err
-from oracles import macro_f1
+from oracles import full_sort_oracle, macro_f1
 from ssrlab import (NoiseSpec, SynthSpec, TrainConfig, apply_noise,
                     compare_selection_modes, make_gaussian_dataset,
                     run_experiment)
@@ -50,17 +50,6 @@ def sym80_data():
 
 
 # --- criterion 1: exhaustive KNN oracle --------------------------------------
-
-def full_sort_oracle(feats, k):
-    feats = np.asarray(feats, dtype=np.float64)
-    n = feats.shape[0]
-    unit = feats / np.linalg.norm(feats, axis=1, keepdims=True)
-    sims = np.clip(unit @ unit.T, -1.0, 1.0)
-    np.fill_diagonal(sims, -np.inf)
-    idx = np.broadcast_to(np.arange(n), (n, n))
-    order = np.lexsort((idx, -sims), axis=1)
-    return order[:, :k]
-
 
 def test_criterion_1_knn_oracle():
     start = time.perf_counter()

@@ -131,6 +131,18 @@ def test_predefined_modes_need_tau_in_range(small_noisy, monkeypatch, mode, tau)
     assert exc.value.code == "RANGE_ERROR"
 
 
+@pytest.mark.parametrize("mode", ["consistency", "predefined_npk"])
+def test_index_modes_check_k_before_init(small_noisy, monkeypatch, mode):
+    def no_init(*args, **kwargs):
+        raise AssertionError("model initialised before k was checked")
+    monkeypatch.setattr("ssrlab.pipeline.init_model", no_init)
+    noisy, _ = small_noisy
+    cfg = small_config(k_neighbours=noisy.n_samples)
+    with pytest.raises(DataError) as exc:
+        run_experiment(noisy, cfg, selection_mode=mode, tau=0.5)
+    assert exc.value.code == "K_TOO_LARGE"
+
+
 def test_empty_selection_skips_training():
     # two tight clusters whose labels disagree with every neighbour vote: no
     # sample is self-consistent, and the fresh model is not confident either

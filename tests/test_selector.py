@@ -1,30 +1,21 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (consistency_measure, cosine_similarity,
-                     neighbour_label_distribution)
-from ssrlab import LabelState, build_neighbour_index
+from oracles import (consistency_measure, cosine_similarity, dense_cosine,
+                     full_sort_oracle, neighbour_label_distribution,
+                     topk_lexsort)
+from ssrlab import LabelState, build_neighbour_index, selector
 from ssrlab.errors import ConfigError, DataError, NumericError
-from ssrlab.selector import (NeighbourIndex, balance_distribution,
+from ssrlab.selector import (NeighbourIndex, _topk_desc, balance_distribution,
                              baseline_gmm_loss, baseline_small_loss_predefined,
                              compute_selection, exact_top_mask,
                              neighbour_label_counts, select_clean)
-
-
-def full_sort_oracle(feats, k):
-    """Exhaustive O(N^2) top-k by (descending cosine, ascending index)."""
-    feats = np.asarray(feats, dtype=np.float64)
-    n = feats.shape[0]
-    unit = feats / np.linalg.norm(feats, axis=1, keepdims=True)
-    sims = np.clip(unit @ unit.T, -1.0, 1.0)
-    np.fill_diagonal(sims, -np.inf)
-    idx = np.broadcast_to(np.arange(n), (n, n))
-    order = np.lexsort((idx, -sims), axis=1)
-    return order[:, :k], np.take_along_axis(sims, order, axis=1)[:, :k]
 
 
 # --- cosine_similarity -------------------------------------------------------
@@ -66,9 +57,85 @@ def test_index_matches_full_sort_oracle():
     rng = np.random.default_rng(11)
     feats = rng.normal(size=(200, 8))
     index = build_neighbour_index(feats, 10)
-    ids, sims = full_sort_oracle(feats, 10)
+    ids = full_sort_oracle(feats, 10)
     assert np.array_equal(index.neighbour_ids, ids)
-    assert np.array_equal(index.neighbour_sims, sims)
+    assert np.array_equal(index.neighbour_sims,
+                          np.take_along_axis(dense_cosine(feats), ids, axis=1))
+
+
+@st.composite
+def exact_tie_heavy_features(draw):
+    """Rows drawn from a small pool of patterns with entries in {0, +-1, +-2}
+    and squared norm 4 (one +-2 or four +-1), each times a power of two: the
+    unit vectors have entries in {0, +-1/2, +-1}, so every dot product is
+    exact in any summation order and equal similarities tie exactly."""
+    d = draw(st.integers(4, 6))
+    pool = []
+    for single, perm, signs in draw(st.lists(st.tuples(
+            st.booleans(), st.permutations(range(d)),
+            st.lists(st.sampled_from((-1.0, 1.0)), min_size=4, max_size=4)),
+            min_size=1, max_size=6)):
+        row = np.zeros(d)
+        if single:
+            row[perm[0]] = 2.0 * signs[0]
+        else:
+            row[list(perm[:4])] = signs
+        pool.append(row)
+    n = draw(st.integers(2, 40))
+    pick = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    power = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    feats = np.array([pool[p] for p in pick]) * np.exp2(power)[:, None]
+    return feats, draw(st.integers(1, n - 1)), draw(st.integers(1, 2 * n * n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_tie_heavy_features())
+def test_tiled_index_equals_dense_oracle(case):
+    # tile sizes range from one row per tile to the whole matrix in one tile
+    feats, k, tile_elems = case
+    with mock.patch.object(selector, "_TILE_ELEMS", tile_elems):
+        index = build_neighbour_index(feats, k)
+    ids = full_sort_oracle(feats, k)
+    assert np.array_equal(index.neighbour_ids, ids)
+    assert np.array_equal(index.neighbour_sims,
+                          np.take_along_axis(dense_cosine(feats), ids, axis=1))
+
+
+@st.composite
+def quantised_matrix_slice(draw):
+    """A dense matrix of few distinct values (zeros of both signs, duplicated
+    rows), a row slice of it and a k below its width."""
+    n = draw(st.integers(1, 30))
+    m = draw(st.integers(2, 40))
+    values = st.sampled_from((-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0))
+    base = draw(st.lists(st.lists(values, min_size=m, max_size=m),
+                         min_size=1, max_size=n))
+    pick = draw(st.lists(st.integers(0, len(base) - 1), min_size=n, max_size=n))
+    sims = np.array([base[p] for p in pick])
+    lo = draw(st.integers(0, n - 1))
+    hi = draw(st.integers(lo + 1, n))
+    return sims, lo, hi, draw(st.integers(1, m - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(quantised_matrix_slice())
+def test_topk_desc_on_row_slices_equals_lexsort(case):
+    sims, lo, hi, k = case
+    assert np.array_equal(_topk_desc(sims[lo:hi], k),
+                          topk_lexsort(sims, k)[lo:hi])
+
+
+def test_index_memory_grows_with_n_times_k():
+    # a dense N x N index peaks near 370 MB at this size; the tiled one holds
+    # the (N, K) outputs plus one tile of similarities and its temporaries
+    feats = np.random.default_rng(12).normal(size=(4000, 16))
+    tracemalloc.start()
+    try:
+        build_neighbour_index(feats, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_index_self_excluded():
@@ -108,6 +175,15 @@ def test_index_zero_norm_row():
     with pytest.raises(NumericError) as exc:
         build_neighbour_index(feats, 1)
     assert exc.value.code == "ZERO_NORM_VECTOR"
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_index_non_finite_row(value):
+    feats = np.eye(4)
+    feats[2, 1] = value
+    with pytest.raises(NumericError) as exc:
+        build_neighbour_index(feats, 2)
+    assert exc.value.code == "NON_FINITE_INPUT"
 
 
 # --- voting and balancing ----------------------------------------------------

@@ -119,10 +119,6 @@ class LabelState:
         counts = np.bincount(working, minlength=num_classes).astype(np.int64)
         return cls(working, working != observed, counts)
 
-    @classmethod
-    def initial(cls, observed_labels, num_classes: int) -> "LabelState":
-        return cls.from_working(observed_labels, observed_labels, num_classes)
-
 
 _FC_DISTANCES = ("cosine", "l2")
 

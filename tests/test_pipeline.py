@@ -10,8 +10,7 @@ import pytest
 from ssrlab import (NoiseSpec, NoisyDataset, SynthSpec, TrainConfig,
                     apply_noise, compare_selection_modes, make_gaussian_dataset,
                     run_experiment, selection_metrics)
-from ssrlab.data import LabelState
-from oracles import macro_f1
+from oracles import initial_state, macro_f1
 from ssrlab.errors import ConfigError, DataError
 
 
@@ -36,7 +35,7 @@ def test_selection_metrics_perfect():
     labels = np.array([0, 1, 0, 1])
     true = np.array([0, 1, 1, 1])
     ds = NoisyDataset(np.ones((4, 2)), labels, 2, true)
-    state = LabelState.initial(labels, 2)
+    state = initial_state(labels, 2)
     out = selection_metrics(np.array([True, True, False, True]), state, ds)
     assert out == {"precision": 1.0, "recall": 1.0, "fscore": 1.0}
 
@@ -47,7 +46,7 @@ def test_selection_metrics_select_everything():
     true = labels.copy()
     true[:20] = (true[:20] + 1) % 3
     ds = NoisyDataset(np.ones((50, 2)), labels, 3, true)
-    state = LabelState.initial(labels, 3)
+    state = initial_state(labels, 3)
     out = selection_metrics(np.ones(50, dtype=bool), state, ds)
     assert out["precision"] == 30 / 50
     assert out["recall"] == 1.0
@@ -56,7 +55,7 @@ def test_selection_metrics_select_everything():
 def test_selection_metrics_empty_selection():
     labels = np.array([0, 1])
     ds = NoisyDataset(np.ones((2, 2)), labels, 2, labels.copy())
-    state = LabelState.initial(labels, 2)
+    state = initial_state(labels, 2)
     out = selection_metrics(np.zeros(2, dtype=bool), state, ds)
     assert out == {"precision": 0.0, "recall": 0.0, "fscore": 0.0}
 
@@ -66,7 +65,7 @@ def test_selection_metrics_need_ground_truth():
     ds = NoisyDataset(np.ones((2, 2)), labels, 2)
     with pytest.raises(DataError):
         selection_metrics(np.ones(2, dtype=bool),
-                          LabelState.initial(labels, 2), ds)
+                          initial_state(labels, 2), ds)
 
 
 def test_macro_f1_perfect_and_degenerate():
@@ -107,6 +106,10 @@ def test_best_last_and_ranges(small_noisy):
         for v in (e.relabelled_fraction, e.relabel_accuracy, e.sel_precision,
                   e.sel_recall, e.sel_fscore, e.test_acc):
             assert 0.0 <= v <= 1.0
+        assert type(e.relabelled_count) is int
+        assert e.relabelled_count == round(e.relabelled_fraction * noisy.n_samples)
+        if e.relabelled_count == 0:
+            assert e.relabel_accuracy == 0.0
     assert [t.epoch for t in record.timings] == [e.epoch for e in record.epochs]
     for t in record.timings:
         for v in (t.relabel_s, t.select_s, t.train_s):
@@ -173,6 +176,15 @@ def test_comparison_contains_all_modes(comparison):
     assert set(comparison) == {"npk_automatic", "pmc_gmm_automatic",
                                "npk_predefined", "pmc_predefined",
                                "whole_dataset", "clean_subset"}
+
+
+def test_comparison_relabels_nothing(comparison):
+    # compare-modes sets theta_r=1.0, and no softmax confidence exceeds 1
+    for record in comparison.values():
+        for e in record.epochs:
+            assert e.relabelled_count == 0
+            assert e.relabelled_fraction == 0.0
+            assert e.relabel_accuracy == 0.0
 
 
 def test_clean_reference_beats_whole_dataset(comparison):

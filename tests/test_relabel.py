@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import initial_state
 from ssrlab import OPEN_SET, NoisyDataset, relabel, relabel_metrics
 from ssrlab.data import LabelState
 from ssrlab.errors import ConfigError, DataError
@@ -79,9 +80,10 @@ def test_class_counts_sum_to_n():
 
 def test_metrics_empty_mask():
     ds = NoisyDataset(np.ones((3, 2)), [0, 1, 0], 2, [0, 1, 0])
-    state = LabelState.initial(ds.observed_labels, 2)
+    state = initial_state(ds.observed_labels, 2)
     out = relabel_metrics(state, ds)
-    assert out == {"relabelled_fraction": 0.0, "relabel_accuracy": 0.0}
+    assert out == {"relabelled_fraction": 0.0, "relabel_accuracy": 0.0,
+                   "relabelled_count": 0}
 
 
 def test_metrics_fraction_and_accuracy():
@@ -95,6 +97,7 @@ def test_metrics_fraction_and_accuracy():
     state = LabelState.from_working(working, observed, 3)
     out = relabel_metrics(state, ds)
     assert out["relabelled_fraction"] == 11 / 20
+    assert out["relabelled_count"] == 11
     assert abs(out["relabel_accuracy"] - 10 / 11) < 1e-12
 
 
@@ -108,7 +111,7 @@ def test_open_set_relabel_counts_incorrect():
 
 def test_metrics_missing_ground_truth():
     ds = NoisyDataset(np.ones((2, 2)), [0, 1], 2)
-    state = LabelState.initial(ds.observed_labels, 2)
+    state = initial_state(ds.observed_labels, 2)
     with pytest.raises(DataError) as exc:
         relabel_metrics(state, ds)
     assert exc.value.code == "MISSING_GROUND_TRUTH"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import (consistency_measure, cosine_similarity, dense_cosine,
                      full_sort_oracle, neighbour_label_distribution,
-                     topk_lexsort)
+                     neighbour_votes_per_row, topk_lexsort)
 from ssrlab import LabelState, build_neighbour_index, selector
 from ssrlab.errors import ConfigError, DataError, NumericError
 from ssrlab.selector import (NeighbourIndex, _topk_desc, balance_distribution,
@@ -40,17 +40,23 @@ def test_cosine_zero_norm():
 
 # --- build_neighbour_index ---------------------------------------------------
 
+def index_sims(feats, index):
+    """The oracle's similarities at the index's neighbour ids."""
+    return np.take_along_axis(dense_cosine(feats), index.neighbour_ids, axis=1)
+
+
 def test_index_identical_vectors_tie_break():
     feats = np.tile([1.0, 2.0], (3, 1))
     index = build_neighbour_index(feats, 2)
     assert index.neighbour_ids.tolist() == [[1, 2], [0, 2], [0, 1]]
-    assert np.allclose(index.neighbour_sims, 1.0)
+    assert np.allclose(index_sims(feats, index), 1.0)
 
 
 def test_index_basis_vectors_k1():
-    index = build_neighbour_index(np.eye(3), 1)
+    feats = np.eye(3)
+    index = build_neighbour_index(feats, 1)
     assert index.neighbour_ids.tolist() == [[1], [0], [0]]
-    assert np.allclose(index.neighbour_sims, 0.0)
+    assert np.allclose(index_sims(feats, index), 0.0)
 
 
 def test_index_matches_full_sort_oracle():
@@ -59,7 +65,7 @@ def test_index_matches_full_sort_oracle():
     index = build_neighbour_index(feats, 10)
     ids = full_sort_oracle(feats, 10)
     assert np.array_equal(index.neighbour_ids, ids)
-    assert np.array_equal(index.neighbour_sims,
+    assert np.array_equal(index_sims(feats, index),
                           np.take_along_axis(dense_cosine(feats), ids, axis=1))
 
 
@@ -97,7 +103,7 @@ def test_tiled_index_equals_dense_oracle(case):
         index = build_neighbour_index(feats, k)
     ids = full_sort_oracle(feats, k)
     assert np.array_equal(index.neighbour_ids, ids)
-    assert np.array_equal(index.neighbour_sims,
+    assert np.array_equal(index_sims(feats, index),
                           np.take_along_axis(dense_cosine(feats), ids, axis=1))
 
 
@@ -125,6 +131,39 @@ def test_topk_desc_on_row_slices_equals_lexsort(case):
                           topk_lexsort(sims, k)[lo:hi])
 
 
+def test_topk_desc_straddling_tie_hand_case():
+    # three entries tie at 0.5 across position k=2; the lowest index wins
+    assert _topk_desc(np.array([[1.0, 0.5, 0.5, 0.5, 0.0]]), 2).tolist() == [[0, 1]]
+
+
+def tie_path_rows(feats, k):
+    """Rows that build_neighbour_index sends through the tie path."""
+    seen = []
+    tie_rows = selector._topk_tie_rows
+
+    def spy(sims, above, k):
+        seen.append(sims.shape[0])
+        return tie_rows(sims, above, k)
+
+    with mock.patch.object(selector, "_topk_tie_rows", spy):
+        build_neighbour_index(feats, k)
+    return sum(seen)
+
+
+def test_tie_path_skipped_without_ties():
+    feats = np.random.default_rng(13).normal(size=(2000, 16))
+    assert tie_path_rows(feats, 100) == 0
+
+
+def test_tie_path_taken_by_every_straddling_row():
+    # each row has n - 1 = k + 1 neighbours at similarity 1: the smallest
+    # straddling tie group, so every row must take the tie path
+    feats = np.tile([1.0, 2.0], (5, 1))
+    assert tie_path_rows(feats, 3) == 5
+    assert build_neighbour_index(feats, 3).neighbour_ids.tolist() == \
+        [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2], [0, 1, 2]]
+
+
 def test_index_memory_grows_with_n_times_k():
     # a dense N x N index peaks near 370 MB at this size; the tiled one holds
     # the (N, K) outputs plus one tile of similarities and its temporaries
@@ -148,8 +187,9 @@ def test_index_self_excluded():
 
 def test_index_rows_sorted_descending():
     rng = np.random.default_rng(5)
-    index = build_neighbour_index(rng.normal(size=(60, 6)), 20)
-    diffs = np.diff(index.neighbour_sims, axis=1)
+    feats = rng.normal(size=(60, 6))
+    index = build_neighbour_index(feats, 20)
+    diffs = np.diff(index_sims(feats, index), axis=1)
     assert (diffs <= 0).all()
 
 
@@ -191,7 +231,7 @@ def test_index_non_finite_row(value):
 def ring_index(n, k):
     """Frozen index where row i holds the first k other indices ascending."""
     ids = np.array([[j for j in range(n) if j != i][:k] for i in range(n)])
-    return NeighbourIndex(ids.astype(np.int64), np.ones((n, k)))
+    return NeighbourIndex(ids.astype(np.int64))
 
 
 def test_distribution_unanimous():
@@ -228,6 +268,28 @@ def test_distribution_class_permutation():
         index, LabelState.from_working(perm[labels], perm[labels], 4))
     # permuting class ids by perm moves column j to column perm[j]
     assert np.array_equal(q, qp[:, perm])
+
+
+@st.composite
+def vote_case(draw):
+    """Any (N, K) neighbour ids and working labels over M classes."""
+    n = draw(st.integers(1, 30))
+    k = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 6))
+    ids = draw(st.lists(st.integers(0, n - 1), min_size=n * k, max_size=n * k))
+    labels = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    return (NeighbourIndex(np.array(ids, dtype=np.int64).reshape(n, k)),
+            LabelState.from_working(labels, labels, m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(vote_case())
+def test_vote_counts_equal_per_row_bincount(case):
+    index, state = case
+    counts = neighbour_label_counts(index, state)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, neighbour_votes_per_row(
+        index.neighbour_ids, state.working_labels, state.class_counts.shape[0]))
 
 
 def test_balance_uniform_counts():
@@ -312,7 +374,7 @@ def test_select_bad_threshold():
 def test_tie_with_row_max_is_selected():
     ids = np.array([[1, 2], [0, 2], [0, 1], [4, 5], [3, 5], [3, 4]],
                    dtype=np.int64)
-    index = NeighbourIndex(ids, np.ones((6, 2)))
+    index = NeighbourIndex(ids)
     labels = [0, 1, 0, 1, 1, 1]
     state = LabelState.from_working(labels, labels, 2)
     result = compute_selection(index, state, theta_s=1.0)
@@ -331,7 +393,7 @@ def test_consistency_never_rounds_up_to_one():
         n, k, m = 20, 5, 3
         ids = np.array([rng.choice([j for j in range(n) if j != i], k,
                                    replace=False) for i in range(n)])
-        index = NeighbourIndex(ids.astype(np.int64), np.ones((n, k)))
+        index = NeighbourIndex(ids.astype(np.int64))
         labels = rng.integers(0, m, n)
         state = LabelState.from_working(labels, labels, m)
         result = compute_selection(index, state, theta_s=1.0)

@@ -10,7 +10,7 @@ from .pipeline import (ExperimentOutcome, ExperimentRecord,
                        compare_selection_modes, run_experiment,
                        selection_metrics)
 from .relabel import relabel, relabel_metrics
-from .selector import (NeighbourIndex, SelectionResult, build_neighbour_index,
+from .selector import (SelectionResult, build_neighbour_index,
                        compute_selection, select_clean)
 from .ssrd import load_embeddings, load_pool, write_dataset, write_pool
 
@@ -22,7 +22,7 @@ __all__ = [
     "ExperimentOutcome", "ExperimentRecord", "compare_selection_modes",
     "run_experiment", "selection_metrics",
     "relabel", "relabel_metrics",
-    "NeighbourIndex", "SelectionResult", "build_neighbour_index",
-    "compute_selection", "select_clean",
+    "SelectionResult", "build_neighbour_index", "compute_selection",
+    "select_clean",
     "load_embeddings", "load_pool", "write_dataset", "write_pool",
 ]

@@ -39,12 +39,13 @@ _OVERRIDE_FLAGS = {
 }
 
 
-def _write_csv(path: Path, columns: list, rows: list) -> None:
+def _write_csv(path: Path, columns: list, rows) -> None:
+    """A header line, then one line per sequence of values: ints and strings
+    as str, anything else as repr(float)."""
     lines = [",".join(columns)]
     for row in rows:
-        values = (getattr(row, c) for c in columns)
-        lines.append(",".join(str(v) if isinstance(v, int) else repr(float(v))
-                              for v in values))
+        lines.append(",".join(str(v) if isinstance(v, (int, str))
+                              else repr(float(v)) for v in row))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -53,13 +54,15 @@ def emit_metrics(record: ExperimentRecord, out_dir) -> None:
     given config and data, and the wall-clock timings.csv."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "metrics.csv", CSV_COLUMNS, record.epochs)
+    _write_csv(out / "metrics.csv", CSV_COLUMNS,
+               map(dataclasses.astuple, record.epochs))
     payload = {"config": record.config,
                "epochs": [dataclasses.asdict(e) for e in record.epochs],
                "best_test_acc": record.best_test_acc,
                "last_test_acc": record.last_test_acc}
     (out / "record.json").write_text(json.dumps(payload, indent=2) + "\n")
-    _write_csv(out / "timings.csv", TIMING_COLUMNS, record.timings)
+    _write_csv(out / "timings.csv", TIMING_COLUMNS,
+               map(dataclasses.astuple, record.timings))
 
 
 def _run_dir(root: Path, seed: int) -> Path:
@@ -163,56 +166,43 @@ def _cmd_run(args, parsed, data, test) -> Path:
     return out
 
 
-_SWEEPABLE = {"theta_s": float, "theta_r": float, "k_neighbours": int}
-
-
-def run_grid(parsed: ParsedConfig, param: str, values, out_root,
-             data, test=None) -> list:
-    """One independent run per sweep value, plus an aggregated summary CSV."""
-    if param not in _SWEEPABLE:
-        raise ConfigError("RANGE_ERROR",
-                          f"sweep parameter must be one of {sorted(_SWEEPABLE)}")
-    out_root = Path(out_root)
-    out_root.mkdir(parents=True, exist_ok=True)
-    summary = []
-    for value in values:
-        cfg = dataclasses.replace(parsed.train, **{param: value})
-        point = dataclasses.replace(parsed, train=cfg)
-        out = out_root / f"{param}_{value}"
-        out.mkdir(parents=True, exist_ok=True)
-        record = run_experiment(data, cfg, test=test).record
-        record.config = point.echo()
-        emit_metrics(record, out)
-        summary.append((value, record.best_test_acc, record.last_test_acc))
-    lines = [f"{param},best_test_acc,last_test_acc"]
-    for value, best, last in summary:
-        lines.append(f"{value},{best!r},{last!r}")
-    (out_root / "summary.csv").write_text("\n".join(lines) + "\n")
-    return summary
+_SWEEPABLE = ("theta_s", "theta_r", "k_neighbours")
 
 
 def _cmd_grid(args, parsed, data, test) -> Path:
-    caster = _SWEEPABLE.get(args.param, float)
+    """One independent run per sweep value, plus an aggregated summary CSV."""
+    caster = _OVERRIDE_FLAGS[args.param]
     try:
         values = [caster(v) for v in args.values.split(",")]
     except ValueError as exc:
         raise ConfigError("RANGE_ERROR",
                           f"bad sweep values {args.values!r}: {exc}") from exc
-    run_grid(parsed, args.param, values, args.out, data=data, test=test)
-    log.info("grid finished: %d points -> %s", len(values), args.out)
-    return Path(args.out)
+    out_root = Path(args.out)
+    summary = []
+    for value in values:
+        point = dataclasses.replace(parsed, train=dataclasses.replace(
+            parsed.train, **{args.param: value}))
+        record = run_experiment(data, point.train, test=test).record
+        record.config = point.echo()
+        emit_metrics(record, out_root / f"{args.param}_{value}")
+        summary.append((value, record.best_test_acc, record.last_test_acc))
+    _write_csv(out_root / "summary.csv",
+               [args.param, "best_test_acc", "last_test_acc"], summary)
+    log.info("grid finished: %d points -> %s", len(values), out_root)
+    return out_root
 
 
 def _cmd_compare_modes(args, parsed, data, test) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     runs = compare_selection_modes(data, parsed.train, test=test)
-    lines = ["mode,best_test_acc,last_test_acc"]
+    summary = []
     for name, record in runs.items():
         record.config = parsed.echo()
         emit_metrics(record, out / name)
-        lines.append(f"{name},{record.best_test_acc!r},{record.last_test_acc!r}")
-    (out / "comparison.csv").write_text("\n".join(lines) + "\n")
+        summary.append((name, record.best_test_acc, record.last_test_acc))
+    _write_csv(out / "comparison.csv",
+               ["mode", "best_test_acc", "last_test_acc"], summary)
     log.info("mode comparison -> %s", out)
     return out
 

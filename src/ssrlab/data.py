@@ -131,7 +131,7 @@ class TrainConfig:
     theta_r: float = 0.9         # relabel confidence threshold, (0, 1]
     k_neighbours: int = 100
     lambda_fc: float = 1.0       # weight of the feature-consistency loss
-    mixup_alpha: float = 0.5
+    mixup_alpha: float = 0.5     # Beta(alpha, alpha) mixup; 0 turns mixup off
     learning_rate: float = 0.02
     momentum: float = 0.9
     weight_decay: float = 5e-4
@@ -140,10 +140,8 @@ class TrainConfig:
     seed: int = 0
     fc_distance: str = "cosine"  # "cosine" | "l2"
     hidden_dims: tuple = (64, 32)
-    proj_dim: Optional[int] = None       # defaults to the embedding width
     sigma_strong: float = 0.1    # feature-jitter scale, fraction of per-dim std
     sigma_weak: float = 0.02
-    use_mixup: bool = True
     balance_voting: bool = True
     oversample: bool = True
     stop_gradient: bool = True
@@ -160,8 +158,8 @@ class TrainConfig:
             bad(f"k_neighbours={self.k_neighbours} must be >= 1")
         if self.lambda_fc < 0:
             bad(f"lambda_fc={self.lambda_fc} must be >= 0")
-        if self.mixup_alpha <= 0:
-            bad(f"mixup_alpha={self.mixup_alpha} must be > 0")
+        if self.mixup_alpha < 0:
+            bad(f"mixup_alpha={self.mixup_alpha} must be >= 0")
         if self.learning_rate <= 0:
             bad(f"learning_rate={self.learning_rate} must be > 0")
         if not 0.0 <= self.momentum < 1.0:
@@ -178,5 +176,3 @@ class TrainConfig:
             bad("jitter sigmas must be >= 0")
         if not self.hidden_dims or any(h < 1 for h in self.hidden_dims):
             bad(f"hidden_dims={self.hidden_dims} must be positive")
-        if self.proj_dim is not None and self.proj_dim < 1:
-            bad(f"proj_dim={self.proj_dim} must be >= 1")

@@ -51,8 +51,9 @@ class PmcModel:
         return copy.copy(self)._bind(np.zeros_like(self.flat))
 
 
-def init_model(dim: int, num_classes: int, hidden_dims=(64, 32),
-               proj_dim: Optional[int] = None, rng=None) -> PmcModel:
+def init_model(dim: int, num_classes: int, hidden_dims, rng) -> PmcModel:
+    """He-initialised trunk d -> *hidden_dims, zero head, and e x e projector
+    and predictor, where e is the last hidden width."""
     rng = np.random.default_rng(rng)
     dims = [dim, *hidden_dims]
     trunk = []
@@ -60,12 +61,11 @@ def init_model(dim: int, num_classes: int, hidden_dims=(64, 32),
         w = rng.normal(0.0, math.sqrt(2.0 / d_in), size=(d_in, d_out))
         trunk.append((w, np.zeros(d_out)))
     e = dims[-1]
-    e2 = e if proj_dim is None else proj_dim
     # zero head: the untrained classifier starts at uniform confidence, so
     # epoch-0 relabelling stays inert
     head = (np.zeros((e, num_classes)), np.zeros(num_classes))
-    projector = (rng.normal(0.0, math.sqrt(1.0 / e), size=(e, e2)), np.zeros(e2))
-    predictor = (rng.normal(0.0, math.sqrt(1.0 / e2), size=(e2, e2)), np.zeros(e2))
+    projector = (rng.normal(0.0, math.sqrt(1.0 / e), size=(e, e)), np.zeros(e))
+    predictor = (rng.normal(0.0, math.sqrt(1.0 / e), size=(e, e)), np.zeros(e))
     return PmcModel(trunk, head, projector, predictor)
 
 
@@ -85,19 +85,14 @@ def trunk_forward(model: PmcModel, x: np.ndarray):
 
 
 def trunk_backward(model: PmcModel, cache, grad_emb: np.ndarray,
-                   grads: PmcModel, accumulate: bool = False) -> None:
-    """Writes the trunk gradients into ``grads.trunk``, or adds them to what
-    is there with ``accumulate``."""
+                   grads: PmcModel) -> None:
+    """Adds the trunk gradients to what ``grads.trunk`` holds."""
     acts, pre = cache
     g = grad_emb
     for i in range(len(model.trunk) - 1, -1, -1):
         gw, gb = grads.trunk[i]
-        if accumulate:
-            gw += acts[i].T @ g
-            gb += g.sum(axis=0)
-        else:
-            gw[:] = acts[i].T @ g
-            gb[:] = g.sum(axis=0)
+        gw += acts[i].T @ g
+        gb += g.sum(axis=0)
         if i > 0:
             g = (g @ model.trunk[i][0].T) * (pre[i - 1] > 0)
 
@@ -139,19 +134,15 @@ def sample_beta(alpha: float, rng) -> float:
     return float(g1 / (g1 + g2))
 
 
-def mixup_pair(batch: MiniBatch, alpha: float, rng,
-               gamma: Optional[float] = None) -> MiniBatch:
+def mixup_pair(batch: MiniBatch, alpha: float, rng) -> MiniBatch:
     """Interpolate each row with a uniformly drawn partner row using a single
     Beta(alpha, alpha) coefficient for the batch.
 
     The drawn coefficient is folded to max(gamma, 1-gamma) so each output row
     stays dominated by its own sample.
     """
-    if gamma is None:
-        gam = sample_beta(alpha, rng)
-        gam = max(gam, 1.0 - gam)
-    else:
-        gam = float(gamma)
+    gam = sample_beta(alpha, rng)
+    gam = max(gam, 1.0 - gam)
     b = batch.inputs.shape[0]
     partner = rng.integers(0, b, size=b)
     mixed_x = gam * batch.inputs + (1.0 - gam) * batch.inputs[partner]
@@ -224,7 +215,7 @@ def feature_consistency_loss(model: PmcModel, view1: np.ndarray, view2: np.ndarr
     if not stop_gradient:
         grads.projector[0][:] += emb2.T @ gh2
         grads.projector[1][:] += gh2.sum(axis=0)
-        trunk_backward(model, cache2, gh2 @ wp.T, grads, accumulate=True)
+        trunk_backward(model, cache2, gh2 @ wp.T, grads)
     return loss, grads
 
 

@@ -146,7 +146,7 @@ def _train_pass(model, opt, lr, dataset, state, train_idx, config, rng, feat_std
         idx = train_idx[start:start + config.batch_size]
         x = xs[idx] + rng.standard_normal((idx.size, d)) * strong
         batch = MiniBatch(x, eye[state.working_labels[idx]])
-        if config.use_mixup:
+        if config.mixup_alpha > 0:
             batch = mixup_pair(batch, config.mixup_alpha, rng)
         v1 = v2 = None
         if use_fc:
@@ -184,7 +184,7 @@ def run_experiment(dataset: NoisyDataset, config: TrainConfig,
     select = SELECTORS[selection_mode][1]
     rng = np.random.default_rng(config.seed)
     model = init_model(dataset.dim, dataset.num_classes, config.hidden_dims,
-                       config.proj_dim, rng)
+                       rng)
     opt = OptimizerState.for_model(model, config.momentum, config.weight_decay)
     feat_std = dataset.features.std(axis=0)
     feat_std[feat_std == 0] = 1.0
@@ -214,8 +214,10 @@ def run_experiment(dataset: NoisyDataset, config: TrainConfig,
         timings.append(EpochTimings(epoch, t1 - t0, t2 - t1,
                                     time.perf_counter() - t2))
 
-        re_metrics = {"relabelled_fraction": 0.0, "relabel_accuracy": 0.0,
-                      "relabelled_count": 0}
+        # the relabel counts need no ground truth; their accuracy does
+        n_re = int(state.relabel_mask.sum())
+        re_metrics = {"relabelled_fraction": n_re / dataset.n_samples,
+                      "relabel_accuracy": 0.0, "relabelled_count": n_re}
         sel = {"precision": 0.0, "recall": 0.0, "fscore": 0.0}
         if dataset.has_ground_truth:
             re_metrics = relabel_metrics(state, dataset)
@@ -250,8 +252,8 @@ def compare_selection_modes(dataset: NoisyDataset, config: TrainConfig,
     tau = float(dataset.is_noisy.mean())
     # strong augmentation (jitter + mixup), relabelling, and the consistency
     # loss are all switched off so only the selection mechanism differs
-    base = replace(config, theta_r=1.0, lambda_fc=0.0,
-                   sigma_strong=0.0, sigma_weak=0.0, use_mixup=False)
+    base = replace(config, theta_r=1.0, lambda_fc=0.0, mixup_alpha=0.0,
+                   sigma_strong=0.0, sigma_weak=0.0)
     return {name: run_experiment(dataset, base, test=test, selection_mode=mode,
                                  tau=tau).record
             for mode, (name, _) in SELECTORS.items()}

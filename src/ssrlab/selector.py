@@ -17,20 +17,8 @@ from .errors import ConfigError, DataError, NumericError
 
 _NORM_EPS = 1e-12
 _TILE_ELEMS = 1 << 20   # similarities held at once by build_neighbour_index
-
-
-@dataclass(frozen=True)
-class NeighbourIndex:
-    """Top-K neighbour ids per sample, sorted by descending similarity.
-
-    Self is excluded; ties are broken by ascending sample index.
-    """
-
-    neighbour_ids: np.ndarray    # (N, K) int64
-
-    @property
-    def k(self) -> int:
-        return self.neighbour_ids.shape[1]
+_GMM_MAX_ITER = 100     # EM iterations of baseline_gmm_loss, at most
+_GMM_TOL = 1e-6         # EM stops when the mean log-likelihood moves less
 
 
 def check_k(k: int, n: int) -> None:
@@ -39,8 +27,10 @@ def check_k(k: int, n: int) -> None:
         raise DataError("K_TOO_LARGE", f"k={k} must be in [1, {n - 1}]")
 
 
-def build_neighbour_index(features: np.ndarray, k: int) -> NeighbourIndex:
-    """Exhaustive cosine top-K; deterministic for fixed input.
+def build_neighbour_index(features: np.ndarray, k: int) -> np.ndarray:
+    """Exhaustive cosine top-K: the (N, K) int64 neighbour ids of each
+    sample, sorted by descending similarity, self excluded, ties broken by
+    ascending sample index; deterministic for fixed input.
 
     Similarities exist one tile of rows at a time, so memory grows as N*K
     plus one tile of _TILE_ELEMS values, not as N*N.
@@ -66,7 +56,7 @@ def build_neighbour_index(features: np.ndarray, k: int) -> NeighbourIndex:
         own = np.arange(hi - lo)
         tile[own, lo + own] = -np.inf
         ids[lo:hi] = _topk_desc(tile, k)
-    return NeighbourIndex(ids)
+    return ids
 
 
 def _topk_desc(sims: np.ndarray, k: int) -> np.ndarray:
@@ -102,9 +92,10 @@ def _topk_tie_rows(sims: np.ndarray, above: np.ndarray, k: int) -> np.ndarray:
     return cols[starts[:, None] + order]
 
 
-def neighbour_label_counts(index: NeighbourIndex, state: LabelState) -> np.ndarray:
-    """(N, M) integer matrix: votes for class j among neighbours of sample i."""
-    labels = state.working_labels[index.neighbour_ids]
+def neighbour_label_counts(ids: np.ndarray, state: LabelState) -> np.ndarray:
+    """(N, M) integer matrix: votes for class j among the (N, K) neighbour
+    ids of sample i."""
+    labels = state.working_labels[ids]
     n = labels.shape[0]
     m = state.class_counts.shape[0]
     cells = (np.arange(n)[:, None] * m + labels).ravel()
@@ -120,21 +111,18 @@ def balance_distribution(q_raw: np.ndarray, class_counts: np.ndarray) -> np.ndar
 
 
 def exact_top_mask(counts: np.ndarray, class_counts: np.ndarray,
-                   working_labels: np.ndarray, balanced: bool = True) -> np.ndarray:
-    """True where the sample's label attains the row maximum of the balanced
-    vote, decided by integer cross-multiplication (no float equality)."""
+                   working_labels: np.ndarray) -> np.ndarray:
+    """True where the sample's label attains the row maximum of the vote
+    balanced by class_counts, decided by integer cross-multiplication (no
+    float equality). Class counts of 1 give the unbalanced vote."""
     counts = np.asarray(counts, dtype=np.int64)
     pi = np.asarray(class_counts, dtype=np.int64)
     n = counts.shape[0]
     lab = np.asarray(working_labels, dtype=np.int64)
     count_l = counts[np.arange(n), lab]
-    if balanced:
-        # count_l / pi_l >= count_j / pi_j  <=>  count_l*pi_j >= count_j*pi_l
-        lhs = count_l[:, None] * pi[None, :]
-        rhs = counts * pi[lab][:, None]
-    else:
-        lhs = np.broadcast_to(count_l[:, None], counts.shape)
-        rhs = counts
+    # count_l / pi_l >= count_j / pi_j  <=>  count_l*pi_j >= count_j*pi_l
+    lhs = count_l[:, None] * pi[None, :]
+    rhs = counts * pi[lab][:, None]
     return np.all(lhs >= rhs, axis=1)
 
 
@@ -144,18 +132,21 @@ class SelectionResult:
     clean_mask: np.ndarray    # (N,) bool
 
 
-def compute_selection(index: NeighbourIndex, state: LabelState, theta_s: float,
+def compute_selection(ids: np.ndarray, state: LabelState, theta_s: float,
                       balance: bool = True) -> SelectionResult:
-    counts = neighbour_label_counts(index, state)
-    q_raw = counts / index.k
-    q_bal = balance_distribution(q_raw, state.class_counts) if balance else q_raw
+    """Consistency of each sample's label with the vote of its (N, K)
+    neighbour ids. Without ``balance`` every class count is taken as 1;
+    dividing by 1 is exact, so one path serves both votes."""
+    pi = state.class_counts if balance else np.ones_like(state.class_counts)
+    counts = neighbour_label_counts(ids, state)
+    q = balance_distribution(counts / ids.shape[1], pi)
     n = counts.shape[0]
     lab = state.working_labels
-    top = q_bal.max(axis=1)
+    top = q.max(axis=1)
     c = np.zeros(n, dtype=np.float64)
     nz = top > 0
-    c[nz] = q_bal[np.arange(n), lab][nz] / top[nz]
-    exact = exact_top_mask(counts, state.class_counts, lab, balanced=balance)
+    c[nz] = q[np.arange(n), lab][nz] / top[nz]
+    exact = exact_top_mask(counts, pi, lab)
     # Pin c to exactly 1.0 iff the integer predicate holds, so thresholding at
     # theta_s = 1 is an exact argmax-membership test rather than a float compare.
     c = np.where(exact, 1.0, np.minimum(c, np.nextafter(1.0, 0.0)))
@@ -181,7 +172,7 @@ def baseline_small_loss_predefined(losses: np.ndarray, tau: float) -> np.ndarray
     return mask
 
 
-def baseline_gmm_loss(losses: np.ndarray, max_iter: int = 100, tol: float = 1e-6,
+def baseline_gmm_loss(losses: np.ndarray,
                       mu_init: np.ndarray | None = None) -> np.ndarray:
     """Two-component 1-D Gaussian mixture on the loss values via EM; selects the
     samples whose posterior under the lower-mean component exceeds 0.5."""
@@ -202,7 +193,7 @@ def baseline_gmm_loss(losses: np.ndarray, max_iter: int = 100, tol: float = 1e-6
     w = np.array([0.5, 0.5])
     prev_ll = -np.inf
     resp = None
-    for _ in range(max_iter):
+    for _ in range(_GMM_MAX_ITER):
         log_pdf = (np.log(w)[None, :]
                    - 0.5 * np.log(2.0 * np.pi * var)[None, :]
                    - (x[:, None] - mu[None, :]) ** 2 / (2.0 * var)[None, :])
@@ -215,7 +206,7 @@ def baseline_gmm_loss(losses: np.ndarray, max_iter: int = 100, tol: float = 1e-6
         var = (resp * (x[:, None] - mu[None, :]) ** 2).sum(axis=0) / nk
         if var.min() < 1e-8:
             raise NumericError("DEGENERATE_FIT", "component variance collapsed")
-        if abs(ll - prev_ll) < tol:
+        if abs(ll - prev_ll) < _GMM_TOL:
             break
         prev_ll = ll
     low = int(np.argmin(mu))

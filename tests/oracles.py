@@ -59,9 +59,9 @@ def neighbour_votes_per_row(neighbour_ids, working_labels, num_classes) -> np.nd
     return votes
 
 
-def neighbour_label_distribution(index, state) -> np.ndarray:
+def neighbour_label_distribution(ids, state) -> np.ndarray:
     """Normalised neighbour label distribution (rows sum to 1)."""
-    return neighbour_label_counts(index, state) / index.k
+    return neighbour_label_counts(ids, state) / ids.shape[1]
 
 
 def consistency_measure(q_balanced_row, working_label: int) -> float:

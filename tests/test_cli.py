@@ -52,7 +52,8 @@ def test_unknown_key_rejected():
 
 
 def test_removed_persistent_relabel_key_rejected():
-    for key in ("persistent_relabel", "record_timings"):
+    for key in ("persistent_relabel", "record_timings", "use_mixup",
+                "proj_dim"):
         with pytest.raises(ConfigError) as exc:
             parse_config_dict({key: True})
         assert exc.value.code == "UNKNOWN_KEY"

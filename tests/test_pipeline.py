@@ -116,6 +116,24 @@ def test_best_last_and_ranges(small_noisy):
             assert v >= 0.0
 
 
+def test_relabel_counts_need_no_ground_truth():
+    # criterion 10's data with theta_r=0.6, where later epochs relabel
+    synth = make_gaussian_dataset(SynthSpec(num_classes=3, per_class=80,
+                                            dim=8, seed=0))
+    noisy = apply_noise(synth.train, NoiseSpec("symmetric", 0.4, seed=0))
+    blind = NoisyDataset(noisy.features, noisy.observed_labels,
+                         noisy.num_classes)
+    cfg = TrainConfig(epochs=5, k_neighbours=20, theta_r=0.6)
+    seen = run_experiment(noisy, cfg).record.epochs
+    unseen = run_experiment(blind, cfg).record.epochs
+    assert max(e.relabelled_count for e in seen) > 0
+    for a, b in zip(seen, unseen):
+        assert b.relabelled_count == a.relabelled_count
+        assert b.relabelled_fraction == a.relabelled_fraction
+        assert b.selected_count == a.selected_count
+        assert b.relabel_accuracy == 0.0
+
+
 def test_unknown_selection_mode(small_noisy):
     noisy, _ = small_noisy
     with pytest.raises(DataError):
@@ -196,7 +214,7 @@ def test_whole_dataset_equals_degenerate_thresholds(comparison, small_noisy):
     noisy, test = small_noisy
     cfg = dataclasses.replace(small_config(epochs=6), theta_s=0.0, theta_r=1.0,
                               lambda_fc=0.0, sigma_strong=0.0, sigma_weak=0.0,
-                              use_mixup=False)
+                              mixup_alpha=0.0)
     plain = run_experiment(noisy, cfg, test=test).record
     whole = comparison["whole_dataset"]
     assert [dataclasses.asdict(e) for e in plain.epochs] == \

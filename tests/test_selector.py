@@ -12,7 +12,7 @@ from oracles import (consistency_measure, cosine_similarity, dense_cosine,
                      neighbour_votes_per_row, topk_lexsort)
 from ssrlab import LabelState, build_neighbour_index, selector
 from ssrlab.errors import ConfigError, DataError, NumericError
-from ssrlab.selector import (NeighbourIndex, _topk_desc, balance_distribution,
+from ssrlab.selector import (_topk_desc, balance_distribution,
                              baseline_gmm_loss, baseline_small_loss_predefined,
                              compute_selection, exact_top_mask,
                              neighbour_label_counts, select_clean)
@@ -42,20 +42,20 @@ def test_cosine_zero_norm():
 
 def index_sims(feats, index):
     """The oracle's similarities at the index's neighbour ids."""
-    return np.take_along_axis(dense_cosine(feats), index.neighbour_ids, axis=1)
+    return np.take_along_axis(dense_cosine(feats), index, axis=1)
 
 
 def test_index_identical_vectors_tie_break():
     feats = np.tile([1.0, 2.0], (3, 1))
     index = build_neighbour_index(feats, 2)
-    assert index.neighbour_ids.tolist() == [[1, 2], [0, 2], [0, 1]]
+    assert index.tolist() == [[1, 2], [0, 2], [0, 1]]
     assert np.allclose(index_sims(feats, index), 1.0)
 
 
 def test_index_basis_vectors_k1():
     feats = np.eye(3)
     index = build_neighbour_index(feats, 1)
-    assert index.neighbour_ids.tolist() == [[1], [0], [0]]
+    assert index.tolist() == [[1], [0], [0]]
     assert np.allclose(index_sims(feats, index), 0.0)
 
 
@@ -64,7 +64,7 @@ def test_index_matches_full_sort_oracle():
     feats = rng.normal(size=(200, 8))
     index = build_neighbour_index(feats, 10)
     ids = full_sort_oracle(feats, 10)
-    assert np.array_equal(index.neighbour_ids, ids)
+    assert np.array_equal(index, ids)
     assert np.array_equal(index_sims(feats, index),
                           np.take_along_axis(dense_cosine(feats), ids, axis=1))
 
@@ -102,7 +102,7 @@ def test_tiled_index_equals_dense_oracle(case):
     with mock.patch.object(selector, "_TILE_ELEMS", tile_elems):
         index = build_neighbour_index(feats, k)
     ids = full_sort_oracle(feats, k)
-    assert np.array_equal(index.neighbour_ids, ids)
+    assert np.array_equal(index, ids)
     assert np.array_equal(index_sims(feats, index),
                           np.take_along_axis(dense_cosine(feats), ids, axis=1))
 
@@ -160,7 +160,7 @@ def test_tie_path_taken_by_every_straddling_row():
     # straddling tie group, so every row must take the tie path
     feats = np.tile([1.0, 2.0], (5, 1))
     assert tie_path_rows(feats, 3) == 5
-    assert build_neighbour_index(feats, 3).neighbour_ids.tolist() == \
+    assert build_neighbour_index(feats, 3).tolist() == \
         [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2], [0, 1, 2]]
 
 
@@ -182,7 +182,7 @@ def test_index_self_excluded():
     feats = rng.normal(size=(40, 5))
     index = build_neighbour_index(feats, 39)
     for i in range(40):
-        assert i not in index.neighbour_ids[i]
+        assert i not in index[i]
 
 
 def test_index_rows_sorted_descending():
@@ -200,7 +200,7 @@ def test_index_scale_invariance():
     scaled = feats.copy()
     scaled[7] *= 2.0  # power of two keeps the unit vector bit-identical
     again = build_neighbour_index(scaled, 5)
-    assert np.array_equal(base.neighbour_ids, again.neighbour_ids)
+    assert np.array_equal(base, again)
 
 
 def test_index_k_too_large():
@@ -231,7 +231,7 @@ def test_index_non_finite_row(value):
 def ring_index(n, k):
     """Frozen index where row i holds the first k other indices ascending."""
     ids = np.array([[j for j in range(n) if j != i][:k] for i in range(n)])
-    return NeighbourIndex(ids.astype(np.int64))
+    return ids.astype(np.int64)
 
 
 def test_distribution_unanimous():
@@ -278,18 +278,18 @@ def vote_case(draw):
     m = draw(st.integers(1, 6))
     ids = draw(st.lists(st.integers(0, n - 1), min_size=n * k, max_size=n * k))
     labels = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
-    return (NeighbourIndex(np.array(ids, dtype=np.int64).reshape(n, k)),
+    return (np.array(ids, dtype=np.int64).reshape(n, k),
             LabelState.from_working(labels, labels, m))
 
 
 @settings(max_examples=200, deadline=None)
 @given(vote_case())
 def test_vote_counts_equal_per_row_bincount(case):
-    index, state = case
-    counts = neighbour_label_counts(index, state)
+    ids, state = case
+    counts = neighbour_label_counts(ids, state)
     assert counts.dtype == np.int64
     assert np.array_equal(counts, neighbour_votes_per_row(
-        index.neighbour_ids, state.working_labels, state.class_counts.shape[0]))
+        ids, state.working_labels, state.class_counts.shape[0]))
 
 
 def test_balance_uniform_counts():
@@ -374,10 +374,9 @@ def test_select_bad_threshold():
 def test_tie_with_row_max_is_selected():
     ids = np.array([[1, 2], [0, 2], [0, 1], [4, 5], [3, 5], [3, 4]],
                    dtype=np.int64)
-    index = NeighbourIndex(ids)
     labels = [0, 1, 0, 1, 1, 1]
     state = LabelState.from_working(labels, labels, 2)
-    result = compute_selection(index, state, theta_s=1.0)
+    result = compute_selection(ids, state, theta_s=1.0)
     # sample 0: neighbour votes tie after balancing; its label is in the
     # argmax set, so c is exactly 1 and it is selected
     assert result.consistency[0] == 1.0
@@ -393,14 +392,41 @@ def test_consistency_never_rounds_up_to_one():
         n, k, m = 20, 5, 3
         ids = np.array([rng.choice([j for j in range(n) if j != i], k,
                                    replace=False) for i in range(n)])
-        index = NeighbourIndex(ids.astype(np.int64))
         labels = rng.integers(0, m, n)
         state = LabelState.from_working(labels, labels, m)
-        result = compute_selection(index, state, theta_s=1.0)
-        counts = neighbour_label_counts(index, state)
+        result = compute_selection(ids, state, theta_s=1.0)
+        counts = neighbour_label_counts(ids, state)
         exact = exact_top_mask(counts, state.class_counts, labels)
         assert np.array_equal(result.consistency == 1.0, exact)
         assert np.array_equal(result.clean_mask, exact)
+
+
+@st.composite
+def unbalanced_vote_case(draw):
+    """Neighbour ids and working labels with few classes and small K, so
+    votes tie often; labels above a drawn class are never used, so those
+    classes have a zero count."""
+    n = draw(st.integers(1, 30))
+    k = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 6))
+    used = draw(st.integers(0, m - 1))
+    ids = draw(st.lists(st.integers(0, n - 1), min_size=n * k, max_size=n * k))
+    labels = draw(st.lists(st.integers(0, used), min_size=n, max_size=n))
+    return (np.array(ids, dtype=np.int64).reshape(n, k),
+            LabelState.from_working(labels, labels, m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(unbalanced_vote_case())
+def test_unbalanced_selection_equals_raw_vote_oracle(case):
+    ids, state = case
+    counts = neighbour_votes_per_row(ids, state.working_labels,
+                                     state.class_counts.shape[0])
+    own = counts[np.arange(ids.shape[0]), state.working_labels]
+    top = counts.max(axis=1)
+    result = compute_selection(ids, state, theta_s=1.0, balance=False)
+    assert np.array_equal(result.clean_mask, own == top)
+    assert np.allclose(result.consistency, own / top, rtol=1e-12, atol=0.0)
 
 
 # --- loss-based baselines ----------------------------------------------------

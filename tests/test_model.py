@@ -75,6 +75,36 @@ def test_ce_grad_matches_finite_differences():
 
 # --- mixup -------------------------------------------------------------------
 
+class _FixedBetaRng:
+    """Generator whose two gamma draws are fixed, so sample_beta returns
+    g1 / (g1 + g2) exactly; partner draws come from a real generator."""
+
+    def __init__(self, g1, g2, seed):
+        self._gammas = iter((g1, g2))
+        self._rng = np.random.default_rng(seed)
+
+    def standard_gamma(self, alpha):
+        return next(self._gammas)
+
+    def integers(self, *args, **kwargs):
+        return self._rng.integers(*args, **kwargs)
+
+
+def test_mixup_gamma_one_is_identity():
+    batch = MiniBatch(np.random.default_rng(3).normal(size=(5, 3)), np.eye(5))
+    out = mixup_pair(batch, 4.0, _FixedBetaRng(1.0, 0.0, seed=3))
+    assert np.array_equal(out.inputs, batch.inputs)
+    assert np.array_equal(out.soft_labels, batch.soft_labels)
+
+
+def test_mixup_half_mixes_labels():
+    batch = MiniBatch(np.array([[1.0], [3.0]]), np.eye(2))
+    out = mixup_pair(batch, 4.0, _FixedBetaRng(1.0, 1.0, seed=0))
+    partner_differs = out.soft_labels.max(axis=1) < 1.0
+    assert np.all(out.soft_labels[partner_differs] == 0.5)
+    assert np.allclose(out.soft_labels.sum(axis=1), 1.0)
+
+
 def test_mixup_replays_seeded_formula():
     # the coefficient is one Beta(alpha, alpha) draw folded to >= 1/2, then
     # one uniform partner per row, all from the caller's generator

@@ -40,11 +40,12 @@ _OVERRIDE_FLAGS = {
 
 
 def _write_csv(path: Path, columns: list, rows) -> None:
-    """A header line, then one line per sequence of values: ints and strings
-    as str, anything else as repr(float)."""
+    """A header line, then one line per sequence of values: None as an empty
+    cell, ints and strings as str, anything else as repr(float)."""
     lines = [",".join(columns)]
     for row in rows:
-        lines.append(",".join(str(v) if isinstance(v, (int, str))
+        lines.append(",".join("" if v is None
+                              else str(v) if isinstance(v, (int, str))
                               else repr(float(v)) for v in row))
     path.write_text("\n".join(lines) + "\n")
 

@@ -11,6 +11,7 @@ those metrics, so the metrics repeat bit for bit for a given seed.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, asdict, replace
 from typing import Optional
@@ -34,10 +35,10 @@ log = logging.getLogger(__name__)
 class EpochMetrics:
     epoch: int
     relabelled_fraction: float
-    relabel_accuracy: float
-    sel_precision: float
-    sel_recall: float
-    sel_fscore: float
+    relabel_accuracy: Optional[float]   # None without ground truth, as are
+    sel_precision: Optional[float]      # the three selection scores
+    sel_recall: Optional[float]
+    sel_fscore: Optional[float]
     selected_count: int
     test_acc: float
     relabelled_count: int
@@ -133,7 +134,10 @@ SELECTORS = {
 }
 
 
-def _train_pass(model, opt, lr, dataset, state, train_idx, config, rng, feat_std):
+def _train_pass(model, opt, lr, dataset, state, train_idx, config, rng,
+                feat_std, epoch):
+    """One pass of SGD steps over train_idx; raises DIVERGED on a non-finite
+    loss, or on a non-finite parameter after the pass."""
     xs = dataset.features
     n, d = xs.shape
     eye = np.eye(dataset.num_classes)
@@ -142,7 +146,7 @@ def _train_pass(model, opt, lr, dataset, state, train_idx, config, rng, feat_std
     use_fc = config.lambda_fc > 0
     fc_order = rng.permutation(n) if use_fc else None
     fc_pos = 0
-    for start in range(0, train_idx.size, config.batch_size):
+    for step, start in enumerate(range(0, train_idx.size, config.batch_size)):
         idx = train_idx[start:start + config.batch_size]
         x = xs[idx] + rng.standard_normal((idx.size, d)) * strong
         batch = MiniBatch(x, eye[state.working_labels[idx]])
@@ -158,11 +162,17 @@ def _train_pass(model, opt, lr, dataset, state, train_idx, config, rng, feat_std
             fc_pos += idx.size
             v1 = xs[fb] + rng.standard_normal((fb.size, d)) * strong
             v2 = xs[fb] + rng.standard_normal((fb.size, d)) * weak
-        _, grads, _ = total_loss_grads(model, batch, config.lambda_fc,
-                                       fc_view1=v1, fc_view2=v2,
-                                       distance=config.fc_distance,
-                                       stop_gradient=config.stop_gradient)
+        loss, grads, _ = total_loss_grads(model, batch, config.lambda_fc,
+                                          fc_view1=v1, fc_view2=v2,
+                                          distance=config.fc_distance,
+                                          stop_gradient=config.stop_gradient)
+        if not math.isfinite(loss):
+            raise NumericError("DIVERGED",
+                               f"epoch {epoch} step {step}: loss is {loss}")
         sgd_step(model, grads, opt, lr)
+    if not np.isfinite(model.flat).all():
+        raise NumericError("DIVERGED", f"epoch {epoch} step {step}: a "
+                           "parameter is non-finite after the pass")
 
 
 def run_experiment(dataset: NoisyDataset, config: TrainConfig,
@@ -189,6 +199,7 @@ def run_experiment(dataset: NoisyDataset, config: TrainConfig,
     feat_std = dataset.features.std(axis=0)
     feat_std[feat_std == 0] = 1.0
     epochs, timings = [], []
+    trained = False
     for epoch in range(config.epochs):
         lr = cosine_lr(config.learning_rate, epoch, config.epochs)
 
@@ -196,7 +207,15 @@ def run_experiment(dataset: NoisyDataset, config: TrainConfig,
         fwd = forward(model, dataset.features)
         state = relabel(fwd["probs"], dataset.observed_labels, config.theta_r)
         t1 = time.perf_counter()
-        clean_mask = select(dataset, state, fwd, config, tau)
+        try:
+            clean_mask = select(dataset, state, fwd, config, tau)
+        except NumericError as exc:
+            # the raw features are finite (forward checks them), so after a
+            # train pass a non-finite selector input comes from the model
+            if not trained or exc.code != "NON_FINITE_INPUT":
+                raise
+            raise NumericError("DIVERGED", f"epoch {epoch}: the trained "
+                               f"model's outputs overflow ({exc})") from exc
         t2 = time.perf_counter()
         sel_idx = np.flatnonzero(clean_mask)
         if sel_idx.size == 0:
@@ -210,15 +229,17 @@ def run_experiment(dataset: NoisyDataset, config: TrainConfig,
             else:
                 train_idx = rng.permutation(sel_idx)
             _train_pass(model, opt, lr, dataset, state, train_idx, config,
-                        rng, feat_std)
+                        rng, feat_std, epoch)
+            trained = True
         timings.append(EpochTimings(epoch, t1 - t0, t2 - t1,
                                     time.perf_counter() - t2))
 
-        # the relabel counts need no ground truth; their accuracy does
+        # the relabel counts need no ground truth; the scores are missing
+        # without it
         n_re = int(state.relabel_mask.sum())
         re_metrics = {"relabelled_fraction": n_re / dataset.n_samples,
-                      "relabel_accuracy": 0.0, "relabelled_count": n_re}
-        sel = {"precision": 0.0, "recall": 0.0, "fscore": 0.0}
+                      "relabel_accuracy": None, "relabelled_count": n_re}
+        sel = {"precision": None, "recall": None, "fscore": None}
         if dataset.has_ground_truth:
             re_metrics = relabel_metrics(state, dataset)
             sel = selection_metrics(clean_mask, state, dataset)

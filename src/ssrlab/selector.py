@@ -17,6 +17,8 @@ from .errors import ConfigError, DataError, NumericError
 
 _NORM_EPS = 1e-12
 _TILE_ELEMS = 1 << 20   # similarities held at once by build_neighbour_index
+_KEY_ELEMS = 1 << 17    # int32 order keys held at once by build_neighbour_index
+_KEY_SCALE = float(1 << 30)  # key = trunc(similarity * _KEY_SCALE)
 _GMM_MAX_ITER = 100     # EM iterations of baseline_gmm_loss, at most
 _GMM_TOL = 1e-6         # EM stops when the mean log-likelihood moves less
 
@@ -33,7 +35,12 @@ def build_neighbour_index(features: np.ndarray, k: int) -> np.ndarray:
     ascending sample index; deterministic for fixed input.
 
     Similarities exist one tile of rows at a time, so memory grows as N*K
-    plus one tile of _TILE_ELEMS values, not as N*N.
+    plus one tile of _TILE_ELEMS values, not as N*N. Each tile's float64
+    similarities decide the order; an int32 key, trunc(similarity * 2^30),
+    only narrows each row to candidates first, and rows the key cannot
+    settle take the exact _topk_desc (see _tile_topk). The speed comes from
+    NumPy's SIMD int32 partition (NumPy >= 2); the ids are the same on any
+    supported NumPy (>= 1.24).
     """
     feats = np.asarray(features, dtype=np.float64)
     n = feats.shape[0]
@@ -49,24 +56,69 @@ def build_neighbour_index(features: np.ndarray, k: int) -> np.ndarray:
     unit = feats / norms[:, None]
     ids = np.empty((n, k), dtype=np.int64)
     rows = max(1, _TILE_ELEMS // n)
+    keys = np.empty(min(rows, max(1, _KEY_ELEMS // n)) * n, dtype=np.int32)
     for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        tile = unit[lo:hi] @ unit.T
-        np.clip(tile, -1.0, 1.0, out=tile)
-        own = np.arange(hi - lo)
-        tile[own, lo + own] = -np.inf
-        ids[lo:hi] = _topk_desc(tile, k)
+        ids[lo:lo + rows] = _tile_topk(unit[lo:lo + rows] @ unit.T, lo, k, keys)
+    return ids
+
+
+def _tile_topk(tile: np.ndarray, lo: int, k: int, keys: np.ndarray) -> np.ndarray:
+    """Top-k ids of the unclipped cosine rows lo, lo+1, ... in `tile`, as
+    _topk_desc gives them on the clipped rows with self at -inf; `keys` is
+    an int32 scratch buffer of a whole number of rows.
+
+    key = trunc(y * 2^30) is monotone in y and fits int32 for |y| < 2 (unit
+    vectors give |y| <= 1 up to rounding), so a row's k-th largest key t,
+    found by an int32 partition of a few rows at a time, is the key of its
+    k-th largest similarity. trunc(y * 2^30) >= t implies y > (t - 1) / 2^30,
+    an exact float compare, so the candidates above that bound hold every
+    winner and every tie at the k-th value. A row with exactly k candidates
+    has them as its winners, in ascending column order; sorting their
+    clipped values is exact unless two of them are equal, or the k-th is
+    +-1, where clipping may tie it with a non-candidate. Those rows, and
+    rows with more than k candidates, take _topk_desc.
+    """
+    r, n = tile.shape
+    own = np.arange(r)
+    step = keys.size // n
+    kth = np.empty(r)
+    for a in range(0, r, step):
+        key = keys[:min(step, r - a) * n].reshape(-1, n)
+        np.multiply(tile[a:a + step], _KEY_SCALE, out=key, casting="unsafe")
+        diag = own[:key.shape[0]]
+        key[diag, lo + a + diag] = np.iinfo(np.int32).min
+        key.partition(n - k, axis=1)
+        kth[a:a + step] = key[:, n - k]
+    tile[own, lo + own] = -np.inf
+    cand = np.flatnonzero(tile > ((kth - 1.0) / _KEY_SCALE)[:, None])
+    counts = np.bincount(cand // n, minlength=r)
+    few = np.flatnonzero(counts == k)
+    cand = cand[(np.cumsum(counts) - counts)[few][:, None] + np.arange(k)]
+    neg = -np.clip(tile.ravel()[cand], -1.0, 1.0)
+    order = np.argsort(neg, axis=1)
+    neg = np.take_along_axis(neg, order, axis=1)
+    ids = np.empty((r, k), dtype=np.int64)
+    ids[few] = np.take_along_axis(cand % n, order, axis=1)
+    slow = counts > k
+    slow[few] = (np.any(neg[:, 1:] == neg[:, :-1], axis=1)
+                 | (np.abs(neg[:, -1]) == 1.0))
+    slow = np.flatnonzero(slow)
+    if slow.size:
+        sims = np.clip(tile[slow], -1.0, 1.0)
+        sims[np.arange(slow.size), lo + slow] = -np.inf
+        ids[slow] = _topk_desc(sims, k)
     return ids
 
 
 def _topk_desc(sims: np.ndarray, k: int) -> np.ndarray:
-    """Row-wise top-k indices by (descending value, ascending index).
+    """Row-wise top-k indices by (descending value, ascending index); the
+    exact path of _tile_topk, for rows whose int32 keys do not settle them.
 
     The k winners of np.argpartition, in ascending column order and sorted
     stably by descending value, are right unless a tie group straddles
     position k (more than k entries >= the k-th value): argpartition picks
     among those ties arbitrarily. Every row has at least k such entries, so
-    one count over the tile shows whether any row must take _topk_tie_rows.
+    one count over the rows shows whether any row must take _topk_tie_rows.
     """
     win = np.sort(np.argpartition(sims, -k, axis=1)[:, -k:], axis=1)
     vals = np.take_along_axis(sims, win, axis=1)

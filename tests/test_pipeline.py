@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -9,9 +11,10 @@ import pytest
 
 from ssrlab import (NoiseSpec, NoisyDataset, SynthSpec, TrainConfig,
                     apply_noise, compare_selection_modes, make_gaussian_dataset,
-                    run_experiment, selection_metrics)
+                    pipeline, run_experiment, selection_metrics)
 from oracles import initial_state, macro_f1
-from ssrlab.errors import ConfigError, DataError
+from ssrlab.cli import emit_metrics
+from ssrlab.errors import ConfigError, DataError, NumericError
 
 
 def small_config(**kwargs):
@@ -131,7 +134,84 @@ def test_relabel_counts_need_no_ground_truth():
         assert b.relabelled_count == a.relabelled_count
         assert b.relabelled_fraction == a.relabelled_fraction
         assert b.selected_count == a.selected_count
-        assert b.relabel_accuracy == 0.0
+        assert b.relabel_accuracy is None
+
+
+def criterion_10_data():
+    synth = make_gaussian_dataset(SynthSpec(num_classes=3, per_class=80,
+                                            dim=8, seed=0))
+    return apply_noise(synth.train, NoiseSpec("symmetric", 0.4, seed=0)), \
+        synth.test
+
+
+SCORED = ("relabel_accuracy", "sel_precision", "sel_recall", "sel_fscore")
+
+
+def test_scores_without_ground_truth_are_missing(tmp_path):
+    noisy, test = criterion_10_data()
+    blind = NoisyDataset(noisy.features, noisy.observed_labels,
+                         noisy.num_classes)
+    cfg = TrainConfig(epochs=5, k_neighbours=20, theta_r=0.6)
+    seen = run_experiment(noisy, cfg, test=test).record
+    unseen = run_experiment(blind, cfg, test=test).record
+    emit_metrics(unseen, tmp_path)
+    rows = list(csv.DictReader((tmp_path / "metrics.csv").open()))
+    epochs = json.loads((tmp_path / "record.json").read_text())["epochs"]
+    for a, b, row, rec in zip(seen.epochs, unseen.epochs, rows, epochs):
+        for name in SCORED:
+            assert getattr(a, name) is not None
+            assert getattr(b, name) is None
+            assert row[name] == ""
+            assert rec[name] is None
+        assert b.selected_count == a.selected_count
+        assert b.test_acc == a.test_acc
+    assert len(rows) == 5
+
+
+def test_diverged_run_raises():
+    # lr 1e12 on criterion 10's data: the loss and the parameters stay
+    # finite, but by epoch 4 the embeddings' norms overflow
+    noisy, test = criterion_10_data()
+    cfg = TrainConfig(epochs=5, k_neighbours=20, learning_rate=1e12)
+    with np.errstate(all="ignore"), pytest.raises(NumericError) as exc:
+        run_experiment(noisy, cfg, test=test)
+    assert exc.value.code == "DIVERGED"
+    assert "epoch 4" in str(exc.value)
+
+
+def test_non_finite_loss_raises_diverged(small_noisy, monkeypatch):
+    noisy, _ = small_noisy
+    real = pipeline.total_loss_grads
+    calls = []
+
+    def nan_at_third_step(*args, **kwargs):
+        loss, grads, parts = real(*args, **kwargs)
+        calls.append(loss)
+        return (np.nan if len(calls) == 3 else loss), grads, parts
+
+    monkeypatch.setattr(pipeline, "total_loss_grads", nan_at_third_step)
+    with pytest.raises(NumericError) as exc:
+        run_experiment(noisy, small_config())
+    assert exc.value.code == "DIVERGED"
+    assert "epoch 0 step 2: loss is nan" in str(exc.value)
+
+
+def test_non_finite_parameter_raises_diverged(small_noisy, monkeypatch):
+    # without the consistency loss no loss reads the predictor, so only the
+    # parameter check can see it turn non-finite
+    noisy, _ = small_noisy
+    real = pipeline.sgd_step
+
+    def inf_predictor(model, grads, opt, lr):
+        real(model, grads, opt, lr)
+        model.predictor[1][0] = np.inf
+
+    monkeypatch.setattr(pipeline, "sgd_step", inf_predictor)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError) as exc:
+        run_experiment(noisy, small_config(lambda_fc=0.0))
+    assert exc.value.code == "DIVERGED"
+    assert "epoch 0 step" in str(exc.value)
+    assert "parameter is non-finite" in str(exc.value)
 
 
 def test_unknown_selection_mode(small_noisy):

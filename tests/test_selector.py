@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (consistency_measure, cosine_similarity, dense_cosine,
@@ -162,6 +162,100 @@ def test_tie_path_taken_by_every_straddling_row():
     assert tie_path_rows(feats, 3) == 5
     assert build_neighbour_index(feats, 3).tolist() == \
         [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2], [0, 1, 2]]
+
+
+# --- the int32 order key -------------------------------------------------------
+
+KEY_EDGE_KINDS = ("collide", "above_one", "antipodal", "k_max", "small_tile")
+
+
+@st.composite
+def key_edge_case(draw, kind):
+    """Features that stress the int32 key of _tile_topk, and a k:
+    - collide: near-duplicate rows, closer than 2^-30, whose keys collide;
+    - above_one: exact duplicates whose cosine rounds above 1, so clipped
+      winners tie;
+    - antipodal: duplicates of both signs, whose cosines clip at -1;
+    - k_max: k = n - 1, where the k-th value is each row's minimum;
+    - small_tile: the exact tie-heavy features with tiles and key chunks of
+      a few values, so that tile GEMMs of any shape give the oracle's values.
+    The last two values are _TILE_ELEMS and _KEY_ELEMS.
+    """
+    if kind == "small_tile":
+        feats, k, tile_elems = draw(exact_tie_heavy_features())
+        return feats, k, tile_elems, draw(st.integers(1, 2 * len(feats) ** 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(2, 8))
+    m = draw(st.integers(2 if kind == "above_one" else 1, 8))
+    reps = draw(st.lists(st.integers(2 if kind == "above_one" else 1, 6),
+                         min_size=m, max_size=m))
+    feats = np.repeat(rng.normal(size=(m, d)), reps, axis=0)
+    assume(feats.shape[0] >= 2)
+    if kind == "collide":
+        feats += rng.normal(size=feats.shape) * 2.0 ** -draw(st.integers(32, 48))
+    if kind == "antipodal":
+        feats *= rng.choice((-1.0, 1.0), size=(feats.shape[0], 1))
+    n = feats.shape[0]
+    k = n - 1 if kind == "k_max" else draw(st.integers(1, n - 1))
+    if kind == "above_one":
+        unit = feats / np.linalg.norm(feats, axis=1, keepdims=True)
+        sims = unit @ unit.T
+        np.fill_diagonal(sims, -np.inf)
+        assume(sims.max() > 1.0)
+    return feats, k, selector._TILE_ELEMS, selector._KEY_ELEMS
+
+
+@pytest.mark.parametrize("kind", KEY_EDGE_KINDS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_key_edge_cases_equal_full_sort_oracle(kind, data):
+    feats, k, tile_elems, key_elems = data.draw(key_edge_case(kind))
+    with mock.patch.object(selector, "_TILE_ELEMS", tile_elems), \
+            mock.patch.object(selector, "_KEY_ELEMS", key_elems):
+        index = build_neighbour_index(feats, k)
+    assert np.array_equal(index, full_sort_oracle(feats, k))
+
+
+def exact_path_rows(feats, k):
+    """Rows that build_neighbour_index hands to the exact _topk_desc."""
+    seen = []
+    topk_desc = selector._topk_desc
+
+    def spy(sims, k):
+        seen.append(sims.shape[0])
+        return topk_desc(sims, k)
+
+    with mock.patch.object(selector, "_topk_desc", spy):
+        index = build_neighbour_index(feats, k)
+    assert np.array_equal(index, full_sort_oracle(feats, k))
+    return sum(seen)
+
+
+def test_exact_path_skipped_on_normal_features():
+    feats = np.random.default_rng(13).normal(size=(2000, 16))
+    assert exact_path_rows(feats, 100) == 0
+
+
+def test_exact_path_takes_every_colliding_row():
+    # 30 rows within 2^-40 of one direction: every row's candidates hold
+    # all 29 others, more than k
+    rng = np.random.default_rng(3)
+    feats = rng.normal(size=(1, 8)) + rng.normal(size=(30, 8)) * 2.0**-40
+    assert exact_path_rows(feats, 10) == 30
+
+
+@pytest.mark.parametrize("feats, k, rows", [
+    # row 0 has exactly k candidates, two winners equal at 0
+    (np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]), 2, 1),
+    # rows 0 and 1 have exactly k candidates with the k-th at -1; row 2 has
+    # two winners equal at 0
+    (np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]), 2, 3),
+    # rows 0, 1 and 2 have two winners equal at 1; row 3 has three
+    # candidates at 0
+    (np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), 2, 4),
+])
+def test_exact_path_takes_rows_with_tied_or_unit_winners(feats, k, rows):
+    assert exact_path_rows(feats, k) == rows
 
 
 def test_index_memory_grows_with_n_times_k():

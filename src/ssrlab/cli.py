@@ -24,7 +24,8 @@ from .errors import ConfigError, DataError, NumericError
 from .noise import apply_noise, make_gaussian_dataset
 from .pipeline import (EpochMetrics, EpochTimings, ExperimentRecord,
                        compare_selection_modes, run_experiment)
-from .ssrd import load_embeddings, load_pool, write_dataset, write_pool
+from .ssrd import (load_embeddings, load_pool, write_atomic, write_dataset,
+                   write_pool)
 
 log = logging.getLogger("ssrlab")
 
@@ -47,7 +48,11 @@ def _write_csv(path: Path, columns: list, rows) -> None:
         lines.append(",".join("" if v is None
                               else str(v) if isinstance(v, (int, str))
                               else repr(float(v)) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode())
+
+
+def _write_json(path: Path, obj) -> None:
+    write_atomic(path, (json.dumps(obj, indent=2) + "\n").encode())
 
 
 def emit_metrics(record: ExperimentRecord, out_dir) -> None:
@@ -61,7 +66,7 @@ def emit_metrics(record: ExperimentRecord, out_dir) -> None:
                "epochs": [dataclasses.asdict(e) for e in record.epochs],
                "best_test_acc": record.best_test_acc,
                "last_test_acc": record.last_test_acc}
-    (out / "record.json").write_text(json.dumps(payload, indent=2) + "\n")
+    _write_json(out / "record.json", payload)
     _write_csv(out / "timings.csv", TIMING_COLUMNS,
                map(dataclasses.astuple, record.timings))
 
@@ -119,8 +124,7 @@ def _cmd_synth(args) -> int:
     write_dataset(out / "test.ssrd", synth.test)
     if synth.ood_pool.shape[0]:
         write_pool(out / "ood.ssrd", synth.ood_pool)
-    (out / "synth.json").write_text(
-        json.dumps(parsed.echo(), indent=2) + "\n")
+    _write_json(out / "synth.json", parsed.echo())
     log.info("wrote synthetic dataset to %s", out)
     return 0
 
@@ -153,7 +157,7 @@ def _with_data(verb, args) -> int:
         "started": started,
         "finished": time.time(),
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    _write_json(out / "manifest.json", manifest)
     return 0
 
 

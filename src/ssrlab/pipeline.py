@@ -30,6 +30,11 @@ from .selector import (baseline_gmm_loss, baseline_small_loss_predefined,
 
 log = logging.getLogger(__name__)
 
+# a run whose largest |parameter| passes this after a train pass has
+# diverged: healthy runs stay below 2, while lr 1e4 reaches 4e10 in one pass
+# (slower growth, such as lr 10 at a few hundred, goes unnoticed)
+_PARAM_BOUND = 1e6
+
 
 @dataclass
 class EpochMetrics:
@@ -137,7 +142,8 @@ SELECTORS = {
 def _train_pass(model, opt, lr, dataset, state, train_idx, config, rng,
                 feat_std, epoch):
     """One pass of SGD steps over train_idx; raises DIVERGED on a non-finite
-    loss, or on a non-finite parameter after the pass."""
+    loss, or when a parameter is non-finite or past _PARAM_BOUND after the
+    pass."""
     xs = dataset.features
     n, d = xs.shape
     eye = np.eye(dataset.num_classes)
@@ -170,9 +176,12 @@ def _train_pass(model, opt, lr, dataset, state, train_idx, config, rng,
             raise NumericError("DIVERGED",
                                f"epoch {epoch} step {step}: loss is {loss}")
         sgd_step(model, grads, opt, lr)
-    if not np.isfinite(model.flat).all():
-        raise NumericError("DIVERGED", f"epoch {epoch} step {step}: a "
-                           "parameter is non-finite after the pass")
+    top = np.abs(model.flat).max()
+    if not top <= _PARAM_BOUND:   # also true for nan
+        what = (f"max |parameter| {top:.3g} is past {_PARAM_BOUND:g}"
+                if math.isfinite(top) else "a parameter is non-finite")
+        raise NumericError("DIVERGED",
+                           f"epoch {epoch} step {step}: {what} after the pass")
 
 
 def run_experiment(dataset: NoisyDataset, config: TrainConfig,

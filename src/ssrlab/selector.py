@@ -37,10 +37,9 @@ def build_neighbour_index(features: np.ndarray, k: int) -> np.ndarray:
     Similarities exist one tile of rows at a time, so memory grows as N*K
     plus one tile of _TILE_ELEMS values, not as N*N. Each tile's float64
     similarities decide the order; an int32 key, trunc(similarity * 2^30),
-    only narrows each row to candidates first, and rows the key cannot
-    settle take the exact _topk_desc (see _tile_topk). The speed comes from
-    NumPy's SIMD int32 partition (NumPy >= 2); the ids are the same on any
-    supported NumPy (>= 1.24).
+    only narrows each row to candidates first (see _tile_topk). The speed
+    comes from NumPy's SIMD int32 partition (NumPy >= 2); the ids are the
+    same on any supported NumPy (>= 1.24).
     """
     feats = np.asarray(features, dtype=np.float64)
     n = feats.shape[0]
@@ -63,20 +62,25 @@ def build_neighbour_index(features: np.ndarray, k: int) -> np.ndarray:
 
 
 def _tile_topk(tile: np.ndarray, lo: int, k: int, keys: np.ndarray) -> np.ndarray:
-    """Top-k ids of the unclipped cosine rows lo, lo+1, ... in `tile`, as
-    _topk_desc gives them on the clipped rows with self at -inf; `keys` is
-    an int32 scratch buffer of a whole number of rows.
+    """Top-k ids of the unclipped cosine rows lo, lo+1, ... in `tile`, by
+    (descending clipped value, ascending column) with self at -inf; `keys`
+    is an int32 scratch buffer of a whole number of rows.
 
-    key = trunc(y * 2^30) is monotone in y and fits int32 for |y| < 2 (unit
-    vectors give |y| <= 1 up to rounding), so a row's k-th largest key t,
-    found by an int32 partition of a few rows at a time, is the key of its
-    k-th largest similarity. trunc(y * 2^30) >= t implies y > (t - 1) / 2^30,
-    an exact float compare, so the candidates above that bound hold every
-    winner and every tie at the k-th value. A row with exactly k candidates
-    has them as its winners, in ascending column order; sorting their
-    clipped values is exact unless two of them are equal, or the k-th is
-    +-1, where clipping may tie it with a non-candidate. Those rows, and
-    rows with more than k candidates, take _topk_desc.
+    key = trunc(y * 2^30) is monotone in y and fits int32 for |y| < 2, so a
+    row's k-th largest key t, found by an int32 partition of a few rows at a
+    time, is the key of its k-th largest similarity y_k. trunc(y * 2^30) >= t
+    implies y > (t - 1) / 2^30, an exact float compare, so the candidates
+    above that bound hold every winner and every tie at y_k, and every other
+    value is below y_k. np.flatnonzero lists them in ascending column order.
+    A row with exactly k candidates whose clipped values all differ is
+    settled by a plain argsort of those values; every other row takes one
+    stable argsort of its candidates, padded with +inf.
+
+    Clipping to [-1, 1] cannot tie a non-candidate with y_k while every
+    |y| < 1 + 2^-30, which holds for unit vectors with d < 2^20: then
+    -2^30 <= t <= 2^30. At +1, every non-candidate is <= (t - 1) / 2^30 < 1.
+    At -1, a y_k <= -1 has t = -2^30, and no value is <= -1 - 2^-30, so
+    every column is a candidate. No row needs a sort of its whole row.
     """
     r, n = tile.shape
     own = np.arange(r)
@@ -92,56 +96,25 @@ def _tile_topk(tile: np.ndarray, lo: int, k: int, keys: np.ndarray) -> np.ndarra
     tile[own, lo + own] = -np.inf
     cand = np.flatnonzero(tile > ((kth - 1.0) / _KEY_SCALE)[:, None])
     counts = np.bincount(cand // n, minlength=r)
+    starts = np.cumsum(counts) - counts
     few = np.flatnonzero(counts == k)
-    cand = cand[(np.cumsum(counts) - counts)[few][:, None] + np.arange(k)]
-    neg = -np.clip(tile.ravel()[cand], -1.0, 1.0)
+    at = cand[starts[few][:, None] + np.arange(k)]
+    neg = -np.clip(tile.ravel()[at], -1.0, 1.0)
     order = np.argsort(neg, axis=1)
     neg = np.take_along_axis(neg, order, axis=1)
     ids = np.empty((r, k), dtype=np.int64)
-    ids[few] = np.take_along_axis(cand % n, order, axis=1)
-    slow = counts > k
-    slow[few] = (np.any(neg[:, 1:] == neg[:, :-1], axis=1)
-                 | (np.abs(neg[:, -1]) == 1.0))
-    slow = np.flatnonzero(slow)
-    if slow.size:
-        sims = np.clip(tile[slow], -1.0, 1.0)
-        sims[np.arange(slow.size), lo + slow] = -np.inf
-        ids[slow] = _topk_desc(sims, k)
+    ids[few] = np.take_along_axis(at % n, order, axis=1)
+    redo = counts > k
+    redo[few] = np.any(neg[:, 1:] == neg[:, :-1], axis=1)
+    redo = np.flatnonzero(redo)
+    if redo.size:
+        pos = starts[redo][:, None] + np.arange(counts[redo].max())
+        at = cand[np.minimum(pos, cand.size - 1)]
+        neg = np.where(pos < (starts + counts)[redo][:, None],
+                       -np.clip(tile.ravel()[at], -1.0, 1.0), np.inf)
+        order = np.argsort(neg, axis=1, kind="stable")[:, :k]
+        ids[redo] = np.take_along_axis(at % n, order, axis=1)
     return ids
-
-
-def _topk_desc(sims: np.ndarray, k: int) -> np.ndarray:
-    """Row-wise top-k indices by (descending value, ascending index); the
-    exact path of _tile_topk, for rows whose int32 keys do not settle them.
-
-    The k winners of np.argpartition, in ascending column order and sorted
-    stably by descending value, are right unless a tie group straddles
-    position k (more than k entries >= the k-th value): argpartition picks
-    among those ties arbitrarily. Every row has at least k such entries, so
-    one count over the rows shows whether any row must take _topk_tie_rows.
-    """
-    win = np.sort(np.argpartition(sims, -k, axis=1)[:, -k:], axis=1)
-    vals = np.take_along_axis(sims, win, axis=1)
-    ids = np.take_along_axis(win, np.argsort(-vals, axis=1, kind="stable"), axis=1)
-    above = sims >= vals.min(axis=1)[:, None]
-    if np.count_nonzero(above) > above.shape[0] * k:
-        tie = np.flatnonzero(np.count_nonzero(above, axis=1) > k)
-        ids[tie] = _topk_tie_rows(sims[tie], above[tie], k)
-    return ids
-
-
-def _topk_tie_rows(sims: np.ndarray, above: np.ndarray, k: int) -> np.ndarray:
-    """_topk_desc with every entry in `above` (>= the row's k-th value) a
-    candidate, so a tie group straddling position k is kept whole; the
-    candidates, in ascending column order, are sorted stably."""
-    rows, cols = np.nonzero(above)
-    counts = np.bincount(rows, minlength=sims.shape[0])
-    starts = np.cumsum(counts) - counts
-    pos = np.arange(rows.size) - starts[rows]
-    neg = np.full((sims.shape[0], counts.max()), np.inf)
-    neg[rows, pos] = -sims[rows, cols]
-    order = np.argsort(neg, axis=1, kind="stable")[:, :k]
-    return cols[starts[:, None] + order]
 
 
 def neighbour_label_counts(ids: np.ndarray, state: LabelState) -> np.ndarray:

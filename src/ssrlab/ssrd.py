@@ -8,6 +8,7 @@ The reader is strict: other flag bits and bytes past the payload are errors.
 """
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -22,6 +23,21 @@ _HEADER = struct.Struct("<4sHIIIB")
 
 FLAG_TRUE_LABELS = 0x01
 FLAG_NOISY_MASK = 0x02
+
+
+def write_atomic(path, payload: bytes) -> None:
+    """Write payload to a temp file beside path, then os.replace it onto
+    path: an interrupted write leaves path as it was (absent, or the old
+    file) and removes the temp file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_dataset(path, dataset: NoisyDataset) -> None:
@@ -42,14 +58,14 @@ def _write(path, features, observed_labels, num_classes,
         flags |= FLAG_TRUE_LABELS
     if noisy_mask is not None:
         flags |= FLAG_NOISY_MASK
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, n, d, num_classes, flags))
-        fh.write(np.ascontiguousarray(features, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(observed_labels, dtype="<u4").tobytes())
-        if true_labels is not None:
-            fh.write(np.ascontiguousarray(true_labels, dtype="<i4").tobytes())
-        if noisy_mask is not None:
-            fh.write(np.ascontiguousarray(noisy_mask, dtype=np.uint8).tobytes())
+    parts = [_HEADER.pack(MAGIC, VERSION, n, d, num_classes, flags),
+             np.ascontiguousarray(features, dtype="<f4").tobytes(),
+             np.ascontiguousarray(observed_labels, dtype="<u4").tobytes()]
+    if true_labels is not None:
+        parts.append(np.ascontiguousarray(true_labels, dtype="<i4").tobytes())
+    if noisy_mask is not None:
+        parts.append(np.ascontiguousarray(noisy_mask, dtype=np.uint8).tobytes())
+    write_atomic(path, b"".join(parts))
 
 
 def _read(path) -> dict:

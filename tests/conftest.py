@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ssrlab.model import init_model
+
+# `pytest --hypothesis-profile=ci` draws the same examples on every run, so a
+# failure seen in CI repeats locally
+settings.register_profile("ci", derandomize=True, database=None)
 
 
 def numeric_grad(f, arrays, eps=1e-5):

@@ -1,10 +1,12 @@
+import errno
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ssrlab import load_embeddings, load_pool
+from ssrlab import load_embeddings, load_pool, ssrd
 from ssrlab.cli import CSV_COLUMNS, TIMING_COLUMNS, main
 from ssrlab.config import parse_config_dict
 from ssrlab.errors import ConfigError
@@ -245,3 +247,82 @@ def test_exit_code_numeric_error(tmp_path, config_path):
     bad.write_bytes(blob)
     assert main(["run", "-c", str(config_path), "-o", str(tmp_path / "o"),
                  "-i", str(bad)]) == 4
+
+
+# --- atomic artifacts --------------------------------------------------------
+
+def cut_writes(monkeypatch, name):
+    """Every write of a file called `name` stops half way, as on a full disk."""
+    real_open = open
+
+    class HalfWrite:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def cut_open(path, *args, **kwargs):
+        fh = real_open(path, *args, **kwargs)
+        return HalfWrite(fh) if Path(path).name.startswith(f".{name}.") else fh
+
+    monkeypatch.setattr(ssrd, "open", cut_open, raising=False)
+
+
+def tree(root):
+    return {p.relative_to(root): p.read_bytes()
+            for p in root.rglob("*") if p.is_file()}
+
+
+# (verb and its arguments after -c CONFIG -o OUT, a file it writes)
+ARTIFACTS = [
+    (["synth"], "train.ssrd"),
+    (["synth"], "ood.ssrd"),
+    (["synth"], "synth.json"),
+    (["inject", "-i", "{data}/train.ssrd"], "noisy.ssrd"),
+    (["grid", "--param", "theta_s", "--values", "0.5"], "metrics.csv"),
+    (["grid", "--param", "theta_s", "--values", "0.5"], "record.json"),
+    (["grid", "--param", "theta_s", "--values", "0.5"], "timings.csv"),
+    (["grid", "--param", "theta_s", "--values", "0.5"], "summary.csv"),
+    (["grid", "--param", "theta_s", "--values", "0.5"], "manifest.json"),
+    (["compare-modes"], "comparison.csv"),
+]
+
+
+@pytest.mark.parametrize("verb, name", ARTIFACTS)
+def test_interrupted_write_leaves_no_partial_file(tmp_path, config_path,
+                                                  monkeypatch, verb, name):
+    data = tmp_path / "data"
+    assert main(["synth", "-c", str(config_path), "-o", str(data)]) == 0
+    verb = [a.format(data=data) for a in verb]
+
+    def call(out):
+        # inject writes one file, the others a directory
+        target = out / name if verb[0] == "inject" else out
+        return main([verb[0], "-c", str(config_path), "-o", str(target),
+                     *verb[1:]])
+
+    fresh, kept = tmp_path / "fresh", tmp_path / "kept"
+    fresh.mkdir()
+    kept.mkdir()
+    assert call(kept) == 0
+    before = tree(kept)
+    assert any(p.name == name for p in before)
+    cut_writes(monkeypatch, name)
+    for out in (fresh, kept):
+        with pytest.raises(OSError):
+            call(out)
+    assert not [p for p in tree(fresh) if p.name == name]
+    after = tree(kept)
+    assert {p: after[p] for p in after if p.name == name} == \
+        {p: before[p] for p in before if p.name == name}
+    leftovers = [p for root in (fresh, kept) for p in tree(root)
+                 if p.name.endswith(".tmp")]
+    assert leftovers == []

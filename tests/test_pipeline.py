@@ -169,14 +169,48 @@ def test_scores_without_ground_truth_are_missing(tmp_path):
 
 
 def test_diverged_run_raises():
-    # lr 1e12 on criterion 10's data: the loss and the parameters stay
-    # finite, but by epoch 4 the embeddings' norms overflow
+    # lr 1e12 on criterion 10's data: the loss stays finite, but the
+    # parameters pass the bound in the first pass
     noisy, test = criterion_10_data()
     cfg = TrainConfig(epochs=5, k_neighbours=20, learning_rate=1e12)
     with np.errstate(all="ignore"), pytest.raises(NumericError) as exc:
         run_experiment(noisy, cfg, test=test)
     assert exc.value.code == "DIVERGED"
-    assert "epoch 4" in str(exc.value)
+    assert "epoch 0 step" in str(exc.value)
+
+
+@pytest.mark.parametrize("lr", [1e4, 1e8])
+def test_slow_divergence_raises(lr):
+    # finite losses and parameters that would finish at chance accuracy
+    noisy, test = criterion_10_data()
+    cfg = TrainConfig(epochs=5, k_neighbours=20, learning_rate=lr)
+    with np.errstate(all="ignore"), pytest.raises(NumericError) as exc:
+        run_experiment(noisy, cfg, test=test)
+    assert exc.value.code == "DIVERGED"
+    assert "epoch 0 step" in str(exc.value)
+    assert "max |parameter|" in str(exc.value)
+
+
+def test_overflowing_embeddings_after_training_raise_diverged(small_noisy,
+                                                              monkeypatch):
+    # embeddings that overflow once a pass has run: the selector's
+    # NON_FINITE_INPUT is re-raised as DIVERGED, naming the epoch
+    noisy, _ = small_noisy
+    real = pipeline.forward
+    calls = []
+
+    def overflow_after_first(model, x):
+        out = real(model, x)
+        calls.append(x)
+        if len(calls) > 1:
+            out["embeddings"] = out["embeddings"] * 1e300
+        return out
+
+    monkeypatch.setattr(pipeline, "forward", overflow_after_first)
+    with np.errstate(over="ignore"), pytest.raises(NumericError) as exc:
+        run_experiment(noisy, small_config())
+    assert exc.value.code == "DIVERGED"
+    assert "epoch 1: the trained model's outputs overflow" in str(exc.value)
 
 
 def test_non_finite_loss_raises_diverged(small_noisy, monkeypatch):

@@ -12,7 +12,7 @@ from oracles import (consistency_measure, cosine_similarity, dense_cosine,
                      neighbour_votes_per_row, topk_lexsort)
 from ssrlab import LabelState, build_neighbour_index, selector
 from ssrlab.errors import ConfigError, DataError, NumericError
-from ssrlab.selector import (_topk_desc, balance_distribution,
+from ssrlab.selector import (_tile_topk, balance_distribution,
                              baseline_gmm_loss, baseline_small_loss_predefined,
                              compute_selection, exact_top_mask,
                              neighbour_label_counts, select_clean)
@@ -109,10 +109,11 @@ def test_tiled_index_equals_dense_oracle(case):
 
 @st.composite
 def quantised_matrix_slice(draw):
-    """A dense matrix of few distinct values (zeros of both signs, duplicated
-    rows), a row slice of it and a k below its width."""
+    """A matrix of few distinct values (zeros of both signs, duplicated rows,
+    -1 and 1), at least as wide as tall, a row slice of it and a k below its
+    width."""
     n = draw(st.integers(1, 30))
-    m = draw(st.integers(2, 40))
+    m = draw(st.integers(max(2, n), 40))
     values = st.sampled_from((-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0))
     base = draw(st.lists(st.lists(values, min_size=m, max_size=m),
                          min_size=1, max_size=n))
@@ -123,50 +124,74 @@ def quantised_matrix_slice(draw):
     return sims, lo, hi, draw(st.integers(1, m - 1))
 
 
+def tile_topk(sims, lo, k):
+    """_tile_topk on a copy of the rows of sims from lo, whose selves are
+    the columns lo, lo + 1, ..."""
+    tile = np.array(sims, dtype=np.float64)
+    return _tile_topk(tile, lo, k, np.empty(tile.size, dtype=np.int32))
+
+
 @settings(max_examples=200, deadline=None)
 @given(quantised_matrix_slice())
-def test_topk_desc_on_row_slices_equals_lexsort(case):
+def test_tile_topk_on_row_slices_equals_lexsort(case):
     sims, lo, hi, k = case
-    assert np.array_equal(_topk_desc(sims[lo:hi], k),
-                          topk_lexsort(sims, k)[lo:hi])
+    expect = sims.copy()
+    expect[np.arange(expect.shape[0]), np.arange(expect.shape[0])] = -np.inf
+    assert np.array_equal(tile_topk(sims[lo:hi], lo, k),
+                          topk_lexsort(expect, k)[lo:hi])
 
 
-def test_topk_desc_straddling_tie_hand_case():
+def test_tile_topk_straddling_tie_hand_case():
     # three entries tie at 0.5 across position k=2; the lowest index wins
-    assert _topk_desc(np.array([[1.0, 0.5, 0.5, 0.5, 0.0]]), 2).tolist() == [[0, 1]]
+    # (self is the last column)
+    sims = [[1.0, 0.5, 0.5, 0.5, 0.0, 1.0]]
+    assert tile_topk(sims, 5, 2).tolist() == [[0, 1]]
 
 
-def tie_path_rows(feats, k):
-    """Rows that build_neighbour_index sends through the tie path."""
-    seen = []
-    tie_rows = selector._topk_tie_rows
+class SortSpy:
+    """Stands in for numpy inside selector and counts the rows of each
+    stable argsort: the candidate re-sort of rows the key does not settle."""
 
-    def spy(sims, above, k):
-        seen.append(sims.shape[0])
-        return tie_rows(sims, above, k)
+    def __init__(self):
+        self.rows = 0
 
-    with mock.patch.object(selector, "_topk_tie_rows", spy):
-        build_neighbour_index(feats, k)
-    return sum(seen)
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def argsort(self, a, *args, kind=None, **kwargs):
+        if kind == "stable":
+            self.rows += a.shape[0]
+        return np.argsort(a, *args, kind=kind, **kwargs)
+
+
+def resorted_rows(feats, k):
+    """Rows that build_neighbour_index re-sorts from their candidates; its
+    ids are checked against the oracle."""
+    spy = SortSpy()
+    with mock.patch.object(selector, "np", spy):
+        index = build_neighbour_index(feats, k)
+    assert np.array_equal(index, full_sort_oracle(feats, k))
+    return spy.rows
 
 
 def test_tie_path_skipped_without_ties():
     feats = np.random.default_rng(13).normal(size=(2000, 16))
-    assert tie_path_rows(feats, 100) == 0
+    assert resorted_rows(feats, 100) == 0
 
 
 def test_tie_path_taken_by_every_straddling_row():
     # each row has n - 1 = k + 1 neighbours at similarity 1: the smallest
-    # straddling tie group, so every row must take the tie path
+    # straddling tie group, so every row must take the candidate re-sort
     feats = np.tile([1.0, 2.0], (5, 1))
-    assert tie_path_rows(feats, 3) == 5
+    assert resorted_rows(feats, 3) == 5
     assert build_neighbour_index(feats, 3).tolist() == \
         [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2], [0, 1, 2]]
 
 
 # --- the int32 order key -------------------------------------------------------
 
-KEY_EDGE_KINDS = ("collide", "above_one", "antipodal", "k_max", "small_tile")
+KEY_EDGE_KINDS = ("collide", "above_one", "antipodal", "k_max", "small_tile",
+                  "dup_groups")
 
 
 @st.composite
@@ -178,12 +203,21 @@ def key_edge_case(draw, kind):
     - antipodal: duplicates of both signs, whose cosines clip at -1;
     - k_max: k = n - 1, where the k-th value is each row's minimum;
     - small_tile: the exact tie-heavy features with tiles and key chunks of
-      a few values, so that tile GEMMs of any shape give the oracle's values.
+      a few values, so that tile GEMMs of any shape give the oracle's values;
+    - dup_groups: exact duplicates of the exact tie-heavy rows in groups
+      larger than k, so every row re-sorts a large tie group at 1.
     The last two values are _TILE_ELEMS and _KEY_ELEMS.
     """
     if kind == "small_tile":
         feats, k, tile_elems = draw(exact_tie_heavy_features())
         return feats, k, tile_elems, draw(st.integers(1, 2 * len(feats) ** 2))
+    if kind == "dup_groups":
+        rows = draw(exact_tie_heavy_features())[0][:draw(st.integers(1, 5))]
+        k = draw(st.integers(1, 40))
+        reps = draw(st.lists(st.integers(k + 1, k + 60), min_size=len(rows),
+                             max_size=len(rows)))
+        feats = np.repeat(rows, reps, axis=0)
+        return feats, k, selector._TILE_ELEMS, selector._KEY_ELEMS
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     d = draw(st.integers(2, 8))
     m = draw(st.integers(2 if kind == "above_one" else 1, 8))
@@ -212,28 +246,15 @@ def test_key_edge_cases_equal_full_sort_oracle(kind, data):
     feats, k, tile_elems, key_elems = data.draw(key_edge_case(kind))
     with mock.patch.object(selector, "_TILE_ELEMS", tile_elems), \
             mock.patch.object(selector, "_KEY_ELEMS", key_elems):
-        index = build_neighbour_index(feats, k)
-    assert np.array_equal(index, full_sort_oracle(feats, k))
-
-
-def exact_path_rows(feats, k):
-    """Rows that build_neighbour_index hands to the exact _topk_desc."""
-    seen = []
-    topk_desc = selector._topk_desc
-
-    def spy(sims, k):
-        seen.append(sims.shape[0])
-        return topk_desc(sims, k)
-
-    with mock.patch.object(selector, "_topk_desc", spy):
-        index = build_neighbour_index(feats, k)
-    assert np.array_equal(index, full_sort_oracle(feats, k))
-    return sum(seen)
+        resorted = resorted_rows(feats, k)
+    if kind == "dup_groups" and k > 1:
+        # at least k candidates, all equal at 1
+        assert resorted == len(feats)
 
 
 def test_exact_path_skipped_on_normal_features():
     feats = np.random.default_rng(13).normal(size=(2000, 16))
-    assert exact_path_rows(feats, 100) == 0
+    assert resorted_rows(feats, 100) == 0
 
 
 def test_exact_path_takes_every_colliding_row():
@@ -241,21 +262,29 @@ def test_exact_path_takes_every_colliding_row():
     # all 29 others, more than k
     rng = np.random.default_rng(3)
     feats = rng.normal(size=(1, 8)) + rng.normal(size=(30, 8)) * 2.0**-40
-    assert exact_path_rows(feats, 10) == 30
+    assert resorted_rows(feats, 10) == 30
+
+
+def test_duplicate_groups_are_resorted_from_candidates():
+    # 10 groups of 200 duplicates, k = 100: every row's candidates are the
+    # 199 others of its group
+    feats = np.repeat(np.random.default_rng(0).normal(size=(10, 16)), 200,
+                      axis=0)
+    assert resorted_rows(feats, 100) == 2000
 
 
 @pytest.mark.parametrize("feats, k, rows", [
     # row 0 has exactly k candidates, two winners equal at 0
     (np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]), 2, 1),
-    # rows 0 and 1 have exactly k candidates with the k-th at -1; row 2 has
-    # two winners equal at 0
-    (np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]), 2, 3),
-    # rows 0, 1 and 2 have two winners equal at 1; row 3 has three
+    # rows 0 and 1 have exactly k candidates with the k-th at -1: settled,
+    # since every column is a candidate; row 2 has two winners equal at 0
+    (np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]), 2, 1),
+    # rows 0, 1 and 2 have two winners equal at 1, and row 3 has three
     # candidates at 0
     (np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), 2, 4),
 ])
 def test_exact_path_takes_rows_with_tied_or_unit_winners(feats, k, rows):
-    assert exact_path_rows(feats, k) == rows
+    assert resorted_rows(feats, k) == rows
 
 
 def test_index_memory_grows_with_n_times_k():

@@ -3,7 +3,8 @@
 Verbs: ``synth`` (generate dataset files), ``inject`` (apply noise to an
 embedding file), ``run`` (single experiment), ``grid`` (hyperparameter
 sweep), ``compare-modes`` (selector comparison). Flags override config keys.
-Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
+Exit codes: 0 success, 2 config error, 3 data error or a file that cannot be
+read or written, 4 numeric failure.
 """
 from __future__ import annotations
 
@@ -273,6 +274,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         log.error("%s", exc)
         return 4
+    except OSError as exc:
+        log.error("IO_ERROR: %s: %s", exc.filename, exc.strerror or exc)
+        return 3
 
 
 if __name__ == "__main__":

@@ -17,8 +17,7 @@ from .errors import ConfigError, DataError, NumericError
 
 _NORM_EPS = 1e-12
 _TILE_ELEMS = 1 << 20   # similarities held at once by build_neighbour_index
-_KEY_ELEMS = 1 << 17    # int32 order keys held at once by build_neighbour_index
-_KEY_SCALE = float(1 << 30)  # key = trunc(similarity * _KEY_SCALE)
+_KEY_ELEMS = 1 << 17    # int64 order keys held at once by build_neighbour_index
 _GMM_MAX_ITER = 100     # EM iterations of baseline_gmm_loss, at most
 _GMM_TOL = 1e-6         # EM stops when the mean log-likelihood moves less
 
@@ -35,10 +34,12 @@ def build_neighbour_index(features: np.ndarray, k: int) -> np.ndarray:
     ascending sample index; deterministic for fixed input.
 
     Similarities exist one tile of rows at a time, so memory grows as N*K
-    plus one tile of _TILE_ELEMS values, not as N*N. Each tile's float64
-    similarities decide the order; an int32 key, trunc(similarity * 2^30),
-    only narrows each row to candidates first (see _tile_topk). The speed
-    comes from NumPy's SIMD int32 partition (NumPy >= 2); the ids are the
+    plus one tile of _TILE_ELEMS values, not as N*N. A similarity's int64
+    key is its float64 bit pattern with the low bits replaced by its column;
+    one int64 partition per row gives the ids of every row the key settles,
+    and the others are re-sorted from their float64 values; only a row whose
+    K-th similarity is <= +0 sorts its whole row (see _tile_topk). The speed
+    comes from NumPy's SIMD int64 partition (NumPy >= 2); the ids are the
     same on any supported NumPy (>= 1.24).
     """
     feats = np.asarray(features, dtype=np.float64)
@@ -55,7 +56,7 @@ def build_neighbour_index(features: np.ndarray, k: int) -> np.ndarray:
     unit = feats / norms[:, None]
     ids = np.empty((n, k), dtype=np.int64)
     rows = max(1, _TILE_ELEMS // n)
-    keys = np.empty(min(rows, max(1, _KEY_ELEMS // n)) * n, dtype=np.int32)
+    keys = np.empty(min(rows, max(1, _KEY_ELEMS // n)) * n, dtype=np.int64)
     for lo in range(0, n, rows):
         ids[lo:lo + rows] = _tile_topk(unit[lo:lo + rows] @ unit.T, lo, k, keys)
     return ids
@@ -64,50 +65,49 @@ def build_neighbour_index(features: np.ndarray, k: int) -> np.ndarray:
 def _tile_topk(tile: np.ndarray, lo: int, k: int, keys: np.ndarray) -> np.ndarray:
     """Top-k ids of the unclipped cosine rows lo, lo+1, ... in `tile`, by
     (descending clipped value, ascending column) with self at -inf; `keys`
-    is an int32 scratch buffer of a whole number of rows.
+    is an int64 scratch buffer of a whole number of rows.
 
-    key = trunc(y * 2^30) is monotone in y and fits int32 for |y| < 2, so a
-    row's k-th largest key t, found by an int32 partition of a few rows at a
-    time, is the key of its k-th largest similarity y_k. trunc(y * 2^30) >= t
-    implies y > (t - 1) / 2^30, an exact float compare, so the candidates
-    above that bound hold every winner and every tie at y_k, and every other
-    value is below y_k. np.flatnonzero lists them in ascending column order.
-    A row with exactly k candidates whose clipped values all differ is
-    settled by a plain argsort of those values; every other row takes one
-    stable argsort of its candidates, padded with +inf.
-
-    Clipping to [-1, 1] cannot tie a non-candidate with y_k while every
-    |y| < 1 + 2^-30, which holds for unit vectors with d < 2^20: then
-    -2^30 <= t <= 2^30. At +1, every non-candidate is <= (t - 1) / 2^30 < 1.
-    At -1, a y_k <= -1 has t = -2^30, and no value is <= -1 - 2^-30, so
-    every column is a candidate. No row needs a sort of its whole row.
+    With m = 2^b - 1 >= n - 1, the key of column c is the bit pattern of its
+    value y with the low b bits replaced by m - c; for y > 0 the high bits
+    are monotone in y. An int64 partition of a few rows at a time leaves a
+    row's k + 1 largest keys, and sorted they give the winners as
+    m - (key & m) when the k-th key's high bits are > 0 (negative keys, in
+    reverse order, rank below every winner), the largest key is below 1.0
+    (no clipping) and the k + 1 keys have pairwise distinct high bits (the
+    cut orders the values strictly). Every other row takes one stable
+    argsort, padded with +inf, of the negated clipped values of its
+    candidates: the columns with y >= min(L, 1), L <= y_k the float of the
+    k-th key's high bits, or every column but self when y_k <= +0, the one
+    case that sorts a whole row.
     """
     r, n = tile.shape
-    own = np.arange(r)
+    np.fill_diagonal(tile[:, lo:], -np.inf)
+    m = (1 << (n - 1).bit_length()) - 1
+    col = m - np.arange(n)
+    bits = tile.view(np.int64)
     step = keys.size // n
-    kth = np.empty(r)
+    top = np.empty((r, k + 1), dtype=np.int64)
     for a in range(0, r, step):
         key = keys[:min(step, r - a) * n].reshape(-1, n)
-        np.multiply(tile[a:a + step], _KEY_SCALE, out=key, casting="unsafe")
-        diag = own[:key.shape[0]]
-        key[diag, lo + a + diag] = np.iinfo(np.int32).min
-        key.partition(n - k, axis=1)
-        kth[a:a + step] = key[:, n - k]
-    tile[own, lo + own] = -np.inf
-    cand = np.flatnonzero(tile > ((kth - 1.0) / _KEY_SCALE)[:, None])
-    counts = np.bincount(cand // n, minlength=r)
-    starts = np.cumsum(counts) - counts
-    few = np.flatnonzero(counts == k)
-    at = cand[starts[few][:, None] + np.arange(k)]
-    neg = -np.clip(tile.ravel()[at], -1.0, 1.0)
-    order = np.argsort(neg, axis=1)
-    neg = np.take_along_axis(neg, order, axis=1)
-    ids = np.empty((r, k), dtype=np.int64)
-    ids[few] = np.take_along_axis(at % n, order, axis=1)
-    redo = counts > k
-    redo[few] = np.any(neg[:, 1:] == neg[:, :-1], axis=1)
-    redo = np.flatnonzero(redo)
+        np.bitwise_and(bits[a:a + step], ~m, out=key)
+        key |= col
+        key.partition(n - k - 1, axis=1)
+        top[a:a + step] = key[:, n - k - 1:]
+    top.sort(axis=1)
+    ids = m - (top[:, :0:-1] & m)
+    high = top & ~m
+    settled = ((high[:, 1] > 0) & (high[:, k].view(np.float64) < 1.0)
+               & np.all(high[:, 1:] != high[:, :-1], axis=1))
+    redo = np.flatnonzero(~settled)
     if redo.size:
+        # candidates y >= thr: none in settled rows, all but self if y_k <= +0
+        thr = np.where(high[:, 1] > 0, np.minimum(high[:, 1].view(np.float64), 1.0),
+                       np.nextafter(-np.inf, 0.0))
+        thr[settled] = np.inf
+        a, b = redo[0], redo[-1] + 1
+        cand = np.flatnonzero(tile[a:b] >= thr[a:b, None]) + a * n
+        counts = np.bincount(cand // n, minlength=r)
+        starts = np.cumsum(counts) - counts
         pos = starts[redo][:, None] + np.arange(counts[redo].max())
         at = cand[np.minimum(pos, cand.size - 1)]
         neg = np.where(pos < (starts + counts)[redo][:, None],

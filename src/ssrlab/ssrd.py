@@ -28,15 +28,18 @@ FLAG_NOISY_MASK = 0x02
 def write_atomic(path, payload: bytes) -> None:
     """Write payload to a temp file beside path, then os.replace it onto
     path: an interrupted write leaves path as it was (absent, or the old
-    file) and removes the temp file."""
+    file) and removes the temp file. An OSError names path, not the temp
+    file."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
             fh.write(payload)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            exc.filename = str(path)
         raise
 
 

@@ -128,7 +128,7 @@ def tile_topk(sims, lo, k):
     """_tile_topk on a copy of the rows of sims from lo, whose selves are
     the columns lo, lo + 1, ..."""
     tile = np.array(sims, dtype=np.float64)
-    return _tile_topk(tile, lo, k, np.empty(tile.size, dtype=np.int32))
+    return _tile_topk(tile, lo, k, np.empty(tile.size, dtype=np.int64))
 
 
 @settings(max_examples=200, deadline=None)
@@ -139,6 +139,31 @@ def test_tile_topk_on_row_slices_equals_lexsort(case):
     expect[np.arange(expect.shape[0]), np.arange(expect.shape[0])] = -np.inf
     assert np.array_equal(tile_topk(sims[lo:hi], lo, k),
                           topk_lexsort(expect, k)[lo:hi])
+
+
+@st.composite
+def settle_tile(draw):
+    """Rows of a tile, their self columns from lo, and a k, with values a
+    few units in the last place from 1, 0.5 and zeros of both signs: equal
+    in the key's high bits or not, above 1 so that they clip together, and
+    signed zeros or subnormals at the K-th place."""
+    n = draw(st.integers(2, 20))
+    r = draw(st.integers(1, n))
+    cells = draw(st.lists(st.tuples(st.sampled_from((1.0, 0.5, 0.0, -0.0)),
+                                    st.integers(-40, 40)),
+                          min_size=r * n, max_size=r * n))
+    sims = np.array([b + o * np.spacing(b) for b, o in cells]).reshape(r, n)
+    return sims, draw(st.integers(0, n - r)), draw(st.integers(1, n - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(settle_tile())
+def test_tile_topk_settle_conditions_equal_lexsort(case):
+    sims, lo, k = case
+    expect = np.clip(sims, -1.0, 1.0)
+    own = np.arange(len(sims))
+    expect[own, lo + own] = -np.inf
+    assert np.array_equal(tile_topk(sims, lo, k), topk_lexsort(expect, k))
 
 
 def test_tile_topk_straddling_tie_hand_case():
@@ -188,16 +213,16 @@ def test_tie_path_taken_by_every_straddling_row():
         [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2], [0, 1, 2]]
 
 
-# --- the int32 order key -------------------------------------------------------
+# --- the int64 order key -------------------------------------------------------
 
 KEY_EDGE_KINDS = ("collide", "above_one", "antipodal", "k_max", "small_tile",
-                  "dup_groups")
+                  "dup_groups", "settle")
 
 
 @st.composite
 def key_edge_case(draw, kind):
-    """Features that stress the int32 key of _tile_topk, and a k:
-    - collide: near-duplicate rows, closer than 2^-30, whose keys collide;
+    """Features that stress the int64 key of _tile_topk, and a k:
+    - collide: near-duplicate rows, closer than 2^-30;
     - above_one: exact duplicates whose cosine rounds above 1, so clipped
       winners tie;
     - antipodal: duplicates of both signs, whose cosines clip at -1;
@@ -205,7 +230,14 @@ def key_edge_case(draw, kind):
     - small_tile: the exact tie-heavy features with tiles and key chunks of
       a few values, so that tile GEMMs of any shape give the oracle's values;
     - dup_groups: exact duplicates of the exact tie-heavy rows in groups
-      larger than k, so every row re-sorts a large tie group at 1.
+      larger than k, so every row re-sorts a large tie group at 1;
+    - settle: the conditions that let a row skip the re-sort. Signed basis
+      vectors give cosines of exactly 1, -1 and +0, often at the K-th
+      place, and copies of normal rows at odd scales round to unit vectors
+      a few bits apart, so their cosines differ only in the low bits the
+      key replaces, inside the top K and across its boundary. The BLAS
+      gives neither -0.0 nor cosines far enough past 1 to differ in the
+      key's high bits; settle_tile puts those into a tile directly.
     The last two values are _TILE_ELEMS and _KEY_ELEMS.
     """
     if kind == "small_tile":
@@ -219,6 +251,17 @@ def key_edge_case(draw, kind):
         feats = np.repeat(rows, reps, axis=0)
         return feats, k, selector._TILE_ELEMS, selector._KEY_ELEMS
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "settle":
+        d = draw(st.integers(2, 64))
+        basis = np.eye(d)[rng.integers(0, d, draw(st.integers(0, 6)))]
+        normal = np.repeat(rng.normal(size=(draw(st.integers(1, 3)), d)),
+                           draw(st.integers(2, 6)), axis=0)
+        basis *= rng.choice((-1.0, 1.0, 4.0), (len(basis), 1))
+        normal *= rng.choice((1.0, 3.0, 5.0, 7.0), (len(normal), 1))
+        feats = np.concatenate([basis, normal])
+        feats = feats[rng.permutation(len(feats))]
+        return (feats, draw(st.integers(1, len(feats) - 1)),
+                selector._TILE_ELEMS, selector._KEY_ELEMS)
     d = draw(st.integers(2, 8))
     m = draw(st.integers(2 if kind == "above_one" else 1, 8))
     reps = draw(st.lists(st.integers(2 if kind == "above_one" else 1, 6),
@@ -274,13 +317,14 @@ def test_duplicate_groups_are_resorted_from_candidates():
 
 
 @pytest.mark.parametrize("feats, k, rows", [
-    # row 0 has exactly k candidates, two winners equal at 0
-    (np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]), 2, 1),
-    # rows 0 and 1 have exactly k candidates with the k-th at -1: settled,
-    # since every column is a candidate; row 2 has two winners equal at 0
-    (np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]), 2, 1),
+    # every row's k-th value is 0: row 0 has two winners equal at 0, rows 1
+    # and 2 a winner at 1 and one at 0
+    (np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]), 2, 3),
+    # every row's k-th value is <= 0: rows 0 and 1 have the k-th at -1, and
+    # row 2 has two winners equal at 0
+    (np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]), 2, 3),
     # rows 0, 1 and 2 have two winners equal at 1, and row 3 has three
-    # candidates at 0
+    # columns at 0
     (np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), 2, 4),
 ])
 def test_exact_path_takes_rows_with_tied_or_unit_winners(feats, k, rows):

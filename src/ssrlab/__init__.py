@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .data import OPEN_SET, LabelState, NoisyDataset, TrainConfig, validate
 from .errors import ConfigError, DataError, NumericError, SsrError
 from .noise import (NoiseSpec, SynthSpec, apply_noise, inject_asymmetric,
-                    inject_combined, inject_symmetric, make_gaussian_dataset)
+                    inject_combined, make_gaussian_dataset)
 from .pipeline import (ExperimentOutcome, ExperimentRecord,
                        compare_selection_modes, run_experiment,
                        selection_metrics)
@@ -18,7 +18,7 @@ __all__ = [
     "OPEN_SET", "LabelState", "NoisyDataset", "TrainConfig", "validate",
     "ConfigError", "DataError", "NumericError", "SsrError",
     "NoiseSpec", "SynthSpec", "apply_noise", "inject_asymmetric",
-    "inject_combined", "inject_symmetric", "make_gaussian_dataset",
+    "inject_combined", "make_gaussian_dataset",
     "ExperimentOutcome", "ExperimentRecord", "compare_selection_modes",
     "run_experiment", "selection_metrics",
     "relabel", "relabel_metrics",

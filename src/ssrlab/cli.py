@@ -213,13 +213,12 @@ def _cmd_compare_modes(args, parsed, data, test) -> Path:
     return out
 
 
-def _add_common(p, with_input=True):
+def _add_common(p):
     p.add_argument("-c", "--config", required=True, help="JSON config file")
     p.add_argument("-o", "--out", required=True, help="output directory")
-    if with_input:
-        p.add_argument("-i", "--input", help="SSRD dataset file")
-        p.add_argument("--test", help="SSRD holdout dataset file")
-        p.add_argument("--ood", help="SSRD open-set pool file")
+    p.add_argument("-i", "--input", help="SSRD dataset file")
+    p.add_argument("--test", help="SSRD holdout dataset file")
+    p.add_argument("--ood", help="SSRD open-set pool file")
     for key, caster in _OVERRIDE_FLAGS.items():
         p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=caster,
                        default=None)

@@ -114,22 +114,14 @@ def make_gaussian_dataset(spec: SynthSpec) -> SynthData:
     return SynthData(train, test, ood_pool)
 
 
-def inject_symmetric(dataset: NoisyDataset, ratio: float, rng) -> NoisyDataset:
-    """Redraw the labels of a random floor(ratio*N) subset uniformly over all
-    classes; a redraw may coincide with the true label."""
+def _check_ratio(name: str, ratio: float) -> None:
     if not 0.0 <= ratio <= 1.0:
-        raise ConfigError("RANGE_ERROR", f"ratio={ratio} not in [0, 1]")
-    n = dataset.n_samples
-    n_noisy = int(ratio * n)
-    labels = dataset.observed_labels.copy()
-    idx = rng.permutation(n)[:n_noisy]
-    labels[idx] = rng.integers(0, dataset.num_classes, size=n_noisy)
-    true = None if dataset.true_labels is None else dataset.true_labels.copy()
-    return NoisyDataset(dataset.features, labels, dataset.num_classes, true)
+        raise ConfigError("RANGE_ERROR", f"{name}={ratio} not in [0, 1]")
 
 
 def inject_asymmetric(dataset: NoisyDataset, ratio: float, pair_map, rng) -> NoisyDataset:
     """Flip a ratio-fraction of each mapped class to its partner class."""
+    _check_ratio("ratio", ratio)
     if pair_map is None:
         raise DataError("MISSING_PAIR_MAP", "asymmetric noise needs a pair map")
     m = dataset.num_classes
@@ -152,23 +144,28 @@ def inject_combined(dataset: NoisyDataset, ood_pool: np.ndarray, total_ratio: fl
                     open_ratio: float, rng) -> NoisyDataset:
     """Make floor(total_ratio*N) samples noisy: an open_ratio fraction has its
     feature vector replaced by a distinct pool vector (observed label kept,
-    true label set to OPEN_SET); the rest gets symmetric label redraws."""
+    true label set to OPEN_SET); the rest has its label redrawn uniformly
+    over all classes, which may give back the true label. With open_ratio 0
+    this is symmetric noise, and needs neither a pool nor true labels."""
+    _check_ratio("total_ratio", total_ratio)
+    _check_ratio("open_ratio", open_ratio)
     n = dataset.n_samples
     n_total = int(total_ratio * n)
     n_open = int(open_ratio * n_total)
-    feats = dataset.features.copy()
+    feats = dataset.features
     labels = dataset.observed_labels.copy()
-    if dataset.true_labels is None:
-        raise DataError("MISSING_GROUND_TRUTH",
-                        "combined injection needs true labels to mark open-set")
-    true = dataset.true_labels.copy()
+    true = None if dataset.true_labels is None else dataset.true_labels.copy()
     idx = rng.permutation(n)[:n_total]
     if n_open:
+        if true is None:
+            raise DataError("MISSING_GROUND_TRUTH",
+                            "open-set injection needs true labels to mark")
         if ood_pool.shape[0] < n_open:
             raise DataError("OOD_POOL_TOO_SMALL",
                             f"need {n_open} pool vectors, have {ood_pool.shape[0]}")
         picks = rng.permutation(ood_pool.shape[0])[:n_open]
         open_idx = idx[:n_open]
+        feats = feats.copy()
         feats[open_idx] = ood_pool[picks]
         true[open_idx] = OPEN_SET
     closed = idx[n_open:]
@@ -179,11 +176,11 @@ def inject_combined(dataset: NoisyDataset, ood_pool: np.ndarray, total_ratio: fl
 def apply_noise(dataset: NoisyDataset, spec: NoiseSpec,
                 ood_pool: Optional[np.ndarray] = None) -> NoisyDataset:
     rng = np.random.default_rng(spec.seed)
-    if spec.kind == "symmetric":
-        return inject_symmetric(dataset, spec.total_ratio, rng)
     if spec.kind == "asymmetric":
         return inject_asymmetric(dataset, spec.total_ratio, spec.pair_map, rng)
     if ood_pool is None:
         ood_pool = np.zeros((0, dataset.dim))
+    # symmetric noise is combined noise with no open set (NoiseSpec keeps
+    # open_ratio at 0 for it)
     return inject_combined(dataset, ood_pool, spec.total_ratio,
                            spec.open_ratio, rng)

@@ -32,7 +32,7 @@ log = logging.getLogger(__name__)
 
 # a run whose largest |parameter| passes this after a train pass has
 # diverged: healthy runs stay below 2, while lr 1e4 reaches 4e10 in one pass
-# (slower growth, such as lr 10 at a few hundred, goes unnoticed)
+# (slower growth, such as lr 10 at a few hundred, collapses the labels)
 _PARAM_BOUND = 1e6
 
 
@@ -139,49 +139,98 @@ SELECTORS = {
 }
 
 
-def _train_pass(model, opt, lr, dataset, state, train_idx, config, rng,
-                feat_std, epoch):
-    """One pass of SGD steps over train_idx; raises DIVERGED on a non-finite
-    loss, or when a parameter is non-finite or past _PARAM_BOUND after the
-    pass."""
-    xs = dataset.features
-    n, d = xs.shape
-    eye = np.eye(dataset.num_classes)
-    strong = config.sigma_strong * feat_std
-    weak = config.sigma_weak * feat_std
-    use_fc = config.lambda_fc > 0
-    fc_order = rng.permutation(n) if use_fc else None
-    fc_pos = 0
-    for step, start in enumerate(range(0, train_idx.size, config.batch_size)):
-        idx = train_idx[start:start + config.batch_size]
-        x = xs[idx] + rng.standard_normal((idx.size, d)) * strong
-        batch = MiniBatch(x, eye[state.working_labels[idx]])
-        if config.mixup_alpha > 0:
-            batch = mixup_pair(batch, config.mixup_alpha, rng)
-        v1 = v2 = None
-        if use_fc:
-            # consistency loss runs over the whole dataset, cycling a shuffle
-            if fc_pos + idx.size > n:
-                fc_order = rng.permutation(n)
-                fc_pos = 0
-            fb = fc_order[fc_pos:fc_pos + idx.size]
-            fc_pos += idx.size
-            v1 = xs[fb] + rng.standard_normal((fb.size, d)) * strong
-            v2 = xs[fb] + rng.standard_normal((fb.size, d)) * weak
-        loss, grads, _ = total_loss_grads(model, batch, config.lambda_fc,
-                                          fc_view1=v1, fc_view2=v2,
-                                          distance=config.fc_distance,
-                                          stop_gradient=config.stop_gradient)
-        if not math.isfinite(loss):
+def _epoch(epoch, model, opt, rng, dataset, test, config, select, tau, feat_std):
+    """Relabel and select from one forward pass, train one pass of SGD steps
+    over the selection, then evaluate. Raises DIVERGED when relabelling puts
+    every sample in one class, on a non-finite loss, or when a parameter is
+    non-finite or past _PARAM_BOUND after the pass."""
+    t0 = time.perf_counter()
+    fwd = forward(model, dataset.features)
+    state = relabel(fwd["probs"], dataset.observed_labels, config.theta_r)
+    live = np.flatnonzero(state.class_counts)
+    if live.size < 2 and np.unique(dataset.observed_labels).size > 1:
+        raise NumericError("DIVERGED", f"epoch {epoch}: relabelling put all "
+                           f"{dataset.n_samples} samples in class {live[0]}")
+    t1 = time.perf_counter()
+    try:
+        clean_mask = select(dataset, state, fwd, config, tau)
+    except NumericError as exc:
+        # the raw features are finite (forward checks them), and a model that
+        # no pass has changed repeats epoch 0's inputs, so after epoch 0 a
+        # non-finite selector input comes from training
+        if epoch == 0 or exc.code != "NON_FINITE_INPUT":
+            raise
+        raise NumericError("DIVERGED", f"epoch {epoch}: the trained "
+                           f"model's outputs overflow ({exc})") from exc
+    t2 = time.perf_counter()
+    sel_idx = np.flatnonzero(clean_mask)
+    if sel_idx.size == 0:
+        # fall back to relabel-confident samples; skip the pass if none
+        sel_idx = np.flatnonzero(fwd["probs"].max(axis=1) > config.theta_r)
+        log.warning("epoch %d: empty selection, falling back to %d "
+                    "relabel-confident samples", epoch, sel_idx.size)
+    if sel_idx.size:
+        if config.oversample:
+            train_idx = oversample_balanced(sel_idx, state.working_labels, rng)
+        else:
+            train_idx = rng.permutation(sel_idx)
+        lr = cosine_lr(config.learning_rate, epoch, config.epochs)
+        xs = dataset.features
+        n, d = xs.shape
+        eye = np.eye(dataset.num_classes)
+        strong = config.sigma_strong * feat_std
+        weak = config.sigma_weak * feat_std
+        use_fc = config.lambda_fc > 0
+        fc_order = rng.permutation(n) if use_fc else None
+        fc_pos = 0
+        for step, start in enumerate(range(0, train_idx.size, config.batch_size)):
+            idx = train_idx[start:start + config.batch_size]
+            x = xs[idx] + rng.standard_normal((idx.size, d)) * strong
+            batch = MiniBatch(x, eye[state.working_labels[idx]])
+            if config.mixup_alpha > 0:
+                batch = mixup_pair(batch, config.mixup_alpha, rng)
+            v1 = v2 = None
+            if use_fc:
+                # consistency loss runs over the whole dataset, cycling a shuffle
+                if fc_pos + idx.size > n:
+                    fc_order = rng.permutation(n)
+                    fc_pos = 0
+                fb = fc_order[fc_pos:fc_pos + idx.size]
+                fc_pos += idx.size
+                v1 = xs[fb] + rng.standard_normal((fb.size, d)) * strong
+                v2 = xs[fb] + rng.standard_normal((fb.size, d)) * weak
+            loss, grads, _ = total_loss_grads(
+                model, batch, config.lambda_fc, fc_view1=v1, fc_view2=v2,
+                distance=config.fc_distance, stop_gradient=config.stop_gradient)
+            if not math.isfinite(loss):
+                raise NumericError("DIVERGED",
+                                   f"epoch {epoch} step {step}: loss is {loss}")
+            sgd_step(model, grads, opt, lr)
+        top = np.abs(model.flat).max()
+        if not top <= _PARAM_BOUND:   # also true for nan
+            what = (f"max |parameter| {top:.3g} is past {_PARAM_BOUND:g}"
+                    if math.isfinite(top) else "a parameter is non-finite")
             raise NumericError("DIVERGED",
-                               f"epoch {epoch} step {step}: loss is {loss}")
-        sgd_step(model, grads, opt, lr)
-    top = np.abs(model.flat).max()
-    if not top <= _PARAM_BOUND:   # also true for nan
-        what = (f"max |parameter| {top:.3g} is past {_PARAM_BOUND:g}"
-                if math.isfinite(top) else "a parameter is non-finite")
-        raise NumericError("DIVERGED",
-                           f"epoch {epoch} step {step}: {what} after the pass")
+                               f"epoch {epoch} step {step}: {what} after the pass")
+    timings = EpochTimings(epoch, t1 - t0, t2 - t1, time.perf_counter() - t2)
+
+    # the relabel counts need no ground truth; the scores are missing without it
+    n_re = int(state.relabel_mask.sum())
+    re_acc = None
+    sel = {"precision": None, "recall": None, "fscore": None}
+    if dataset.has_ground_truth:
+        re_acc = relabel_metrics(state, dataset)["relabel_accuracy"]
+        sel = selection_metrics(clean_mask, state, dataset)
+    test_acc = 0.0
+    if test is not None:
+        pred = forward(model, test.features)["probs"].argmax(axis=1)
+        test_acc = float((pred == test.observed_labels).mean())
+    return EpochMetrics(
+        epoch=epoch, relabelled_fraction=n_re / dataset.n_samples,
+        relabel_accuracy=re_acc, sel_precision=sel["precision"],
+        sel_recall=sel["recall"], sel_fscore=sel["fscore"],
+        selected_count=int(clean_mask.sum()), test_acc=test_acc,
+        relabelled_count=n_re), timings
 
 
 def run_experiment(dataset: NoisyDataset, config: TrainConfig,
@@ -198,6 +247,11 @@ def run_experiment(dataset: NoisyDataset, config: TrainConfig,
             and not (tau is not None and 0.0 <= tau < 1.0)):
         raise ConfigError("RANGE_ERROR", f"selection mode {selection_mode!r} "
                           f"needs tau in [0, 1), got {tau}")
+    # no softmax row's largest value is below 1/M, so a lower theta_r would
+    # relabel every sample in every epoch
+    if config.theta_r < 1.0 / dataset.num_classes:
+        raise ConfigError("RANGE_ERROR", f"theta_r={config.theta_r} is below "
+                          f"1/M = 1/{dataset.num_classes}")
     if selection_mode in ("consistency", "predefined_npk"):
         check_k(config.k_neighbours, dataset.n_samples)
     select = SELECTORS[selection_mode][1]
@@ -207,67 +261,13 @@ def run_experiment(dataset: NoisyDataset, config: TrainConfig,
     opt = OptimizerState.for_model(model, config.momentum, config.weight_decay)
     feat_std = dataset.features.std(axis=0)
     feat_std[feat_std == 0] = 1.0
-    epochs, timings = [], []
-    trained = False
-    for epoch in range(config.epochs):
-        lr = cosine_lr(config.learning_rate, epoch, config.epochs)
-
-        t0 = time.perf_counter()
-        fwd = forward(model, dataset.features)
-        state = relabel(fwd["probs"], dataset.observed_labels, config.theta_r)
-        t1 = time.perf_counter()
-        try:
-            clean_mask = select(dataset, state, fwd, config, tau)
-        except NumericError as exc:
-            # the raw features are finite (forward checks them), so after a
-            # train pass a non-finite selector input comes from the model
-            if not trained or exc.code != "NON_FINITE_INPUT":
-                raise
-            raise NumericError("DIVERGED", f"epoch {epoch}: the trained "
-                               f"model's outputs overflow ({exc})") from exc
-        t2 = time.perf_counter()
-        sel_idx = np.flatnonzero(clean_mask)
-        if sel_idx.size == 0:
-            # fall back to relabel-confident samples; skip the pass if none
-            sel_idx = np.flatnonzero(fwd["probs"].max(axis=1) > config.theta_r)
-            log.warning("epoch %d: empty selection, falling back to %d "
-                        "relabel-confident samples", epoch, sel_idx.size)
-        if sel_idx.size:
-            if config.oversample:
-                train_idx = oversample_balanced(sel_idx, state.working_labels, rng)
-            else:
-                train_idx = rng.permutation(sel_idx)
-            _train_pass(model, opt, lr, dataset, state, train_idx, config,
-                        rng, feat_std, epoch)
-            trained = True
-        timings.append(EpochTimings(epoch, t1 - t0, t2 - t1,
-                                    time.perf_counter() - t2))
-
-        # the relabel counts need no ground truth; the scores are missing
-        # without it
-        n_re = int(state.relabel_mask.sum())
-        re_metrics = {"relabelled_fraction": n_re / dataset.n_samples,
-                      "relabel_accuracy": None, "relabelled_count": n_re}
-        sel = {"precision": None, "recall": None, "fscore": None}
-        if dataset.has_ground_truth:
-            re_metrics = relabel_metrics(state, dataset)
-            sel = selection_metrics(clean_mask, state, dataset)
-        test_acc = 0.0
-        if test is not None:
-            pred = forward(model, test.features)["probs"].argmax(axis=1)
-            test_acc = float((pred == test.observed_labels).mean())
-        epochs.append(EpochMetrics(
-            epoch=epoch, **re_metrics,
-            sel_precision=sel["precision"],
-            sel_recall=sel["recall"],
-            sel_fscore=sel["fscore"],
-            selected_count=int(clean_mask.sum()),
-            test_acc=test_acc))
-
-    record = ExperimentRecord(config=asdict(config), epochs=epochs,
+    epochs, timings = zip(*(_epoch(epoch, model, opt, rng, dataset, test,
+                                   config, select, tau, feat_std)
+                            for epoch in range(config.epochs)))
+    record = ExperimentRecord(config=asdict(config), epochs=list(epochs),
                               best_test_acc=max(e.test_acc for e in epochs),
                               last_test_acc=epochs[-1].test_acc,
-                              timings=timings)
+                              timings=list(timings))
     return ExperimentOutcome(record, model)
 
 

@@ -74,11 +74,10 @@ def _tile_topk(tile: np.ndarray, lo: int, k: int, keys: np.ndarray) -> np.ndarra
     m - (key & m) when the k-th key's high bits are > 0 (negative keys, in
     reverse order, rank below every winner), the largest key is below 1.0
     (no clipping) and the k + 1 keys have pairwise distinct high bits (the
-    cut orders the values strictly). Every other row takes one stable
-    argsort, padded with +inf, of the negated clipped values of its
-    candidates: the columns with y >= min(L, 1), L <= y_k the float of the
-    k-th key's high bits, or every column but self when y_k <= +0, the one
-    case that sorts a whole row.
+    cut orders the values strictly). The other rows' candidates take one
+    stable lexsort by (row, descending clipped value): the columns with
+    y >= min(L, 1), L <= y_k the float of the k-th key's high bits, or every
+    column but self when y_k <= +0, the one case that sorts a whole row.
     """
     r, n = tile.shape
     np.fill_diagonal(tile[:, lo:], -np.inf)
@@ -106,14 +105,11 @@ def _tile_topk(tile: np.ndarray, lo: int, k: int, keys: np.ndarray) -> np.ndarra
         thr[settled] = np.inf
         a, b = redo[0], redo[-1] + 1
         cand = np.flatnonzero(tile[a:b] >= thr[a:b, None]) + a * n
-        counts = np.bincount(cand // n, minlength=r)
-        starts = np.cumsum(counts) - counts
-        pos = starts[redo][:, None] + np.arange(counts[redo].max())
-        at = cand[np.minimum(pos, cand.size - 1)]
-        neg = np.where(pos < (starts + counts)[redo][:, None],
-                       -np.clip(tile.ravel()[at], -1.0, 1.0), np.inf)
-        order = np.argsort(neg, axis=1, kind="stable")[:, :k]
-        ids[redo] = np.take_along_axis(at % n, order, axis=1)
+        # by row, then by descending clipped value; stable, so ties keep
+        # ascending columns, and each row starts where it did in cand
+        order = np.lexsort((-np.clip(tile.ravel()[cand], -1.0, 1.0), cand // n))
+        at = np.searchsorted(cand, redo * n)[:, None] + np.arange(k)
+        ids[redo] = cand[order[at]] % n
     return ids
 
 

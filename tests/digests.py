@@ -44,17 +44,16 @@ INDEX_SHAPES = ((2000, 16, 100), (10000, 16, 100), (3000, 8, 1))
 TIE_EXAMPLES = 11
 
 
-def _sha(*blobs: bytes) -> str:
-    h = hashlib.sha256()
-    for blob in blobs:
-        h.update(blob)
-    return h.hexdigest()
+def _sha(blob: bytes) -> str:
+    return hashlib.sha256(blob).hexdigest()
 
 
 def index_digests(shapes) -> dict:
-    return {f"{n},{d},{k}": _sha(build_neighbour_index(
-                np.random.default_rng(0).normal(size=(n, d)), k).tobytes())
-            for n, d, k in shapes}
+    out = {}
+    for n, d, k in shapes:
+        feats = np.random.default_rng(0).normal(size=(n, d))
+        out[f"{n},{d},{k}"] = _sha(build_neighbour_index(feats, k).tobytes())
+    return out
 
 
 def tie_digests(examples: int) -> dict:
@@ -78,46 +77,50 @@ def tie_digests(examples: int) -> dict:
     return out
 
 
-def _run_digest(record, model, tmp: Path) -> dict:
-    emit_metrics(record, tmp)
-    return {"metrics.csv": _sha((tmp / "metrics.csv").read_bytes()),
+def _run_digest(record, model, out_dir: Path) -> dict:
+    emit_metrics(record, out_dir)
+    return {"metrics.csv": _sha((out_dir / "metrics.csv").read_bytes()),
             "model.flat": _sha(model.flat.tobytes())}
 
 
+def _compare_mode_digests(base, tmp: Path) -> dict:
+    """Criterion 8 at seed 0; the wrapper keeps each mode's model."""
+    sym80 = apply_noise(base.train, NoiseSpec("symmetric", 0.8, seed=0))
+    models = []
+
+    def keep(*args, **kwargs):
+        outcome = run_experiment(*args, **kwargs)
+        models.append(outcome.model)
+        return outcome
+
+    with mock.patch.object(pipeline, "run_experiment", keep):
+        records = compare_selection_modes(sym80, TrainConfig(seed=0),
+                                          test=base.test)
+    return {name: _run_digest(record, model, tmp / name)
+            for (name, record), model in zip(records.items(), models)}
+
+
 def run_digests(full: bool) -> dict:
-    synth = make_gaussian_dataset(SynthSpec(num_classes=3, per_class=80,
-                                            dim=8, seed=0))
-    noisy = apply_noise(synth.train, NoiseSpec("symmetric", 0.4, seed=0))
-    runs = {"criterion_10": (noisy, TrainConfig(epochs=5, k_neighbours=20),
-                             synth.test)}
+    small = make_gaussian_dataset(SynthSpec(num_classes=3, per_class=80, dim=8,
+                                            seed=0))
+    runs = {"criterion_10": (
+        apply_noise(small.train, NoiseSpec("symmetric", 0.4, seed=0)),
+        TrainConfig(epochs=5, k_neighbours=20), small.test)}
+    if full:
+        base = make_gaussian_dataset(SynthSpec(num_classes=4, per_class=500,
+                                               dim=16, separation=4.0, seed=0,
+                                               ood_classes=4))
+        runs["sym50"] = (apply_noise(base.train,
+                                     NoiseSpec("symmetric", 0.5, seed=0)),
+                         TrainConfig(), base.test)
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        if full:
-            base = make_gaussian_dataset(SynthSpec(num_classes=4, per_class=500,
-                                                   dim=16, separation=4.0,
-                                                   seed=0, ood_classes=4))
-            runs["sym50"] = (apply_noise(base.train,
-                                         NoiseSpec("symmetric", 0.5, seed=0)),
-                             TrainConfig(), base.test)
         for name, (data, cfg, test) in runs.items():
             outcome = run_experiment(data, cfg, test=test)
             out[name] = _run_digest(outcome.record, outcome.model,
                                     Path(tmp) / name)
         if full:
-            # criterion 8 at seed 0; the wrapper keeps each mode's model
-            sym80 = apply_noise(base.train, NoiseSpec("symmetric", 0.8, seed=0))
-            models = []
-
-            def keep(*args, **kwargs):
-                outcome = run_experiment(*args, **kwargs)
-                models.append(outcome.model)
-                return outcome
-
-            with mock.patch.object(pipeline, "run_experiment", keep):
-                records = compare_selection_modes(sym80, TrainConfig(seed=0),
-                                                  test=base.test)
-            for (name, record), model in zip(records.items(), models):
-                out[name] = _run_digest(record, model, Path(tmp) / name)
+            out.update(_compare_mode_digests(base, Path(tmp)))
     return out
 
 

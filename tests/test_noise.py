@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from ssrlab import (OPEN_SET, NoiseSpec, SynthSpec, apply_noise,
-                    inject_asymmetric, inject_combined, inject_symmetric,
-                    make_gaussian_dataset)
+from ssrlab import (OPEN_SET, NoiseSpec, NoisyDataset, SynthSpec, apply_noise,
+                    inject_asymmetric, inject_combined, make_gaussian_dataset)
 from ssrlab.errors import ConfigError, DataError
 
 
@@ -60,11 +59,15 @@ def test_class_counts_override():
     assert np.bincount(synth.train.observed_labels).tolist() == [30, 20, 10]
 
 
-# --- symmetric ---------------------------------------------------------------
+# --- symmetric: combined noise with no open set ------------------------------
+
+NO_POOL = np.zeros((0, 8))
+
 
 def test_symmetric_zero_ratio_identity():
     synth = make_gaussian_dataset(SynthSpec(num_classes=3, per_class=30, dim=8))
-    out = inject_symmetric(synth.train, 0.0, np.random.default_rng(0))
+    out = inject_combined(synth.train, NO_POOL, 0.0, 0.0,
+                          np.random.default_rng(0))
     assert np.array_equal(out.observed_labels, synth.train.observed_labels)
     assert not out.is_noisy.any()
 
@@ -73,9 +76,8 @@ def test_symmetric_full_ratio_uniform_redraw():
     rng = np.random.default_rng(1)
     n, m = 10_000, 10
     labels = rng.integers(0, m, n)
-    from ssrlab import NoisyDataset
     ds = NoisyDataset(rng.normal(size=(n, 4)), labels, m, labels.copy())
-    out = inject_symmetric(ds, 1.0, np.random.default_rng(2))
+    out = inject_combined(ds, NO_POOL, 1.0, 0.0, np.random.default_rng(2))
     match = (out.observed_labels == out.true_labels).mean()
     assert abs(match - 1 / m) < 0.02
 
@@ -84,7 +86,7 @@ def test_symmetric_noisy_count_bounded():
     synth = make_gaussian_dataset(SynthSpec(num_classes=4, per_class=50, dim=8))
     rng = np.random.default_rng(3)
     for ratio in [0.1, 0.3, 0.5, 0.9]:
-        out = inject_symmetric(synth.train, ratio, rng)
+        out = inject_combined(synth.train, NO_POOL, ratio, 0.0, rng)
         assert out.is_noisy.sum() <= int(ratio * out.n_samples)
 
 
@@ -177,6 +179,35 @@ def test_combined_pool_too_small():
         inject_combined(synth.train, np.ones((5, 8)), 0.5, 1.0,
                         np.random.default_rng(0))
     assert exc.value.code == "OOD_POOL_TOO_SMALL"
+
+
+def test_combined_without_open_set_needs_no_ground_truth():
+    synth = make_gaussian_dataset(SynthSpec(num_classes=3, per_class=30, dim=8))
+    blind = NoisyDataset(synth.train.features, synth.train.observed_labels, 3)
+    out = inject_combined(blind, NO_POOL, 0.5, 0.0, np.random.default_rng(0))
+    assert out.true_labels is None
+    ref = inject_combined(synth.train, NO_POOL, 0.5, 0.0,
+                          np.random.default_rng(0))
+    assert np.array_equal(out.observed_labels, ref.observed_labels)
+    with pytest.raises(DataError) as exc:
+        inject_combined(blind, synth.ood_pool, 0.5, 0.5,
+                        np.random.default_rng(0))
+    assert exc.value.code == "MISSING_GROUND_TRUTH"
+
+
+@pytest.mark.parametrize("inject", [
+    lambda ds, rng: inject_asymmetric(ds, 1.5, (1, 2, 0), rng),
+    lambda ds, rng: inject_asymmetric(ds, -0.5, (1, 2, 0), rng),
+    lambda ds, rng: inject_combined(ds, np.ones((100, 8)), 0.5, 2.0, rng),
+    lambda ds, rng: inject_combined(ds, NO_POOL, 1.5, 0.0, rng),
+    lambda ds, rng: inject_combined(ds, NO_POOL, -0.1, 0.0, rng),
+], ids=["asym_above_1", "asym_below_0", "open_above_1", "total_above_1",
+        "total_below_0"])
+def test_injectors_range_check_their_ratios(inject):
+    synth = make_gaussian_dataset(SynthSpec(num_classes=3, per_class=30, dim=8))
+    with pytest.raises(ConfigError) as exc:
+        inject(synth.train, np.random.default_rng(0))
+    assert exc.value.code == "RANGE_ERROR"
 
 
 # --- spec validation and shared invariants -----------------------------------

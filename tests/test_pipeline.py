@@ -191,6 +191,59 @@ def test_slow_divergence_raises(lr):
     assert "max |parameter|" in str(exc.value)
 
 
+@pytest.mark.parametrize("lr, epoch, cls", [(2, 2, 2), (3, 1, 2), (10, 1, 2),
+                                           (30, 1, 0)])
+def test_label_collapse_raises_diverged(lr, epoch, cls):
+    # the first passes leave every softmax row confident in one class, and
+    # relabelling then moves every sample there: a run at chance accuracy
+    noisy, test = criterion_10_data()
+    cfg = TrainConfig(epochs=5, k_neighbours=20, learning_rate=lr)
+    with np.errstate(all="ignore"), pytest.raises(NumericError) as exc:
+        run_experiment(noisy, cfg, test=test)
+    assert exc.value.code == "DIVERGED"
+    assert str(exc.value).endswith(
+        f"epoch {epoch}: relabelling put all 240 samples in class {cls}")
+
+
+def test_healthy_run_keeps_its_classes():
+    noisy, test = criterion_10_data()
+    cfg = TrainConfig(epochs=5, k_neighbours=20, learning_rate=0.02)
+    assert len(run_experiment(noisy, cfg, test=test).record.epochs) == 5
+
+
+def test_single_class_observed_labels_are_no_collapse():
+    # nothing to collapse from: every observed label is class 1
+    feats = np.random.default_rng(0).normal(size=(40, 4))
+    ds = NoisyDataset(feats, np.ones(40, dtype=np.int64), 2)
+    out = run_experiment(ds, small_config(epochs=2, learning_rate=10.0))
+    assert len(out.record.epochs) == 2
+
+
+def m_class_data(m):
+    labels = np.arange(40) % m
+    return NoisyDataset(np.random.default_rng(0).normal(size=(40, 4)), labels, m)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_theta_r_below_one_over_m_is_rejected_before_init(monkeypatch, m):
+    def no_init(*args, **kwargs):
+        raise AssertionError("model initialised before theta_r was checked")
+    monkeypatch.setattr("ssrlab.pipeline.init_model", no_init)
+    cfg = small_config(theta_r=float(np.nextafter(1.0 / m, 0.0)), epochs=1)
+    with pytest.raises(ConfigError) as exc:
+        run_experiment(m_class_data(m), cfg)
+    assert exc.value.code == "RANGE_ERROR"
+    assert f"1/M = 1/{m}" in str(exc.value)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_theta_r_of_one_over_m_is_valid(m):
+    # the untrained model's confidence 1/M is not above it, so epoch 0
+    # keeps every observed label
+    out = run_experiment(m_class_data(m), small_config(theta_r=1.0 / m, epochs=1))
+    assert out.record.epochs[0].relabelled_count == 0
+
+
 def test_overflowing_embeddings_after_training_raise_diverged(small_noisy,
                                                               monkeypatch):
     # embeddings that overflow once a pass has run: the selector's

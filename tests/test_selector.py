@@ -174,8 +174,9 @@ def test_tile_topk_straddling_tie_hand_case():
 
 
 class SortSpy:
-    """Stands in for numpy inside selector and counts the rows of each
-    stable argsort: the candidate re-sort of rows the key does not settle."""
+    """Stands in for numpy inside selector and counts the needles of each
+    searchsorted: one per row the key does not settle, whose candidates
+    are re-sorted."""
 
     def __init__(self):
         self.rows = 0
@@ -183,10 +184,9 @@ class SortSpy:
     def __getattr__(self, name):
         return getattr(np, name)
 
-    def argsort(self, a, *args, kind=None, **kwargs):
-        if kind == "stable":
-            self.rows += a.shape[0]
-        return np.argsort(a, *args, kind=kind, **kwargs)
+    def searchsorted(self, a, v, *args, **kwargs):
+        self.rows += np.size(v)
+        return np.searchsorted(a, v, *args, **kwargs)
 
 
 def resorted_rows(feats, k):

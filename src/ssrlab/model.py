@@ -70,31 +70,29 @@ def init_model(dim: int, num_classes: int, hidden_dims, rng) -> PmcModel:
 
 
 def trunk_forward(model: PmcModel, x: np.ndarray):
-    """Returns (embeddings, cache) where cache holds per-layer inputs and
-    pre-activations for the backward pass."""
-    acts = [x]
-    pre = []
-    h = x
-    last = len(model.trunk) - 1
+    """Returns (embeddings, cache) where cache is the list of per-layer
+    inputs for the backward pass; bias and ReLU are applied in place."""
+    acts, h = [], x
     for i, (w, b) in enumerate(model.trunk):
-        z = h @ w + b
-        pre.append(z)
-        h = np.maximum(z, 0.0) if i < last else z
         acts.append(h)
-    return h, (acts, pre)
+        h = h @ w
+        h += b
+        if i < len(model.trunk) - 1:
+            np.maximum(h, 0.0, out=h)
+    return h, acts
 
 
 def trunk_backward(model: PmcModel, cache, grad_emb: np.ndarray,
                    grads: PmcModel) -> None:
     """Adds the trunk gradients to what ``grads.trunk`` holds."""
-    acts, pre = cache
     g = grad_emb
     for i in range(len(model.trunk) - 1, -1, -1):
         gw, gb = grads.trunk[i]
-        gw += acts[i].T @ g
+        gw += cache[i].T @ g
         gb += g.sum(axis=0)
         if i > 0:
-            g = (g @ model.trunk[i][0].T) * (pre[i - 1] > 0)
+            # cache[i] = relu(z) of layer i - 1, and relu(z) > 0 iff z > 0
+            g = (g @ model.trunk[i][0].T) * (cache[i] > 0)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -55,6 +55,7 @@ class EpochTimings:
     relabel_s: float
     select_s: float
     train_s: float
+    eval_s: float       # the metric block and the test forward
 
 
 @dataclass
@@ -212,7 +213,7 @@ def _epoch(epoch, model, opt, rng, dataset, test, config, select, tau, feat_std)
                     if math.isfinite(top) else "a parameter is non-finite")
             raise NumericError("DIVERGED",
                                f"epoch {epoch} step {step}: {what} after the pass")
-    timings = EpochTimings(epoch, t1 - t0, t2 - t1, time.perf_counter() - t2)
+    t3 = time.perf_counter()
 
     # the relabel counts need no ground truth; the scores are missing without it
     n_re = int(state.relabel_mask.sum())
@@ -225,6 +226,8 @@ def _epoch(epoch, model, opt, rng, dataset, test, config, select, tau, feat_std)
     if test is not None:
         pred = forward(model, test.features)["probs"].argmax(axis=1)
         test_acc = float((pred == test.observed_labels).mean())
+    timings = EpochTimings(epoch, t1 - t0, t2 - t1, t3 - t2,
+                           time.perf_counter() - t3)
     return EpochMetrics(
         epoch=epoch, relabelled_fraction=n_re / dataset.n_samples,
         relabel_accuracy=re_acc, sel_precision=sel["precision"],

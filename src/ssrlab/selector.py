@@ -116,11 +116,10 @@ def _tile_topk(tile: np.ndarray, lo: int, k: int, keys: np.ndarray) -> np.ndarra
 def neighbour_label_counts(ids: np.ndarray, state: LabelState) -> np.ndarray:
     """(N, M) integer matrix: votes for class j among the (N, K) neighbour
     ids of sample i."""
-    labels = state.working_labels[ids]
-    n = labels.shape[0]
-    m = state.class_counts.shape[0]
-    cells = (np.arange(n)[:, None] * m + labels).ravel()
-    return np.bincount(cells, minlength=n * m).reshape(n, m)
+    cells = state.working_labels[ids]   # the one (N, K) array of the vote
+    n, m = cells.shape[0], state.class_counts.shape[0]
+    cells += np.arange(0, n * m, m)[:, None]
+    return np.bincount(cells.ravel(), minlength=n * m).reshape(n, m)
 
 
 def balance_distribution(q_raw: np.ndarray, class_counts: np.ndarray) -> np.ndarray:
@@ -225,7 +224,7 @@ def baseline_gmm_loss(losses: np.ndarray,
         w = nk / n
         mu = (resp * x[:, None]).sum(axis=0) / nk
         var = (resp * (x[:, None] - mu[None, :]) ** 2).sum(axis=0) / nk
-        if var.min() < 1e-8:
+        if not var.min() >= 1e-8:   # nan too: an empty component (nk = 0)
             raise NumericError("DEGENERATE_FIT", "component variance collapsed")
         if abs(ll - prev_ll) < _GMM_TOL:
             break

@@ -148,7 +148,7 @@ def test_run_emits_artifacts(tmp_path, config_path):
     assert manifest["finished"] >= manifest["started"]
     header, rows = read_csv(run_dir / "timings.csv")
     assert header == TIMING_COLUMNS == ["epoch", "relabel_s", "select_s",
-                                        "train_s"]
+                                        "train_s", "eval_s"]
     assert [row["epoch"] for row in rows] == ["0", "1"]
     for row in rows:
         assert all(float(row[c]) >= 0.0 for c in header[1:])

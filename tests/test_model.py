@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,28 @@ def test_forward_rejects_non_finite():
     with pytest.raises(NumericError) as exc:
         forward(model, np.array([[1.0, np.nan, 0.0]]))
     assert exc.value.code == "NON_FINITE_INPUT"
+
+
+def test_trunk_forward_holds_one_array_per_layer():
+    # each layer's output is one new array (bias and ReLU in place), so the
+    # peak is the hidden activations themselves, N * sum(hidden) float64s
+    n, hidden = 10000, (64, 32)
+    model = init_model(16, 4, hidden_dims=hidden, rng=0)
+    x = np.random.default_rng(1).normal(size=(n, 16))
+    x_before = x.copy()
+    tracemalloc.start()
+    try:
+        emb, cache = trunk_forward(model, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = n * sum(hidden) * 8
+    assert peak <= 1.25 * bound, f"peak {peak / bound:.2f} x N*sum(hidden)*8"
+    assert np.array_equal(x, x_before)
+    assert len(cache) == 2 and cache[0] is x
+    (w1, b1), (w2, b2) = model.trunk
+    assert np.array_equal(cache[1], np.maximum(x @ w1 + b1, 0.0))
+    assert np.array_equal(emb, cache[1] @ w2 + b2)
 
 
 # --- cross entropy -----------------------------------------------------------

@@ -115,7 +115,7 @@ def test_best_last_and_ranges(small_noisy):
             assert e.relabel_accuracy == 0.0
     assert [t.epoch for t in record.timings] == [e.epoch for e in record.epochs]
     for t in record.timings:
-        for v in (t.relabel_s, t.select_s, t.train_s):
+        for v in (t.relabel_s, t.select_s, t.train_s, t.eval_s):
             assert v >= 0.0
 
 

@@ -459,6 +459,26 @@ def test_vote_counts_equal_per_row_bincount(case):
         ids, state.working_labels, state.class_counts.shape[0]))
 
 
+def test_vote_holds_one_n_by_k_array():
+    # the gathered labels become the bincount cells in place: the vote's
+    # peak is one (N, K) int64 array plus the (N, M) counts and N offsets
+    n, k, m = 10000, 100, 4
+    rng = np.random.default_rng(13)
+    ids = rng.integers(0, n, size=(n, k))
+    labels = rng.integers(0, m, size=n)
+    state = LabelState.from_working(labels, labels, m)
+    ids_before = ids.copy()
+    tracemalloc.start()
+    try:
+        counts = neighbour_label_counts(ids, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * n * k * 8, f"peak {peak / (n * k * 8):.2f} x N*K*8"
+    assert np.array_equal(ids, ids_before)
+    assert np.array_equal(counts, neighbour_votes_per_row(ids, labels, m))
+
+
 def test_balance_uniform_counts():
     q = np.array([[0.25, 0.5, 0.25], [0.6, 0.2, 0.2]])
     out = balance_distribution(q, [10, 10, 10])
@@ -640,6 +660,16 @@ def test_gmm_separated_clusters():
 def test_gmm_degenerate_fit():
     with pytest.raises(NumericError) as exc:
         baseline_gmm_loss(np.full(50, 0.3))
+    assert exc.value.code == "DEGENERATE_FIT"
+
+
+def test_gmm_empty_component_is_degenerate():
+    # a mean far past every loss takes no responsibility: nk = 0 makes its
+    # mean and variance nan, which no `var < eps` test catches
+    rng = np.random.default_rng(17)
+    losses = np.concatenate([rng.gamma(2.0, 0.1, 100), rng.gamma(20.0, 0.1, 100)])
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError) as exc:
+        baseline_gmm_loss(losses, mu_init=[0.5, 1e6])
     assert exc.value.code == "DEGENERATE_FIT"
 
 

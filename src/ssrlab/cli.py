@@ -72,6 +72,12 @@ def emit_metrics(record: ExperimentRecord, out_dir) -> None:
                map(dataclasses.astuple, record.timings))
 
 
+def _emit(record: ExperimentRecord, parsed: ParsedConfig, out: Path) -> None:
+    """emit_metrics with the config echo, keeping the train block the run used."""
+    record.config = {**parsed.echo(), "train": record.config}
+    emit_metrics(record, out)
+
+
 def _run_dir(root: Path, seed: int) -> Path:
     stamp = time.strftime("%Y%m%d-%H%M%S")
     base = root / f"run_{stamp}_s{seed}"
@@ -165,8 +171,7 @@ def _with_data(verb, args) -> int:
 def _cmd_run(args, parsed, data, test) -> Path:
     out = _run_dir(Path(args.out), parsed.train.seed)
     record = run_experiment(data, parsed.train, test=test).record
-    record.config = parsed.echo()
-    emit_metrics(record, out)
+    _emit(record, parsed, out)
     log.info("run finished: best=%.4f last=%.4f -> %s",
              record.best_test_acc, record.last_test_acc, out)
     return out
@@ -186,11 +191,9 @@ def _cmd_grid(args, parsed, data, test) -> Path:
     out_root = Path(args.out)
     summary = []
     for value in values:
-        point = dataclasses.replace(parsed, train=dataclasses.replace(
-            parsed.train, **{args.param: value}))
-        record = run_experiment(data, point.train, test=test).record
-        record.config = point.echo()
-        emit_metrics(record, out_root / f"{args.param}_{value}")
+        train = dataclasses.replace(parsed.train, **{args.param: value})
+        record = run_experiment(data, train, test=test).record
+        _emit(record, parsed, out_root / f"{args.param}_{value}")
         summary.append((value, record.best_test_acc, record.last_test_acc))
     _write_csv(out_root / "summary.csv",
                [args.param, "best_test_acc", "last_test_acc"], summary)
@@ -204,8 +207,7 @@ def _cmd_compare_modes(args, parsed, data, test) -> Path:
     runs = compare_selection_modes(data, parsed.train, test=test)
     summary = []
     for name, record in runs.items():
-        record.config = parsed.echo()
-        emit_metrics(record, out / name)
+        _emit(record, parsed, out / name)
         summary.append((name, record.best_test_acc, record.last_test_acc))
     _write_csv(out / "comparison.csv",
                ["mode", "best_test_acc", "last_test_acc"], summary)

@@ -50,10 +50,6 @@ class NoisyDataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    @property
-    def has_ground_truth(self) -> bool:
-        return self.true_labels is not None
-
 
 def validate(dataset: NoisyDataset) -> None:
     """Check every NoisyDataset invariant; raise DataError on the first violation."""

@@ -4,8 +4,8 @@ Each epoch runs, in order: one forward pass over the raw features gives the
 softmax predictions, which feed the relabelling rule, and the trunk
 embeddings, which feed the neighbour index and the clean-subset selection;
 the selection (oversampled per class) is trained for one pass with the
-composite loss; metrics are recorded against the hidden ground truth without
-ever feeding back into training. Wall-clock timings are kept apart from
+composite loss; metrics are recorded, the scores against the hidden ground
+truth when the dataset has it, without ever feeding back into training. Wall-clock timings are kept apart from
 those metrics, so the metrics repeat bit for bit for a given seed.
 """
 from __future__ import annotations
@@ -62,9 +62,15 @@ class EpochTimings:
 class ExperimentRecord:
     config: dict
     epochs: list          # EpochMetrics, a deterministic function of the inputs
-    best_test_acc: float
-    last_test_acc: float
     timings: list         # EpochTimings, wall-clock seconds
+
+    @property
+    def best_test_acc(self) -> float:
+        return max(e.test_acc for e in self.epochs)
+
+    @property
+    def last_test_acc(self) -> float:
+        return self.epochs[-1].test_acc
 
 
 @dataclass
@@ -75,19 +81,20 @@ class ExperimentOutcome:
 
 def selection_metrics(clean_mask: np.ndarray, state: LabelState,
                       dataset: NoisyDataset) -> dict:
-    """Precision/recall/F of the clean subset against the true labels; a
-    selected sample counts as a true positive iff its working label is true."""
-    if dataset.true_labels is None:
-        raise DataError("MISSING_GROUND_TRUTH",
-                        "selection metrics need evaluation fields")
-    correct = state.working_labels == dataset.true_labels
-    tp = int((clean_mask & correct).sum())
+    """The selected count, and precision/recall/F of the clean subset against
+    the true labels (None without them); a selected sample counts as a true
+    positive iff its working label is true."""
     n_sel = int(clean_mask.sum())
-    n_correct = int(correct.sum())
-    p = tp / n_sel if n_sel else 0.0
-    r = tp / n_correct if n_correct else 0.0
-    return {"precision": p, "recall": r,
-            "fscore": 2.0 * p * r / (p + r) if p + r else 0.0}
+    p = r = f = None
+    if dataset.true_labels is not None:
+        correct = state.working_labels == dataset.true_labels
+        tp = int((clean_mask & correct).sum())
+        n_correct = int(correct.sum())
+        p = tp / n_sel if n_sel else 0.0
+        r = tp / n_correct if n_correct else 0.0
+        f = 2.0 * p * r / (p + r) if p + r else 0.0
+    return {"sel_precision": p, "sel_recall": r, "sel_fscore": f,
+            "selected_count": n_sel}
 
 
 def _per_sample_ce(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -114,29 +121,22 @@ def _gmm(dataset, state, fwd, config, tau):
         return baseline_small_loss_predefined(losses, fallback)
 
 
-def _oracle_clean(dataset, state, fwd, config, tau):
-    if dataset.is_noisy is None:
-        raise DataError("MISSING_GROUND_TRUTH", "oracle mode needs is_noisy")
-    return ~dataset.is_noisy
-
-
-# selection mode -> (name in compare_selection_modes, clean-mask function of
-# (dataset, label state, forward outputs, config, tau)); the predefined modes
-# keep the ceil((1 - tau) * N) most consistent / smallest-loss samples
+# selection mode -> clean-mask function of (dataset, label state, forward
+# outputs, config, tau); the predefined modes keep the ceil((1 - tau) * N)
+# most consistent / smallest-loss samples
 SELECTORS = {
-    "consistency": ("npk_automatic", lambda ds, st, fwd, cfg, tau:
-                    _knn_selection(st, fwd, cfg).clean_mask),
-    "gmm": ("pmc_gmm_automatic", _gmm),
-    "predefined_npk": ("npk_predefined", lambda ds, st, fwd, cfg, tau:
-                       baseline_small_loss_predefined(
-                           -_knn_selection(st, fwd, cfg).consistency, tau)),
-    "predefined_pmc": ("pmc_predefined", lambda ds, st, fwd, cfg, tau:
-                       baseline_small_loss_predefined(
-                           _per_sample_ce(fwd["probs"], st.working_labels),
-                           tau)),
-    "all": ("whole_dataset", lambda ds, st, fwd, cfg, tau:
-            np.ones(ds.n_samples, dtype=bool)),
-    "oracle_clean": ("clean_subset", _oracle_clean),
+    "npk_automatic": lambda ds, st, fwd, cfg, tau:
+        _knn_selection(st, fwd, cfg).clean_mask,
+    "pmc_gmm_automatic": _gmm,
+    "npk_predefined": lambda ds, st, fwd, cfg, tau:
+        baseline_small_loss_predefined(
+            -_knn_selection(st, fwd, cfg).consistency, tau),
+    "pmc_predefined": lambda ds, st, fwd, cfg, tau:
+        baseline_small_loss_predefined(
+            _per_sample_ce(fwd["probs"], st.working_labels), tau),
+    "whole_dataset": lambda ds, st, fwd, cfg, tau:
+        np.ones(ds.n_samples, dtype=bool),
+    "clean_subset": lambda ds, st, fwd, cfg, tau: ~ds.is_noisy,
 }
 
 
@@ -215,30 +215,20 @@ def _epoch(epoch, model, opt, rng, dataset, test, config, select, tau, feat_std)
                                f"epoch {epoch} step {step}: {what} after the pass")
     t3 = time.perf_counter()
 
-    # the relabel counts need no ground truth; the scores are missing without it
-    n_re = int(state.relabel_mask.sum())
-    re_acc = None
-    sel = {"precision": None, "recall": None, "fscore": None}
-    if dataset.has_ground_truth:
-        re_acc = relabel_metrics(state, dataset)["relabel_accuracy"]
-        sel = selection_metrics(clean_mask, state, dataset)
     test_acc = 0.0
     if test is not None:
         pred = forward(model, test.features)["probs"].argmax(axis=1)
         test_acc = float((pred == test.observed_labels).mean())
-    timings = EpochTimings(epoch, t1 - t0, t2 - t1, t3 - t2,
-                           time.perf_counter() - t3)
-    return EpochMetrics(
-        epoch=epoch, relabelled_fraction=n_re / dataset.n_samples,
-        relabel_accuracy=re_acc, sel_precision=sel["precision"],
-        sel_recall=sel["recall"], sel_fscore=sel["fscore"],
-        selected_count=int(clean_mask.sum()), test_acc=test_acc,
-        relabelled_count=n_re), timings
+    metrics = EpochMetrics(epoch=epoch, **relabel_metrics(state, dataset),
+                           **selection_metrics(clean_mask, state, dataset),
+                           test_acc=test_acc)
+    return metrics, EpochTimings(epoch, t1 - t0, t2 - t1, t3 - t2,
+                                 time.perf_counter() - t3)
 
 
 def run_experiment(dataset: NoisyDataset, config: TrainConfig,
                    test: Optional[NoisyDataset] = None,
-                   selection_mode: str = "consistency",
+                   selection_mode: str = "npk_automatic",
                    tau: Optional[float] = None) -> ExperimentOutcome:
     """Train from scratch for config.epochs, applying relabel -> select ->
     train each epoch, and record per-epoch quality metrics."""
@@ -246,8 +236,9 @@ def run_experiment(dataset: NoisyDataset, config: TrainConfig,
     if selection_mode not in SELECTORS:
         raise DataError("SHAPE_MISMATCH",
                         f"unknown selection mode {selection_mode!r}")
-    if (selection_mode in ("predefined_npk", "predefined_pmc")
-            and not (tau is not None and 0.0 <= tau < 1.0)):
+    # the predefined modes need tau; pmc_gmm_automatic falls back to it
+    if (tau is None and selection_mode in ("npk_predefined", "pmc_predefined")
+            or tau is not None and not 0.0 <= tau < 1.0):
         raise ConfigError("RANGE_ERROR", f"selection mode {selection_mode!r} "
                           f"needs tau in [0, 1), got {tau}")
     # no softmax row's largest value is below 1/M, so a lower theta_r would
@@ -255,9 +246,12 @@ def run_experiment(dataset: NoisyDataset, config: TrainConfig,
     if config.theta_r < 1.0 / dataset.num_classes:
         raise ConfigError("RANGE_ERROR", f"theta_r={config.theta_r} is below "
                           f"1/M = 1/{dataset.num_classes}")
-    if selection_mode in ("consistency", "predefined_npk"):
+    if selection_mode in ("npk_automatic", "npk_predefined"):
         check_k(config.k_neighbours, dataset.n_samples)
-    select = SELECTORS[selection_mode][1]
+    if selection_mode == "clean_subset" and dataset.is_noisy is None:
+        raise DataError("MISSING_GROUND_TRUTH",
+                        "selection mode 'clean_subset' needs is_noisy")
+    select = SELECTORS[selection_mode]
     rng = np.random.default_rng(config.seed)
     model = init_model(dataset.dim, dataset.num_classes, config.hidden_dims,
                        rng)
@@ -268,8 +262,6 @@ def run_experiment(dataset: NoisyDataset, config: TrainConfig,
                                    config, select, tau, feat_std)
                             for epoch in range(config.epochs)))
     record = ExperimentRecord(config=asdict(config), epochs=list(epochs),
-                              best_test_acc=max(e.test_acc for e in epochs),
-                              last_test_acc=epochs[-1].test_acc,
                               timings=list(timings))
     return ExperimentOutcome(record, model)
 
@@ -287,6 +279,6 @@ def compare_selection_modes(dataset: NoisyDataset, config: TrainConfig,
     # loss are all switched off so only the selection mechanism differs
     base = replace(config, theta_r=1.0, lambda_fc=0.0, mixup_alpha=0.0,
                    sigma_strong=0.0, sigma_weak=0.0)
-    return {name: run_experiment(dataset, base, test=test, selection_mode=mode,
+    return {mode: run_experiment(dataset, base, test=test, selection_mode=mode,
                                  tau=tau).record
-            for mode, (name, _) in SELECTORS.items()}
+            for mode in SELECTORS}

@@ -39,16 +39,14 @@ def relabel(probs: np.ndarray, observed_labels: np.ndarray,
 
 def relabel_metrics(state: LabelState, dataset: NoisyDataset) -> dict:
     """Fraction and count of relabelled samples, and how often the new label
-    is the true one (0.0 if none). Open-set relabels always count as wrong."""
-    if dataset.true_labels is None:
-        raise DataError("MISSING_GROUND_TRUTH",
-                        "relabel metrics need evaluation fields")
+    is the true one (0.0 if none, None without true labels). Open-set
+    relabels always count as wrong."""
     mask = state.relabel_mask
     n_re = int(mask.sum())
-    # working labels are always in [0, M), so OPEN_SET entries never match
-    correct = int((state.working_labels[mask] == dataset.true_labels[mask]).sum())
-    return {
-        "relabelled_fraction": n_re / mask.shape[0],
-        "relabel_accuracy": correct / max(n_re, 1),
-        "relabelled_count": n_re,
-    }
+    acc = None
+    if dataset.true_labels is not None:
+        # working labels are always in [0, M), so OPEN_SET entries never match
+        hit = state.working_labels[mask] == dataset.true_labels[mask]
+        acc = int(hit.sum()) / max(n_re, 1)
+    return {"relabelled_fraction": n_re / mask.shape[0],
+            "relabel_accuracy": acc, "relabelled_count": n_re}

@@ -160,12 +160,9 @@ def compute_selection(ids: np.ndarray, state: LabelState, theta_s: float,
     pi = state.class_counts if balance else np.ones_like(state.class_counts)
     counts = neighbour_label_counts(ids, state)
     q = balance_distribution(counts / ids.shape[1], pi)
-    n = counts.shape[0]
     lab = state.working_labels
-    top = q.max(axis=1)
-    c = np.zeros(n, dtype=np.float64)
-    nz = top > 0
-    c[nz] = q[np.arange(n), lab][nz] / top[nz]
+    # each row has K >= 1 votes for classes of count >= 1, so its max is > 0
+    c = q[np.arange(counts.shape[0]), lab] / q.max(axis=1)
     exact = exact_top_mask(counts, pi, lab)
     # Pin c to exactly 1.0 iff the integer predicate holds, so thresholding at
     # theta_s = 1 is an exact argmax-membership test rather than a float compare.
@@ -221,10 +218,12 @@ def baseline_gmm_loss(losses: np.ndarray,
         resp = np.exp(log_pdf - lse[:, None])
         ll = float(lse.mean())
         nk = resp.sum(axis=0)
+        if not nk.min() > 0:
+            raise NumericError("DEGENERATE_FIT", "a mixture component is empty")
         w = nk / n
         mu = (resp * x[:, None]).sum(axis=0) / nk
         var = (resp * (x[:, None] - mu[None, :]) ** 2).sum(axis=0) / nk
-        if not var.min() >= 1e-8:   # nan too: an empty component (nk = 0)
+        if not var.min() >= 1e-8:   # nan too
             raise NumericError("DEGENERATE_FIT", "component variance collapsed")
         if abs(ll - prev_ll) < _GMM_TOL:
             break

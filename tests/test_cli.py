@@ -221,6 +221,22 @@ def test_compare_modes_outputs(tmp_path, config_path):
     assert (out / "npk_automatic" / "metrics.csv").exists()
 
 
+def test_compare_modes_record_states_the_config_it_ran(tmp_path, config_path):
+    # the comparison turns relabelling, mixup, jitter and the consistency
+    # loss off; record.json shows that, beside the noise and synth echo
+    out = tmp_path / "cmp"
+    assert main(["compare-modes", "-c", str(config_path),
+                 "-o", str(out)]) == 0
+    config = json.loads((out / "npk_automatic" / "record.json").read_text())[
+        "config"]
+    assert config["train"]["theta_r"] == 1.0
+    assert config["train"]["lambda_fc"] == 0.0
+    assert config["train"]["mixup_alpha"] == 0.0
+    assert config["train"]["k_neighbours"] == BASE_CONFIG["k_neighbours"]
+    assert config["noise"]["total_ratio"] == 0.3
+    assert config["synth"]["per_class"] == 30
+
+
 # --- exit codes --------------------------------------------------------------
 
 def test_exit_code_config_error(tmp_path):

@@ -40,7 +40,8 @@ def test_selection_metrics_perfect():
     ds = NoisyDataset(np.ones((4, 2)), labels, 2, true)
     state = initial_state(labels, 2)
     out = selection_metrics(np.array([True, True, False, True]), state, ds)
-    assert out == {"precision": 1.0, "recall": 1.0, "fscore": 1.0}
+    assert out == {"sel_precision": 1.0, "sel_recall": 1.0, "sel_fscore": 1.0,
+                   "selected_count": 3}
 
 
 def test_selection_metrics_select_everything():
@@ -51,8 +52,9 @@ def test_selection_metrics_select_everything():
     ds = NoisyDataset(np.ones((50, 2)), labels, 3, true)
     state = initial_state(labels, 3)
     out = selection_metrics(np.ones(50, dtype=bool), state, ds)
-    assert out["precision"] == 30 / 50
-    assert out["recall"] == 1.0
+    assert out["sel_precision"] == 30 / 50
+    assert out["sel_recall"] == 1.0
+    assert out["selected_count"] == 50
 
 
 def test_selection_metrics_empty_selection():
@@ -60,15 +62,18 @@ def test_selection_metrics_empty_selection():
     ds = NoisyDataset(np.ones((2, 2)), labels, 2, labels.copy())
     state = initial_state(labels, 2)
     out = selection_metrics(np.zeros(2, dtype=bool), state, ds)
-    assert out == {"precision": 0.0, "recall": 0.0, "fscore": 0.0}
+    assert out == {"sel_precision": 0.0, "sel_recall": 0.0, "sel_fscore": 0.0,
+                   "selected_count": 0}
 
 
 def test_selection_metrics_need_ground_truth():
+    # the scores are missing without true labels; the count is not
     labels = np.array([0, 1])
     ds = NoisyDataset(np.ones((2, 2)), labels, 2)
-    with pytest.raises(DataError):
-        selection_metrics(np.ones(2, dtype=bool),
-                          initial_state(labels, 2), ds)
+    out = selection_metrics(np.array([True, False]),
+                            initial_state(labels, 2), ds)
+    assert out == {"sel_precision": None, "sel_recall": None,
+                   "sel_fscore": None, "selected_count": 1}
 
 
 def test_macro_f1_perfect_and_degenerate():
@@ -307,8 +312,11 @@ def test_unknown_selection_mode(small_noisy):
         run_experiment(noisy, small_config(), selection_mode="magic")
 
 
-@pytest.mark.parametrize("mode", ["predefined_npk", "predefined_pmc"])
-@pytest.mark.parametrize("tau", [None, 1.0, -0.1])
+@pytest.mark.parametrize("tau, mode", [
+    *((t, m) for t in (None, 1.0, -0.1)
+      for m in ("npk_predefined", "pmc_predefined")),
+    # the GMM mode runs without tau, but a given tau is its fallback ratio
+    (1.0, "pmc_gmm_automatic"), (-0.1, "pmc_gmm_automatic")])
 def test_predefined_modes_need_tau_in_range(small_noisy, monkeypatch, mode, tau):
     def no_init(*args, **kwargs):
         raise AssertionError("model initialised before tau was checked")
@@ -319,7 +327,14 @@ def test_predefined_modes_need_tau_in_range(small_noisy, monkeypatch, mode, tau)
     assert exc.value.code == "RANGE_ERROR"
 
 
-@pytest.mark.parametrize("mode", ["consistency", "predefined_npk"])
+def test_gmm_mode_runs_without_tau(small_noisy):
+    noisy, _ = small_noisy
+    record = run_experiment(noisy, small_config(epochs=1),
+                            selection_mode="pmc_gmm_automatic").record
+    assert len(record.epochs) == 1
+
+
+@pytest.mark.parametrize("mode", ["npk_automatic", "npk_predefined"])
 def test_index_modes_check_k_before_init(small_noisy, monkeypatch, mode):
     def no_init(*args, **kwargs):
         raise AssertionError("model initialised before k was checked")
@@ -329,6 +344,18 @@ def test_index_modes_check_k_before_init(small_noisy, monkeypatch, mode):
     with pytest.raises(DataError) as exc:
         run_experiment(noisy, cfg, selection_mode=mode, tau=0.5)
     assert exc.value.code == "K_TOO_LARGE"
+
+
+def test_clean_subset_needs_is_noisy_before_init(small_noisy, monkeypatch):
+    def no_init(*args, **kwargs):
+        raise AssertionError("model initialised before is_noisy was checked")
+    monkeypatch.setattr("ssrlab.pipeline.init_model", no_init)
+    noisy, _ = small_noisy
+    bare = NoisyDataset(noisy.features, noisy.observed_labels,
+                        noisy.num_classes)
+    with pytest.raises(DataError) as exc:
+        run_experiment(bare, small_config(), selection_mode="clean_subset")
+    assert exc.value.code == "MISSING_GROUND_TRUTH"
 
 
 def test_empty_selection_skips_training():

@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .data import OPEN_SET, LabelState, NoisyDataset, TrainConfig, validate
+from .data import OPEN_SET, LabelState, NoisyDataset, TrainConfig
 from .errors import ConfigError, DataError, NumericError, SsrError
 from .noise import (NoiseSpec, SynthSpec, apply_noise, inject_asymmetric,
                     inject_combined, make_gaussian_dataset)
@@ -15,7 +15,7 @@ from .selector import (SelectionResult, build_neighbour_index,
 from .ssrd import load_embeddings, load_pool, write_dataset, write_pool
 
 __all__ = [
-    "OPEN_SET", "LabelState", "NoisyDataset", "TrainConfig", "validate",
+    "OPEN_SET", "LabelState", "NoisyDataset", "TrainConfig",
     "ConfigError", "DataError", "NumericError", "SsrError",
     "NoiseSpec", "SynthSpec", "apply_noise", "inject_asymmetric",
     "inject_combined", "make_gaussian_dataset",

@@ -203,7 +203,6 @@ def _cmd_grid(args, parsed, data, test) -> Path:
 
 def _cmd_compare_modes(args, parsed, data, test) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     runs = compare_selection_modes(data, parsed.train, test=test)
     summary = []
     for name, record in runs.items():

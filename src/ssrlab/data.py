@@ -16,31 +16,61 @@ OPEN_SET = -1
 class NoisyDataset:
     """N feature embeddings with observed (possibly wrong) labels.
 
-    ``true_labels`` and ``is_noisy`` are evaluation-only fields: the selection
-    and relabelling machinery never reads them. Class indices are 0-based;
-    ``true_labels`` may contain the OPEN_SET sentinel for samples whose true
-    content belongs to no task class.
+    Checked when built: the first violated invariant raises DataError.
+    ``true_labels`` is evaluation-only, as is ``is_noisy``, which is derived
+    from it: the selection and relabelling machinery reads neither. Class
+    indices are 0-based; ``true_labels`` may contain the OPEN_SET sentinel for
+    samples whose true content belongs to no task class.
     """
 
     features: np.ndarray           # (N, d) float64
     observed_labels: np.ndarray    # (N,) int64 in [0, M)
     num_classes: int
     true_labels: Optional[np.ndarray] = None   # (N,) int64, OPEN_SET allowed
-    is_noisy: Optional[np.ndarray] = None      # (N,) bool
 
     def __post_init__(self):
-        object.__setattr__(self, "features",
-                           np.asarray(self.features, dtype=np.float64))
-        object.__setattr__(self, "observed_labels",
-                           np.asarray(self.observed_labels, dtype=np.int64))
+        feats = np.asarray(self.features, dtype=np.float64)
+        obs = np.asarray(self.observed_labels, dtype=np.int64)
+        object.__setattr__(self, "features", feats)
+        object.__setattr__(self, "observed_labels", obs)
+        if feats.ndim != 2:
+            raise DataError("SHAPE_MISMATCH",
+                            f"features must be 2-D, got ndim={feats.ndim}")
+        n, d = feats.shape
+        if n == 0:
+            raise DataError("EMPTY_DATASET", "dataset has no samples")
+        if d == 0:
+            raise DataError("SHAPE_MISMATCH", "feature dimension is 0")
+        m = self.num_classes
+        if m < 2:
+            raise DataError("SHAPE_MISMATCH", f"num_classes must be >= 2, got {m}")
+        if obs.shape != (n,):
+            raise DataError("SHAPE_MISMATCH",
+                            f"observed_labels shape {obs.shape} != ({n},)")
+        bad = np.flatnonzero((obs < 0) | (obs >= m))
+        if bad.size:
+            i = int(bad[0])
+            raise DataError("LABEL_OUT_OF_RANGE",
+                            f"observed label {obs[i]} at index {i} not in [0, {m})")
         if self.true_labels is not None:
             tl = np.asarray(self.true_labels, dtype=np.int64)
             object.__setattr__(self, "true_labels", tl)
-            if self.is_noisy is None and tl.shape == self.observed_labels.shape:
-                object.__setattr__(self, "is_noisy", tl != self.observed_labels)
-        if self.is_noisy is not None:
-            object.__setattr__(self, "is_noisy",
-                               np.asarray(self.is_noisy, dtype=bool))
+            if tl.shape != (n,):
+                raise DataError("SHAPE_MISMATCH",
+                                f"true_labels shape {tl.shape} != ({n},)")
+            bad = np.flatnonzero((tl != OPEN_SET) & ((tl < 0) | (tl >= m)))
+            if bad.size:
+                i = int(bad[0])
+                raise DataError("LABEL_OUT_OF_RANGE",
+                                f"true label {tl[i]} at index {i} not in [0, {m})")
+
+    @property
+    def is_noisy(self) -> Optional[np.ndarray]:
+        """(N,) bool, true where the observed label is not the true one;
+        None without true labels."""
+        if self.true_labels is None:
+            return None
+        return self.true_labels != self.observed_labels
 
     @property
     def n_samples(self) -> int:
@@ -49,52 +79,6 @@ class NoisyDataset:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
-
-
-def validate(dataset: NoisyDataset) -> None:
-    """Check every NoisyDataset invariant; raise DataError on the first violation."""
-    feats = dataset.features
-    if feats.ndim != 2:
-        raise DataError("SHAPE_MISMATCH",
-                        f"features must be 2-D, got ndim={feats.ndim}")
-    n, d = feats.shape
-    if n == 0:
-        raise DataError("EMPTY_DATASET", "dataset has no samples")
-    if d == 0:
-        raise DataError("SHAPE_MISMATCH", "feature dimension is 0")
-    m = dataset.num_classes
-    if m < 2:
-        raise DataError("SHAPE_MISMATCH", f"num_classes must be >= 2, got {m}")
-    obs = dataset.observed_labels
-    if obs.shape != (n,):
-        raise DataError("SHAPE_MISMATCH",
-                        f"observed_labels shape {obs.shape} != ({n},)")
-    bad = np.flatnonzero((obs < 0) | (obs >= m))
-    if bad.size:
-        i = int(bad[0])
-        raise DataError("LABEL_OUT_OF_RANGE",
-                        f"observed label {obs[i]} at index {i} not in [0, {m})")
-    if dataset.true_labels is not None:
-        tl = dataset.true_labels
-        if tl.shape != (n,):
-            raise DataError("SHAPE_MISMATCH",
-                            f"true_labels shape {tl.shape} != ({n},)")
-        bad = np.flatnonzero((tl != OPEN_SET) & ((tl < 0) | (tl >= m)))
-        if bad.size:
-            i = int(bad[0])
-            raise DataError("LABEL_OUT_OF_RANGE",
-                            f"true label {tl[i]} at index {i} not in [0, {m})")
-    if dataset.is_noisy is not None:
-        if dataset.is_noisy.shape != (n,):
-            raise DataError("SHAPE_MISMATCH",
-                            f"is_noisy shape {dataset.is_noisy.shape} != ({n},)")
-        if dataset.true_labels is not None:
-            expect = dataset.true_labels != obs
-            bad = np.flatnonzero(dataset.is_noisy != expect)
-            if bad.size:
-                i = int(bad[0])
-                raise DataError("SHAPE_MISMATCH",
-                                f"is_noisy[{i}] inconsistent with labels")
 
 
 @dataclass(frozen=True)

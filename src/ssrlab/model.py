@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DataError, NumericError
+from .errors import ConfigError, DataError, NumericError
 
 _NORM_EPS = 1e-12
 _PROB_CLAMP = 1e-12
@@ -181,7 +181,8 @@ def _fc_head_grad(h1, h2, distance):
         loss = float((2.0 - 2.0 * cos).mean())
         scale = 2.0
     else:
-        raise DataError("SHAPE_MISMATCH", f"unknown fc distance {distance!r}")
+        raise ConfigError("RANGE_ERROR",
+                          f"fc distance {distance!r} not in ('cosine', 'l2')")
     gh1 = -scale * (v - cos[:, None] * u) / n1[:, None] / b
     gh2 = -scale * (u - cos[:, None] * v) / n2[:, None] / b
     return loss, gh1, gh2

@@ -5,8 +5,9 @@ softmax predictions, which feed the relabelling rule, and the trunk
 embeddings, which feed the neighbour index and the clean-subset selection;
 the selection (oversampled per class) is trained for one pass with the
 composite loss; metrics are recorded, the scores against the hidden ground
-truth when the dataset has it, without ever feeding back into training. Wall-clock timings are kept apart from
-those metrics, so the metrics repeat bit for bit for a given seed.
+truth when the dataset has it, without ever feeding back into training.
+Wall-clock timings are kept apart from those metrics, so the metrics repeat
+bit for bit for a given seed.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import LabelState, NoisyDataset, TrainConfig, validate
+from .data import LabelState, NoisyDataset, TrainConfig
 from .errors import ConfigError, DataError, NumericError
 from .model import (MiniBatch, OptimizerState, PmcModel, cosine_lr, forward,
                     init_model, mixup_pair, oversample_balanced, sgd_step,
@@ -232,10 +233,9 @@ def run_experiment(dataset: NoisyDataset, config: TrainConfig,
                    tau: Optional[float] = None) -> ExperimentOutcome:
     """Train from scratch for config.epochs, applying relabel -> select ->
     train each epoch, and record per-epoch quality metrics."""
-    validate(dataset)
     if selection_mode not in SELECTORS:
-        raise DataError("SHAPE_MISMATCH",
-                        f"unknown selection mode {selection_mode!r}")
+        raise ConfigError("RANGE_ERROR", f"selection_mode={selection_mode!r} "
+                          f"not in {tuple(SELECTORS)}")
     # the predefined modes need tau; pmc_gmm_automatic falls back to it
     if (tau is None and selection_mode in ("npk_predefined", "pmc_predefined")
             or tau is not None and not 0.0 <= tau < 1.0):
@@ -248,9 +248,9 @@ def run_experiment(dataset: NoisyDataset, config: TrainConfig,
                           f"1/M = 1/{dataset.num_classes}")
     if selection_mode in ("npk_automatic", "npk_predefined"):
         check_k(config.k_neighbours, dataset.n_samples)
-    if selection_mode == "clean_subset" and dataset.is_noisy is None:
+    if selection_mode == "clean_subset" and dataset.true_labels is None:
         raise DataError("MISSING_GROUND_TRUTH",
-                        "selection mode 'clean_subset' needs is_noisy")
+                        "selection mode 'clean_subset' needs true labels")
     select = SELECTORS[selection_mode]
     rng = np.random.default_rng(config.seed)
     model = init_model(dataset.dim, dataset.num_classes, config.hidden_dims,
@@ -271,9 +271,9 @@ def compare_selection_modes(dataset: NoisyDataset, config: TrainConfig,
     """Run the four selector variants plus the whole-dataset and oracle-clean
     references, all with relabelling, strong jitter, and the consistency loss
     disabled so only the selection mechanism differs."""
-    if dataset.is_noisy is None:
+    if dataset.true_labels is None:
         raise DataError("MISSING_GROUND_TRUTH",
-                        "mode comparison needs the noisy mask for tau")
+                        "mode comparison needs true labels for tau")
     tau = float(dataset.is_noisy.mean())
     # strong augmentation (jitter + mixup), relabelling, and the consistency
     # loss are all switched off so only the selection mechanism differs

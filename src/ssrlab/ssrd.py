@@ -4,7 +4,9 @@ Layout (little-endian): magic "SSRD", u16 version, u32 N, u32 d, u32 M,
 u8 flags (bit0 = has true labels, bit1 = has noisy mask), then N*d float32
 features row-major, N u32 observed labels, optionally N int32 true labels
 (-1 = open-set sentinel) and N u8 noisy mask. Pools are stored with M = 0.
-The reader is strict: other flag bits and bytes past the payload are errors.
+Bit1 is read, never written: the mask needs true labels and must equal
+true != observed in 0/1 bytes. Other flag bits and bytes past the payload
+are errors.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import NoisyDataset, validate
+from .data import NoisyDataset
 from .errors import DataError
 
 MAGIC = b"SSRD"
@@ -45,29 +47,22 @@ def write_atomic(path, payload: bytes) -> None:
 
 def write_dataset(path, dataset: NoisyDataset) -> None:
     _write(path, dataset.features, dataset.observed_labels, dataset.num_classes,
-           dataset.true_labels, dataset.is_noisy)
+           dataset.true_labels)
 
 
 def write_pool(path, features: np.ndarray) -> None:
     feats = np.asarray(features, dtype=np.float64)
-    _write(path, feats, np.zeros(feats.shape[0], dtype=np.int64), 0, None, None)
+    _write(path, feats, np.zeros(feats.shape[0], dtype=np.int64), 0, None)
 
 
-def _write(path, features, observed_labels, num_classes,
-           true_labels, noisy_mask) -> None:
+def _write(path, features, observed_labels, num_classes, true_labels) -> None:
     n, d = features.shape
-    flags = 0
-    if true_labels is not None:
-        flags |= FLAG_TRUE_LABELS
-    if noisy_mask is not None:
-        flags |= FLAG_NOISY_MASK
+    flags = 0 if true_labels is None else FLAG_TRUE_LABELS
     parts = [_HEADER.pack(MAGIC, VERSION, n, d, num_classes, flags),
              np.ascontiguousarray(features, dtype="<f4").tobytes(),
              np.ascontiguousarray(observed_labels, dtype="<u4").tobytes()]
     if true_labels is not None:
         parts.append(np.ascontiguousarray(true_labels, dtype="<i4").tobytes())
-    if noisy_mask is not None:
-        parts.append(np.ascontiguousarray(noisy_mask, dtype=np.uint8).tobytes())
     write_atomic(path, b"".join(parts))
 
 
@@ -95,24 +90,26 @@ def _read(path) -> dict:
     feats = take("<f4", n * d).reshape(n, d).astype(np.float64)
     obs = take("<u4", n).astype(np.int64)
     true = take("<i4", n).astype(np.int64) if flags & FLAG_TRUE_LABELS else None
-    mask = take(np.uint8, n).astype(bool) if flags & FLAG_NOISY_MASK else None
+    mask = take(np.uint8, n) if flags & FLAG_NOISY_MASK else None
     if off != len(data):
         raise DataError("TRAILING_BYTES", f"{path} has {len(data) - off} bytes "
                         "past its declared payload")
+    if mask is not None and (true is None or np.any(mask != (true != obs))):
+        raise DataError("SHAPE_MISMATCH", f"{path}: the noisy mask needs true "
+                        "labels and must equal true != observed")
     return {"features": feats, "observed_labels": obs, "num_classes": int(m),
             "true_labels": true, "is_noisy": mask}
 
 
 def load_embeddings(path) -> NoisyDataset:
-    """Read a dataset file and validate it. Files without the true-label
-    section load fine; evaluation metrics are simply unavailable for them."""
+    """Read a dataset file, which the NoisyDataset checks. Files without true
+    labels load fine; evaluation metrics are simply unavailable for them."""
     raw = _read(path)
     if raw["num_classes"] == 0:
         raise DataError("SHAPE_MISMATCH",
                         f"{path} is a pool file (M = 0), not a dataset")
-    ds = NoisyDataset(**raw)
-    validate(ds)
-    return ds
+    del raw["is_noisy"]   # _read has checked that it equals the derived mask
+    return NoisyDataset(**raw)
 
 
 def load_pool(path) -> np.ndarray:

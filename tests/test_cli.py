@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ssrlab import load_embeddings, load_pool, ssrd
+from ssrlab import NoisyDataset, load_embeddings, load_pool, ssrd
 from ssrlab.cli import CSV_COLUMNS, TIMING_COLUMNS, main
 from ssrlab.config import parse_config_dict
 from ssrlab.errors import ConfigError
@@ -235,6 +235,21 @@ def test_compare_modes_record_states_the_config_it_ran(tmp_path, config_path):
     assert config["train"]["k_neighbours"] == BASE_CONFIG["k_neighbours"]
     assert config["noise"]["total_ratio"] == 0.3
     assert config["synth"]["per_class"] == 30
+
+
+def test_compare_modes_needs_true_labels(tmp_path, config_path, caplog):
+    data = tmp_path / "data"
+    assert main(["synth", "-c", str(config_path), "-o", str(data)]) == 0
+    train = load_embeddings(data / "train.ssrd")
+    plain = tmp_path / "plain.ssrd"
+    ssrd.write_dataset(plain, NoisyDataset(train.features, train.observed_labels,
+                                           train.num_classes))
+    out = tmp_path / "cmp"
+    assert main(["compare-modes", "-c", str(config_path), "-o", str(out),
+                 "-i", str(plain)]) == 3
+    assert "MISSING_GROUND_TRUTH" in caplog.text
+    # no mode directory, no comparison.csv, no manifest: not even the directory
+    assert not out.exists()
 
 
 # --- exit codes --------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import numeric_grad, rel_err
 from oracles import sgd_step_per_pair
-from ssrlab.errors import DataError, NumericError
+from ssrlab.errors import ConfigError, DataError, NumericError
 from ssrlab.model import (MiniBatch, OptimizerState, PmcModel, cosine_lr,
                           cross_entropy_loss, feature_consistency_loss,
                           forward, init_model, mixup_pair, oversample_balanced,
@@ -216,8 +216,10 @@ def test_fc_zero_norm_embedding():
 
 def test_fc_unknown_distance(tiny_model):
     v = np.random.default_rng(0).normal(size=(3, 5))
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError) as exc:
         feature_consistency_loss(tiny_model, v, v, distance="manhattan")
+    assert exc.value.code == "RANGE_ERROR"
+    assert "('cosine', 'l2')" in str(exc.value)
 
 
 def test_stop_gradient_blocks_second_branch(tiny_model):

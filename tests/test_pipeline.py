@@ -306,10 +306,17 @@ def test_non_finite_parameter_raises_diverged(small_noisy, monkeypatch):
     assert "parameter is non-finite" in str(exc.value)
 
 
-def test_unknown_selection_mode(small_noisy):
+def test_unknown_selection_mode(small_noisy, monkeypatch):
+    def no_init(*args, **kwargs):
+        raise AssertionError("model initialised before the mode was checked")
+    monkeypatch.setattr("ssrlab.pipeline.init_model", no_init)
     noisy, _ = small_noisy
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError) as exc:
         run_experiment(noisy, small_config(), selection_mode="magic")
+    assert exc.value.code == "RANGE_ERROR"
+    assert "'magic' not in" in str(exc.value)
+    for mode in pipeline.SELECTORS:
+        assert repr(mode) in str(exc.value)
 
 
 @pytest.mark.parametrize("tau, mode", [

@@ -125,6 +125,61 @@ def test_unknown_flag_bit_rejected(tmp_path):
     assert exc.value.code == "BAD_FLAGS"
 
 
+def test_written_file_has_no_mask_section(tmp_path):
+    ds = f32_dataset()
+    path = tmp_path / "data.ssrd"
+    write_dataset(path, ds)
+    blob = path.read_bytes()
+    assert blob[_HEADER.size - 1] == 0x01
+    n, d = ds.n_samples, ds.dim
+    assert len(blob) == _HEADER.size + 4 * n * d + 4 * n + 4 * n
+
+
+def legacy_blob(ds, flags=0x03):
+    """ds in the layout of earlier writers: flags 0x03, the true labels, then
+    the noisy mask, one byte per sample; flags 0x02 leaves out the labels."""
+    n, d = ds.features.shape
+    parts = [_HEADER.pack(MAGIC, 1, n, d, ds.num_classes, flags),
+             ds.features.astype("<f4").tobytes(),
+             ds.observed_labels.astype("<u4").tobytes()]
+    if flags & 0x01:
+        parts.append(ds.true_labels.astype("<i4").tobytes())
+    parts.append(ds.is_noisy.astype(np.uint8).tobytes())
+    return b"".join(parts)
+
+
+def test_file_with_mask_section_loads(tmp_path):
+    ds = f32_dataset()
+    path = tmp_path / "old.ssrd"
+    path.write_bytes(legacy_blob(ds))
+    back = load_embeddings(path)
+    assert np.array_equal(back.features, ds.features)
+    assert np.array_equal(back.observed_labels, ds.observed_labels)
+    assert np.array_equal(back.true_labels, ds.true_labels)
+    assert back.is_noisy.tolist() == [True] * 4 + [False] * 21
+
+
+# sample 0 is noisy and sample 24 clean; earlier writers wrote only 0 and 1
+@pytest.mark.parametrize("index, byte", [(0, 0), (24, 1), (0, 2)])
+def test_bad_mask_byte_rejected(tmp_path, index, byte):
+    ds = f32_dataset()
+    blob = bytearray(legacy_blob(ds))
+    blob[len(blob) - ds.n_samples + index] = byte
+    path = tmp_path / "flip.ssrd"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DataError) as exc:
+        load_embeddings(path)
+    assert "noisy mask" in str(exc.value)
+
+
+def test_mask_without_true_labels_rejected(tmp_path):
+    path = tmp_path / "mask_only.ssrd"
+    path.write_bytes(legacy_blob(f32_dataset(), flags=0x02))
+    with pytest.raises(DataError) as exc:
+        load_embeddings(path)
+    assert "noisy mask needs true labels" in str(exc.value)
+
+
 def _payload_size(n, d, flags):
     return 4 * n * d + 4 * n + 4 * n * (flags & 1) + n * ((flags >> 1) & 1)
 

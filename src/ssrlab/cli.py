@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .config import ParsedConfig, parse_config
+from .data import TRAIN_PARAMS
 from .errors import ConfigError, DataError, NumericError
 from .noise import apply_noise, make_gaussian_dataset
 from .pipeline import (EpochMetrics, EpochTimings, ExperimentRecord,
@@ -34,11 +35,9 @@ CSV_COLUMNS = [f.name for f in dataclasses.fields(EpochMetrics)]
 TIMING_COLUMNS = [f.name for f in dataclasses.fields(EpochTimings)]
 
 # flags mirroring the most common config keys; flags win over the file
-_OVERRIDE_FLAGS = {
-    "theta_s": float, "theta_r": float, "k_neighbours": int,
-    "lambda_fc": float, "mixup_alpha": float, "learning_rate": float,
-    "epochs": int, "batch_size": int, "seed": int,
-}
+_OVERRIDE_FLAGS = ("theta_s", "theta_r", "k_neighbours", "lambda_fc",
+                   "mixup_alpha", "learning_rate", "epochs", "batch_size",
+                   "seed")
 
 
 def _write_csv(path: Path, columns: list, rows) -> None:
@@ -182,22 +181,24 @@ _SWEEPABLE = ("theta_s", "theta_r", "k_neighbours")
 
 def _cmd_grid(args, parsed, data, test) -> Path:
     """One independent run per sweep value, plus an aggregated summary CSV."""
-    caster = _OVERRIDE_FLAGS[args.param]
+    caster = TRAIN_PARAMS[args.param].kind
     try:
-        values = [caster(v) for v in args.values.split(",")]
+        # every point's config is checked before the first point runs
+        trains = [dataclasses.replace(parsed.train, **{args.param: caster(v)})
+                  for v in args.values.split(",")]
     except ValueError as exc:
         raise ConfigError("RANGE_ERROR",
                           f"bad sweep values {args.values!r}: {exc}") from exc
     out_root = Path(args.out)
     summary = []
-    for value in values:
-        train = dataclasses.replace(parsed.train, **{args.param: value})
+    for train in trains:
+        value = getattr(train, args.param)
         record = run_experiment(data, train, test=test).record
         _emit(record, parsed, out_root / f"{args.param}_{value}")
         summary.append((value, record.best_test_acc, record.last_test_acc))
     _write_csv(out_root / "summary.csv",
                [args.param, "best_test_acc", "last_test_acc"], summary)
-    log.info("grid finished: %d points -> %s", len(values), out_root)
+    log.info("grid finished: %d points -> %s", len(trains), out_root)
     return out_root
 
 
@@ -220,9 +221,10 @@ def _add_common(p):
     p.add_argument("-i", "--input", help="SSRD dataset file")
     p.add_argument("--test", help="SSRD holdout dataset file")
     p.add_argument("--ood", help="SSRD open-set pool file")
-    for key, caster in _OVERRIDE_FLAGS.items():
-        p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=caster,
-                       default=None)
+    for key in _OVERRIDE_FLAGS:
+        p.add_argument(f"--{key.replace('_', '-')}", dest=key,
+                       type=TRAIN_PARAMS[key].kind, default=None,
+                       help=str(TRAIN_PARAMS[key]))
 
 
 def build_parser() -> argparse.ArgumentParser:

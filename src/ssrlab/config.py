@@ -28,18 +28,16 @@ class ParsedConfig:
         return out
 
 
-def _build(cls, obj: dict, context: str):
+def _build(cls, obj, context: str):
+    if not isinstance(obj, dict):
+        raise ConfigError("PARSE_ERROR",
+                          f"{context} section must be a JSON object, got {obj!r}")
     allowed = {f.name for f in dataclasses.fields(cls)}
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError("UNKNOWN_KEY",
                           f"unknown {context} key(s): {sorted(unknown)}")
-    try:
-        return cls(**obj)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("RANGE_ERROR", f"bad {context} value: {exc}") from exc
+    return cls(**obj)
 
 
 def parse_config_dict(obj: dict) -> ParsedConfig:

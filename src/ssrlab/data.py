@@ -1,7 +1,9 @@
 """Core dataset and label-state containers shared by all modules."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -100,59 +102,87 @@ class LabelState:
         return cls(working, working != observed, counts)
 
 
-_FC_DISTANCES = ("cosine", "l2")
+class Param:
+    """The kind and range of one config field. ``kind`` is ``int`` (NumPy
+    integers count, a bool does not), ``float`` (finite; an int is accepted),
+    ``bool``, ``tuple`` (a non-empty list or tuple of ints) or a tuple of the
+    allowed strings; ``bounds`` is an interval, "(0, 1]" or "[1, inf)", on a
+    number or on each item of a tuple, and NaN is in none. A value is checked
+    against its kind, never converted to it."""
+
+    def __init__(self, kind, bounds: str = "(-inf, inf)"):
+        self.kind, self.bounds = kind, bounds
+        lo, hi = (float(b) for b in bounds[1:-1].split(","))
+        # an open end moves to the nearest float inside it, so "inf)" also
+        # turns away an int too large for a float
+        self.lo = math.nextafter(lo, math.inf) if bounds[0] == "(" else lo
+        self.hi = math.nextafter(hi, -math.inf) if bounds[-1] == ")" else hi
+
+    def __str__(self) -> str:
+        if self.kind is bool or isinstance(self.kind, tuple):
+            return "bool" if self.kind is bool else f"one of {self.kind}"
+        name = "non-empty list of int" if self.kind is tuple else self.kind.__name__
+        return f"{name} in {self.bounds}"
+
+    def accepts(self, value, kind=None) -> bool:
+        kind = kind or self.kind
+        if kind is bool:
+            return isinstance(value, bool)
+        if isinstance(kind, tuple):
+            return isinstance(value, str) and value in kind
+        if kind is tuple:
+            return (isinstance(value, (list, tuple)) and len(value) > 0
+                    and all(self.accepts(v, int) for v in value))
+        return (isinstance(value, numbers.Integral if kind is int else numbers.Real)
+                and not isinstance(value, bool) and self.lo <= value <= self.hi)
+
+    def check(self, name: str, value) -> None:
+        if not self.accepts(value):
+            raise ConfigError("RANGE_ERROR", f"{name}={value!r}, expected {self}")
+
+
+def param(default, kind, bounds: str = "(-inf, inf)"):
+    """A dataclass field whose Param check_fields checks."""
+    return field(default=default, metadata={"param": Param(kind, bounds)})
+
+
+def check_fields(spec) -> None:
+    """Check each field against its Param; None passes where it is the
+    default, and a list becomes a tuple."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if value is None and f.default is None:
+            continue
+        f.metadata["param"].check(f.name, value)
+        if isinstance(value, list):
+            object.__setattr__(spec, f.name, tuple(value))
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters of one experiment; defaults follow the method's defaults."""
 
-    theta_s: float = 1.0         # selection threshold on consistency, [0, 1]
-    theta_r: float = 0.9         # relabel confidence threshold, (0, 1]
-    k_neighbours: int = 100
-    lambda_fc: float = 1.0       # weight of the feature-consistency loss
-    mixup_alpha: float = 0.5     # Beta(alpha, alpha) mixup; 0 turns mixup off
-    learning_rate: float = 0.02
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
-    epochs: int = 30
-    batch_size: int = 128
-    seed: int = 0
-    fc_distance: str = "cosine"  # "cosine" | "l2"
-    hidden_dims: tuple = (64, 32)
-    sigma_strong: float = 0.1    # feature-jitter scale, fraction of per-dim std
-    sigma_weak: float = 0.02
-    balance_voting: bool = True
-    oversample: bool = True
-    stop_gradient: bool = True
+    theta_s: float = param(1.0, float, "[0, 1]")  # selection threshold
+    theta_r: float = param(0.9, float, "(0, 1]")  # relabel confidence threshold
+    k_neighbours: int = param(100, int, "[1, inf)")
+    lambda_fc: float = param(1.0, float, "[0, inf)")  # weight of the FC loss
+    mixup_alpha: float = param(0.5, float, "[0, inf)")  # 0 turns mixup off
+    learning_rate: float = param(0.02, float, "(0, inf)")
+    momentum: float = param(0.9, float, "[0, 1)")
+    weight_decay: float = param(5e-4, float, "[0, inf)")
+    epochs: int = param(30, int, "[1, inf)")
+    batch_size: int = param(128, int, "[1, inf)")
+    seed: int = param(0, int, "[0, inf)")
+    fc_distance: str = param("cosine", ("cosine", "l2"))
+    hidden_dims: tuple = param((64, 32), tuple, "[1, inf)")
+    sigma_strong: float = param(0.1, float, "[0, inf)")  # jitter / per-dim std
+    sigma_weak: float = param(0.02, float, "[0, inf)")
+    balance_voting: bool = param(True, bool)
+    oversample: bool = param(True, bool)
+    stop_gradient: bool = param(True, bool)
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
-        def bad(msg):
-            raise ConfigError("RANGE_ERROR", msg)
-        if not 0.0 <= self.theta_s <= 1.0:
-            bad(f"theta_s={self.theta_s} not in [0, 1]")
-        if not 0.0 < self.theta_r <= 1.0:
-            bad(f"theta_r={self.theta_r} not in (0, 1]")
-        if self.k_neighbours < 1:
-            bad(f"k_neighbours={self.k_neighbours} must be >= 1")
-        if self.lambda_fc < 0:
-            bad(f"lambda_fc={self.lambda_fc} must be >= 0")
-        if self.mixup_alpha < 0:
-            bad(f"mixup_alpha={self.mixup_alpha} must be >= 0")
-        if self.learning_rate <= 0:
-            bad(f"learning_rate={self.learning_rate} must be > 0")
-        if not 0.0 <= self.momentum < 1.0:
-            bad(f"momentum={self.momentum} not in [0, 1)")
-        if self.weight_decay < 0:
-            bad(f"weight_decay={self.weight_decay} must be >= 0")
-        if self.epochs < 1:
-            bad(f"epochs={self.epochs} must be >= 1")
-        if self.batch_size < 1:
-            bad(f"batch_size={self.batch_size} must be >= 1")
-        if self.fc_distance not in _FC_DISTANCES:
-            bad(f"fc_distance={self.fc_distance!r} not in {_FC_DISTANCES}")
-        if self.sigma_strong < 0 or self.sigma_weak < 0:
-            bad("jitter sigmas must be >= 0")
-        if not self.hidden_dims or any(h < 1 for h in self.hidden_dims):
-            bad(f"hidden_dims={self.hidden_dims} must be positive")
+        check_fields(self)
+
+
+TRAIN_PARAMS = {f.name: f.metadata["param"] for f in fields(TrainConfig)}

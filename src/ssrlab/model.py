@@ -14,7 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError
+from .data import TRAIN_PARAMS
+from .errors import DataError, NumericError
 
 _NORM_EPS = 1e-12
 _PROB_CLAMP = 1e-12
@@ -126,10 +127,11 @@ class MiniBatch:
 
 
 def sample_beta(alpha: float, rng) -> float:
-    """Beta(alpha, alpha) via two gamma draws from the given generator."""
+    """Beta(alpha, alpha) via two gamma draws from the given generator; 1 when
+    both underflow to 0, as they can for a small alpha, whose mass nears 0 and 1."""
     g1 = rng.standard_gamma(alpha)
     g2 = rng.standard_gamma(alpha)
-    return float(g1 / (g1 + g2))
+    return float(g1 / (g1 + g2)) if g1 + g2 > 0 else 1.0
 
 
 def mixup_pair(batch: MiniBatch, alpha: float, rng) -> MiniBatch:
@@ -170,19 +172,17 @@ def _fc_head_grad(h1, h2, distance):
     if n1.min() < _NORM_EPS or n2.min() < _NORM_EPS:
         raise NumericError("ZERO_NORM_EMBEDDING",
                            "consistency-loss embedding has zero norm")
+    TRAIN_PARAMS["fc_distance"].check("fc_distance", distance)
     u = h1 / n1[:, None]
     v = h2 / n2[:, None]
     cos = (u * v).sum(axis=1)
     if distance == "cosine":
         loss = float(-cos.mean())
         scale = 1.0
-    elif distance == "l2":
+    else:
         # squared L2 between the normalized embeddings: 2 - 2*cos
         loss = float((2.0 - 2.0 * cos).mean())
         scale = 2.0
-    else:
-        raise ConfigError("RANGE_ERROR",
-                          f"fc distance {distance!r} not in ('cosine', 'l2')")
     gh1 = -scale * (v - cos[:, None] * u) / n1[:, None] / b
     gh2 = -scale * (u - cos[:, None] * v) / n2[:, None] / b
     return loss, gh1, gh2

@@ -12,61 +12,46 @@ from typing import Optional
 
 import numpy as np
 
-from .data import OPEN_SET, NoisyDataset
+from .data import OPEN_SET, NoisyDataset, Param, check_fields, param
 from .errors import ConfigError, DataError
-
-_NOISE_KINDS = ("symmetric", "asymmetric", "combined")
 
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    kind: str = "symmetric"
-    total_ratio: float = 0.5
-    open_ratio: float = 0.0          # fraction of noisy samples that are open-set
-    pair_map: Optional[tuple] = None  # class -> partner class, asymmetric only
-    seed: int = 0
+    kind: str = param("symmetric", ("symmetric", "asymmetric", "combined"))
+    total_ratio: float = param(0.5, float, "[0, 1]")
+    open_ratio: float = param(0.0, float, "[0, 1]")  # open-set fraction of the noise
+    pair_map: Optional[tuple] = param(None, tuple, "[0, inf)")  # class -> partner
+    seed: int = param(0, int, "[0, inf)")
 
     def __post_init__(self):
-        if self.kind not in _NOISE_KINDS:
-            raise ConfigError("RANGE_ERROR", f"noise kind {self.kind!r} unknown")
-        if not 0.0 <= self.total_ratio <= 1.0:
-            raise ConfigError("RANGE_ERROR", f"total_ratio={self.total_ratio}")
-        if not 0.0 <= self.open_ratio <= 1.0:
-            raise ConfigError("RANGE_ERROR", f"open_ratio={self.open_ratio}")
+        check_fields(self)
         if self.open_ratio > 0 and self.kind != "combined":
-            raise ConfigError("RANGE_ERROR",
-                              "open_ratio only applies to combined noise")
-        if self.pair_map is not None:
-            object.__setattr__(self, "pair_map", tuple(int(v) for v in self.pair_map))
+            raise ConfigError("RANGE_ERROR", f"open_ratio={self.open_ratio!r} "
+                              f"applies only to combined noise, not {self.kind!r}")
 
 
 @dataclass(frozen=True)
 class SynthSpec:
-    num_classes: int = 4
-    per_class: int = 500
-    dim: int = 16
-    separation: float = 4.0      # inter-centre distance over within-class std
-    seed: int = 0
-    ood_classes: int = 4         # extra clusters feeding the open-set pool
-    holdout_fraction: float = 0.1
-    class_counts: Optional[tuple] = None  # overrides per_class when imbalanced
+    num_classes: int = param(4, int, "[2, inf)")
+    per_class: int = param(500, int, "[1, inf)")
+    dim: int = param(16, int, "[1, inf)")
+    separation: float = param(4.0, float, "[0, inf)")  # centre distance / std
+    seed: int = param(0, int, "[0, inf)")
+    ood_classes: int = param(4, int, "[0, inf)")  # clusters of the open-set pool
+    holdout_fraction: float = param(0.1, float, "(0, 1)")
+    class_counts: Optional[tuple] = param(None, tuple, "[1, inf)")  # overrides per_class
 
     def __post_init__(self):
-        if self.num_classes < 2:
-            raise ConfigError("RANGE_ERROR", "num_classes must be >= 2")
-        if self.per_class < 1:
-            raise ConfigError("RANGE_ERROR", "per_class must be >= 1")
-        if self.separation < 0:
-            raise ConfigError("RANGE_ERROR", "separation must be >= 0")
-        if self.ood_classes < 0:
-            raise ConfigError("RANGE_ERROR", "ood_classes must be >= 0")
-        if not 0.0 < self.holdout_fraction < 1.0:
-            raise ConfigError("RANGE_ERROR", "holdout_fraction must be in (0, 1)")
-        if self.class_counts is not None:
-            cc = tuple(int(v) for v in self.class_counts)
-            if len(cc) != self.num_classes or any(v < 1 for v in cc):
-                raise ConfigError("RANGE_ERROR", "bad class_counts")
-            object.__setattr__(self, "class_counts", cc)
+        check_fields(self)
+        m, counts = self.num_classes, self.class_counts
+        if counts is not None and len(counts) != m:
+            raise ConfigError("RANGE_ERROR", f"class_counts={counts!r} has "
+                              f"{len(counts)} entries, num_classes={m}")
+        # each class and open-set cluster has its own simplex axis
+        if self.dim < m + self.ood_classes:
+            raise ConfigError("RANGE_ERROR", f"dim={self.dim!r} is below "
+                              f"num_classes + ood_classes = {m + self.ood_classes}")
 
 
 @dataclass(frozen=True)
@@ -78,9 +63,6 @@ class SynthData:
 
 def _simplex_centres(n_centres: int, dim: int, distance: float) -> np.ndarray:
     # scaled standard-basis layout: every pair of centres is `distance` apart
-    if dim < n_centres:
-        raise DataError("SHAPE_MISMATCH",
-                        f"dim={dim} too small for {n_centres} simplex centres")
     centres = np.zeros((n_centres, dim))
     centres[np.arange(n_centres), np.arange(n_centres)] = distance / np.sqrt(2.0)
     return centres
@@ -114,18 +96,16 @@ def make_gaussian_dataset(spec: SynthSpec) -> SynthData:
     return SynthData(train, test, ood_pool)
 
 
-def _check_ratio(name: str, ratio: float) -> None:
-    if not 0.0 <= ratio <= 1.0:
-        raise ConfigError("RANGE_ERROR", f"{name}={ratio} not in [0, 1]")
+_RATIO = Param(float, "[0, 1]")  # the injectors' ratio arguments
 
 
 def inject_asymmetric(dataset: NoisyDataset, ratio: float, pair_map, rng) -> NoisyDataset:
     """Flip a ratio-fraction of each mapped class to its partner class."""
-    _check_ratio("ratio", ratio)
+    _RATIO.check("ratio", ratio)
     if pair_map is None:
         raise DataError("MISSING_PAIR_MAP", "asymmetric noise needs a pair map")
     m = dataset.num_classes
-    pm = np.asarray(pair_map, dtype=np.int64)
+    pm = np.asarray(pair_map)  # not cast: a partner past int64 is out of range
     if pm.shape != (m,) or np.any((pm < 0) | (pm >= m)) or np.any(pm == np.arange(m)):
         raise DataError("MISSING_PAIR_MAP",
                         "pair map must map every class to a different class")
@@ -147,8 +127,8 @@ def inject_combined(dataset: NoisyDataset, ood_pool: np.ndarray, total_ratio: fl
     true label set to OPEN_SET); the rest has its label redrawn uniformly
     over all classes, which may give back the true label. With open_ratio 0
     this is symmetric noise, and needs neither a pool nor true labels."""
-    _check_ratio("total_ratio", total_ratio)
-    _check_ratio("open_ratio", open_ratio)
+    _RATIO.check("total_ratio", total_ratio)
+    _RATIO.check("open_ratio", open_ratio)
     n = dataset.n_samples
     n_total = int(total_ratio * n)
     n_open = int(open_ratio * n_total)

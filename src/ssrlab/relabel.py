@@ -3,8 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import OPEN_SET, LabelState, NoisyDataset
-from .errors import ConfigError, DataError
+from .data import OPEN_SET, TRAIN_PARAMS, LabelState, NoisyDataset
+from .errors import DataError
 
 _ROW_SUM_TOL = 1e-6
 
@@ -26,8 +26,7 @@ def relabel(probs: np.ndarray, observed_labels: np.ndarray,
     Pure function of its arguments: labels are recomputed from the observed
     labels every call, nothing persists across epochs.
     """
-    if not 0.0 < theta_r <= 1.0:
-        raise ConfigError("RANGE_ERROR", f"theta_r={theta_r} not in (0, 1]")
+    TRAIN_PARAMS["theta_r"].check("theta_r", theta_r)
     probs = np.asarray(probs, dtype=np.float64)
     _check_rows(probs)
     observed = np.asarray(observed_labels, dtype=np.int64)

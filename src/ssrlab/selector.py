@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabelState
+from .data import TRAIN_PARAMS, LabelState
 from .errors import ConfigError, DataError, NumericError
 
 _NORM_EPS = 1e-12
@@ -171,8 +171,7 @@ def compute_selection(ids: np.ndarray, state: LabelState, theta_s: float,
 
 
 def select_clean(consistency: np.ndarray, theta_s: float) -> np.ndarray:
-    if not 0.0 <= theta_s <= 1.0:
-        raise ConfigError("RANGE_ERROR", f"theta_s={theta_s} not in [0, 1]")
+    TRAIN_PARAMS["theta_s"].check("theta_s", theta_s)
     return np.asarray(consistency, dtype=np.float64) >= theta_s
 
 

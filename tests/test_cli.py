@@ -179,6 +179,23 @@ def test_run_flag_overrides_config(tmp_path, config_path):
     assert run_dir.name.endswith("_s7")
 
 
+def test_override_flags_state_their_range(capsys):
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    for flag, expect in [("--theta-s THETA_S", "float in [0, 1]"),
+                         ("--theta-r THETA_R", "float in (0, 1]"),
+                         ("--epochs EPOCHS", "int in [1, inf)"),
+                         ("--seed SEED", "int in [0, inf)")]:
+        assert f"{flag} {expect}" in help_text
+
+
+def test_run_flag_out_of_range(tmp_path, config_path, caplog):
+    assert main(["run", "-c", str(config_path), "-o", str(tmp_path / "o"),
+                 "--theta-s", "nan"]) == 2
+    assert "theta_s=nan, expected float in [0, 1]" in caplog.text
+
+
 def test_run_with_input_files(tmp_path, config_path):
     data = tmp_path / "data"
     main(["synth", "-c", str(config_path), "-o", str(data)])
@@ -207,6 +224,18 @@ def test_grid_rejects_bad_values(tmp_path, config_path):
     code = main(["grid", "-c", str(config_path), "-o", str(tmp_path / "g"),
                  "--param", "theta_s", "--values", "oops"])
     assert code == 2
+
+
+@pytest.mark.parametrize("param, values", [("theta_s", "0.5,1.5"),
+                                           ("k_neighbours", "5,0")])
+def test_grid_checks_every_point_before_the_first_runs(tmp_path, config_path,
+                                                       caplog, param, values):
+    out = tmp_path / "g"
+    assert main(["grid", "-c", str(config_path), "-o", str(out),
+                 "--param", param, "--values", values]) == 2
+    assert f"RANGE_ERROR: {param}=" in caplog.text
+    # no point directory, no summary.csv, no manifest: not even the directory
+    assert not out.exists()
 
 
 # --- compare-modes -----------------------------------------------------------
@@ -253,6 +282,38 @@ def test_compare_modes_needs_true_labels(tmp_path, config_path, caplog):
 
 
 # --- exit codes --------------------------------------------------------------
+
+# (section, key, raw JSON value): each probe changes one key of BASE_CONFIG
+CONFIG_PROBES = [
+    (None, "hidden_dims", "[1.5]"), (None, "k_neighbours", "2.5"),
+    (None, "epochs", "1.5"), (None, "batch_size", "7.5"),
+    (None, "seed", "1.5"), (None, "seed", "-1"), ("noise", "seed", "-3"),
+    (None, "theta_s", "true"), (None, "theta_s", '"0.5"'),
+    (None, "mixup_alpha", "NaN"), (None, "learning_rate", "NaN"),
+    (None, "learning_rate", "1e400"), (None, "weight_decay", "1e400"),
+    (None, "sigma_strong", "NaN"), ("synth", "per_class", "30.5"),
+    ("synth", "separation", "NaN"), ("synth", "dim", "0"),
+    ("synth", "dim", "2"), (None, "noise", "null"), (None, "noise", "5"),
+    (None, "synth", '"ab"'), (None, "hidden_dims", "[]"),
+    ("noise", "pair_map", "[1.5, 0, 1]"), (None, "balance_voting", "0"),
+    (None, "fc_distance", "null"),
+]
+
+
+@pytest.mark.parametrize("section, key, raw", CONFIG_PROBES,
+                         ids=[f"{s}.{k}={r}" if s else f"{k}={r}"
+                              for s, k, r in CONFIG_PROBES])
+def test_exit_code_bad_config_value(tmp_path, caplog, section, key, raw):
+    config = json.loads(json.dumps(BASE_CONFIG))
+    (config[section] if section else config)[key] = "@PROBE@"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config).replace('"@PROBE@"', raw))
+    out = tmp_path / "o"
+    assert main(["run", "-c", str(bad), "-o", str(out)]) == 2
+    named = f"{key} section" if key in ("noise", "synth") else f"{key}="
+    assert named in caplog.text
+    assert not out.exists()
+
 
 def test_exit_code_config_error(tmp_path):
     bad = tmp_path / "bad.json"

@@ -149,6 +149,15 @@ def test_mixup_replays_seeded_formula():
     assert folded > 0
 
 
+def test_beta_draws_that_underflow_mean_no_mixing():
+    # for a small alpha both gamma draws can underflow to 0
+    assert sample_beta(1e-300, _FixedBetaRng(0.0, 0.0, seed=0)) == 1.0
+    batch = MiniBatch(np.random.default_rng(3).normal(size=(5, 3)), np.eye(5))
+    out = mixup_pair(batch, 1e-300, _FixedBetaRng(0.0, 0.0, seed=3))
+    assert np.array_equal(out.inputs, batch.inputs)
+    assert np.array_equal(out.soft_labels, batch.soft_labels)
+
+
 def test_beta_mean_monte_carlo():
     rng = np.random.default_rng(4)
     draws = [sample_beta(4.0, rng) for _ in range(100_000)]

@@ -47,9 +47,16 @@ def test_centre_distances_match_separation():
 
 
 def test_dim_too_small_for_centres():
-    with pytest.raises(DataError):
-        make_gaussian_dataset(SynthSpec(num_classes=4, per_class=5, dim=3,
-                                        ood_classes=0))
+    # every class and open-set cluster needs its own simplex axis
+    for kwargs in (dict(num_classes=4, dim=3, ood_classes=0),
+                   dict(num_classes=3, dim=4, ood_classes=2)):
+        with pytest.raises(ConfigError) as exc:
+            SynthSpec(per_class=5, **kwargs)
+        assert exc.value.code == "RANGE_ERROR"
+        assert str(exc.value) == (
+            f"RANGE_ERROR: dim={kwargs['dim']} is below num_classes + "
+            f"ood_classes = {kwargs['num_classes'] + kwargs['ood_classes']}")
+    assert SynthSpec(num_classes=3, dim=5, ood_classes=2).dim == 5
 
 
 def test_class_counts_override():
@@ -127,6 +134,11 @@ def test_asymmetric_missing_or_bad_pair_map():
     assert exc.value.code == "MISSING_PAIR_MAP"
     with pytest.raises(DataError):
         inject_asymmetric(synth.train, 0.4, (0, 1, 2), rng)  # identity map
+    # a partner past int64 is out of range too, not an OverflowError
+    for pair_map in [(2**63, 2, 0), (10**30, 2, 0), (1, 2, -1)]:
+        with pytest.raises(DataError) as exc:
+            inject_asymmetric(synth.train, 0.4, pair_map, rng)
+        assert exc.value.code == "MISSING_PAIR_MAP"
 
 
 # --- combined ----------------------------------------------------------------

@@ -9,7 +9,7 @@ from typing import Optional
 
 from .data import TrainConfig
 from .errors import ConfigError
-from .noise import NoiseSpec, SynthSpec
+from .noise import NoiseSpec, SynthSpec, pair_map_fits
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,14 @@ def _build(cls, obj, context: str):
     if unknown:
         raise ConfigError("UNKNOWN_KEY",
                           f"unknown {context} key(s): {sorted(unknown)}")
-    return cls(**obj)
+    try:
+        return cls(**obj)
+    except ConfigError as exc:
+        # each range message starts with its key: name the section's keys
+        # (noise.seed=-3), and keep the train keys, the config root, bare
+        if context == "train" or exc.code != "RANGE_ERROR":
+            raise
+        raise ConfigError(exc.code, f"{context}.{exc.message}") from None
 
 
 def parse_config_dict(obj: dict) -> ParsedConfig:
@@ -47,6 +54,13 @@ def parse_config_dict(obj: dict) -> ParsedConfig:
     train = _build(TrainConfig, train_kwargs, "train")
     noise = _build(NoiseSpec, obj["noise"], "noise") if "noise" in obj else None
     synth = _build(SynthSpec, obj["synth"], "synth") if "synth" in obj else None
+    # an SSRD input's class count is known only when read, so its pair map
+    # is checked at injection (MISSING_PAIR_MAP)
+    if (noise is not None and synth is not None and noise.kind == "asymmetric"
+            and not pair_map_fits(noise.pair_map, synth.num_classes)):
+        raise ConfigError("RANGE_ERROR", f"noise.pair_map={noise.pair_map!r} "
+                          f"must map each of synth.num_classes="
+                          f"{synth.num_classes} classes to another class")
     return ParsedConfig(train, noise, synth)
 
 

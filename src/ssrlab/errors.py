@@ -5,6 +5,7 @@ class SsrError(Exception):
     def __init__(self, code: str, message: str):
         super().__init__(f"{code}: {message}")
         self.code = code
+        self.message = message
 
 
 class ConfigError(SsrError):

@@ -19,6 +19,7 @@ from .errors import DataError, NumericError
 
 _NORM_EPS = 1e-12
 _PROB_CLAMP = 1e-12
+_FORWARD_ROWS = 2048   # rows of one trunk block in forward, at most
 
 
 class PmcModel:
@@ -97,16 +98,37 @@ def trunk_backward(model: PmcModel, cache, grad_emb: np.ndarray,
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    e = logits - logits.max(axis=1, keepdims=True)   # the one new array
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def forward(model: PmcModel, inputs: np.ndarray) -> dict:
+    """Logits, softmax predictions and trunk embeddings of every input row.
+
+    An input of more than _FORWARD_ROWS rows runs the trunk in equal row
+    blocks of at most that many rows, each written into the preallocated
+    (N, e) embeddings, so one block's hidden activations exist at a time;
+    equal blocks leave no remainder of a few rows, whose GEMM may take
+    another BLAS kernel (one row takes gemv) and other bits. Smaller inputs
+    take one trunk call. The head and the softmax run once over all the
+    embeddings: their outputs are (N, M), and a row block of a GEMM only a
+    few columns wide (2, 3 or 10 on OpenBLAS) need not keep the bits of the
+    single call.
+    """
     x = np.asarray(inputs, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise NumericError("NON_FINITE_INPUT", "inputs contain non-finite values")
-    emb, _ = trunk_forward(model, x)
+    n = x.shape[0]
+    blocks = -(-n // _FORWARD_ROWS)
+    if blocks <= 1:
+        emb, _ = trunk_forward(model, x)
+    else:
+        rows = -(-n // blocks)
+        emb = np.empty((n, model.head[0].shape[0]))
+        for lo in range(0, n, rows):
+            emb[lo:lo + rows] = trunk_forward(model, x[lo:lo + rows])[0]
     wh, bh = model.head
     logits = emb @ wh + bh
     return {"logits": logits, "probs": softmax(logits), "embeddings": emb}

@@ -29,6 +29,9 @@ class NoiseSpec:
         if self.open_ratio > 0 and self.kind != "combined":
             raise ConfigError("RANGE_ERROR", f"open_ratio={self.open_ratio!r} "
                               f"applies only to combined noise, not {self.kind!r}")
+        if self.kind == "asymmetric" and self.pair_map is None:
+            raise ConfigError("RANGE_ERROR",
+                              "kind='asymmetric' needs a pair_map")
 
 
 @dataclass(frozen=True)
@@ -99,14 +102,20 @@ def make_gaussian_dataset(spec: SynthSpec) -> SynthData:
 _RATIO = Param(float, "[0, 1]")  # the injectors' ratio arguments
 
 
+def pair_map_fits(pair_map, num_classes: int) -> bool:
+    """True iff pair_map maps each of num_classes classes to another class."""
+    pm = np.asarray(pair_map)  # not cast: a partner past int64 is out of range
+    return pm.shape == (num_classes,) and not np.any(
+        (pm < 0) | (pm >= num_classes) | (pm == np.arange(num_classes)))
+
+
 def inject_asymmetric(dataset: NoisyDataset, ratio: float, pair_map, rng) -> NoisyDataset:
     """Flip a ratio-fraction of each mapped class to its partner class."""
     _RATIO.check("ratio", ratio)
     if pair_map is None:
         raise DataError("MISSING_PAIR_MAP", "asymmetric noise needs a pair map")
     m = dataset.num_classes
-    pm = np.asarray(pair_map)  # not cast: a partner past int64 is out of range
-    if pm.shape != (m,) or np.any((pm < 0) | (pm >= m)) or np.any(pm == np.arange(m)):
+    if not pair_map_fits(pair_map, m):
         raise DataError("MISSING_PAIR_MAP",
                         "pair map must map every class to a different class")
     labels = dataset.observed_labels.copy()
@@ -115,7 +124,7 @@ def inject_asymmetric(dataset: NoisyDataset, ratio: float, pair_map, rng) -> Noi
         n_flip = int(ratio * members.size)
         if n_flip:
             chosen = rng.choice(members, size=n_flip, replace=False)
-            labels[chosen] = pm[cls]
+            labels[chosen] = pair_map[cls]
     true = None if dataset.true_labels is None else dataset.true_labels.copy()
     return NoisyDataset(dataset.features, labels, dataset.num_classes, true)
 

@@ -104,8 +104,9 @@ def _per_sample_ce(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 def _knn_selection(state, fwd, config):
-    index = build_neighbour_index(fwd["embeddings"], config.k_neighbours)
-    return compute_selection(index, state, config.theta_s,
+    # the index counts each tile's votes as it goes, so no (N, K) ids are held
+    counts = build_neighbour_index(fwd["embeddings"], config.k_neighbours, state)
+    return compute_selection(counts, state, config.theta_s,
                              balance=config.balance_voting)
 
 

@@ -28,19 +28,23 @@ def check_k(k: int, n: int) -> None:
         raise DataError("K_TOO_LARGE", f"k={k} must be in [1, {n - 1}]")
 
 
-def build_neighbour_index(features: np.ndarray, k: int) -> np.ndarray:
+def build_neighbour_index(features: np.ndarray, k: int,
+                          state: LabelState | None = None) -> np.ndarray:
     """Exhaustive cosine top-K: the (N, K) int64 neighbour ids of each
     sample, sorted by descending similarity, self excluded, ties broken by
-    ascending sample index; deterministic for fixed input.
+    ascending sample index; deterministic for fixed input. Given the epoch's
+    ``state``, it returns instead the (N, M) int64 neighbour label counts,
+    ``neighbour_label_counts`` of those ids, counted one tile at a time, so
+    no (N, K) array is ever held.
 
-    Similarities exist one tile of rows at a time, so memory grows as N*K
-    plus one tile of _TILE_ELEMS values, not as N*N. A similarity's int64
-    key is its float64 bit pattern with the low bits replaced by its column;
-    one int64 partition per row gives the ids of every row the key settles,
-    and the others are re-sorted from their float64 values; only a row whose
-    K-th similarity is <= +0 sorts its whole row (see _tile_topk). The speed
-    comes from NumPy's SIMD int64 partition (NumPy >= 2); the ids are the
-    same on any supported NumPy (>= 1.24).
+    Similarities exist one tile of rows at a time, so memory grows as the
+    output plus one tile of _TILE_ELEMS values, not as N*N. A similarity's
+    int64 key is its float64 bit pattern with the low bits replaced by its
+    column; one int64 partition per row gives the ids of every row the key
+    settles, and the others are re-sorted from their float64 values; only a
+    row whose K-th similarity is <= +0 sorts its whole row (see _tile_topk).
+    The speed comes from NumPy's SIMD int64 partition (NumPy >= 2); the ids
+    are the same on any supported NumPy (>= 1.24).
     """
     feats = np.asarray(features, dtype=np.float64)
     n = feats.shape[0]
@@ -54,12 +58,14 @@ def build_neighbour_index(features: np.ndarray, k: int) -> np.ndarray:
     if bad.size:
         raise NumericError("ZERO_NORM_VECTOR", f"feature row {bad[0]} has zero norm")
     unit = feats / norms[:, None]
-    ids = np.empty((n, k), dtype=np.int64)
+    width = k if state is None else state.class_counts.shape[0]
+    out = np.empty((n, width), dtype=np.int64)
     rows = max(1, _TILE_ELEMS // n)
     keys = np.empty(min(rows, max(1, _KEY_ELEMS // n)) * n, dtype=np.int64)
     for lo in range(0, n, rows):
-        ids[lo:lo + rows] = _tile_topk(unit[lo:lo + rows] @ unit.T, lo, k, keys)
-    return ids
+        ids = _tile_topk(unit[lo:lo + rows] @ unit.T, lo, k, keys)
+        out[lo:lo + rows] = ids if state is None else neighbour_label_counts(ids, state)
+    return out
 
 
 def _tile_topk(tile: np.ndarray, lo: int, k: int, keys: np.ndarray) -> np.ndarray:
@@ -114,9 +120,9 @@ def _tile_topk(tile: np.ndarray, lo: int, k: int, keys: np.ndarray) -> np.ndarra
 
 
 def neighbour_label_counts(ids: np.ndarray, state: LabelState) -> np.ndarray:
-    """(N, M) integer matrix: votes for class j among the (N, K) neighbour
-    ids of sample i."""
-    cells = state.working_labels[ids]   # the one (N, K) array of the vote
+    """(R, M) integer matrix: votes for class j among the K neighbour ids of
+    row i of the (R, K) ``ids``, any R rows of the index."""
+    cells = state.working_labels[ids]
     n, m = cells.shape[0], state.class_counts.shape[0]
     cells += np.arange(0, n * m, m)[:, None]
     return np.bincount(cells.ravel(), minlength=n * m).reshape(n, m)
@@ -152,14 +158,15 @@ class SelectionResult:
     clean_mask: np.ndarray    # (N,) bool
 
 
-def compute_selection(ids: np.ndarray, state: LabelState, theta_s: float,
+def compute_selection(counts: np.ndarray, state: LabelState, theta_s: float,
                       balance: bool = True) -> SelectionResult:
-    """Consistency of each sample's label with the vote of its (N, K)
-    neighbour ids. Without ``balance`` every class count is taken as 1;
-    dividing by 1 is exact, so one path serves both votes."""
+    """Consistency of each sample's label with the vote of its K neighbours,
+    from the (N, M) neighbour label counts that ``build_neighbour_index``
+    returns given ``state``; each row sums to K. Without ``balance`` every
+    class count is taken as 1; dividing by 1 is exact, so one path serves
+    both votes."""
     pi = state.class_counts if balance else np.ones_like(state.class_counts)
-    counts = neighbour_label_counts(ids, state)
-    q = balance_distribution(counts / ids.shape[1], pi)
+    q = balance_distribution(counts / counts[0].sum(), pi)
     lab = state.working_labels
     # each row has K >= 1 votes for classes of count >= 1, so its max is > 0
     c = q[np.arange(counts.shape[0]), lab] / q.max(axis=1)

@@ -283,7 +283,8 @@ def test_compare_modes_needs_true_labels(tmp_path, config_path, caplog):
 
 # --- exit codes --------------------------------------------------------------
 
-# (section, key, raw JSON value): each probe changes one key of BASE_CONFIG
+# (section, key, raw JSON value[, other keys of the section]): each probe
+# changes one key of BASE_CONFIG, after the other keys it needs
 CONFIG_PROBES = [
     (None, "hidden_dims", "[1.5]"), (None, "k_neighbours", "2.5"),
     (None, "epochs", "1.5"), (None, "batch_size", "7.5"),
@@ -296,16 +297,22 @@ CONFIG_PROBES = [
     ("synth", "dim", "2"), (None, "noise", "null"), (None, "noise", "5"),
     (None, "synth", '"ab"'), (None, "hidden_dims", "[]"),
     ("noise", "pair_map", "[1.5, 0, 1]"), (None, "balance_voting", "0"),
-    (None, "fc_distance", "null"),
+    (None, "fc_distance", "null"), ("noise", "kind", '"asymmetric"'),
+    ("noise", "pair_map", "[1, 0]", {"kind": "asymmetric"}),
+    ("noise", "pair_map", "[1, 2, 2]", {"kind": "asymmetric"}),
+    ("noise", "pair_map", "[1, 2, 3]", {"kind": "asymmetric"}),
 ]
 
 
-@pytest.mark.parametrize("section, key, raw", CONFIG_PROBES,
-                         ids=[f"{s}.{k}={r}" if s else f"{k}={r}"
-                              for s, k, r in CONFIG_PROBES])
-def test_exit_code_bad_config_value(tmp_path, caplog, section, key, raw):
+@pytest.mark.parametrize("section, key, raw, others",
+                         [(*p, {})[:4] for p in CONFIG_PROBES],
+                         ids=[f"{p[0]}.{p[1]}={p[2]}" if p[0] else f"{p[1]}={p[2]}"
+                              for p in CONFIG_PROBES])
+def test_exit_code_bad_config_value(tmp_path, caplog, section, key, raw, others):
     config = json.loads(json.dumps(BASE_CONFIG))
-    (config[section] if section else config)[key] = "@PROBE@"
+    target = config[section] if section else config
+    target.update(others)
+    target[key] = "@PROBE@"
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(config).replace('"@PROBE@"', raw))
     out = tmp_path / "o"

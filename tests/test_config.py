@@ -107,6 +107,39 @@ def test_range_error_names_key_and_value(cls, kwargs, message):
     assert str(exc.value) == f"RANGE_ERROR: {message}"
 
 
+@pytest.mark.parametrize("config, message", [
+    ({"seed": -3}, "seed=-3, expected int in [0, inf)"),
+    ({"noise": {"seed": -3}}, "noise.seed=-3, expected int in [0, inf)"),
+    ({"synth": {"seed": -3}}, "synth.seed=-3, expected int in [0, inf)"),
+    ({"synth": {"dim": 7}}, "synth.dim=7 is below num_classes + ood_classes = 8"),
+    ({"noise": {"open_ratio": 0.5}},
+     "noise.open_ratio=0.5 applies only to combined noise, not 'symmetric'"),
+    ({"noise": {"kind": "asymmetric"}},
+     "noise.kind='asymmetric' needs a pair_map"),
+    ({"noise": {"kind": "asymmetric", "pair_map": [1, 2, 0]},
+      "synth": {"num_classes": 4}},
+     "noise.pair_map=(1, 2, 0) must map each of synth.num_classes=4 classes "
+     "to another class"),
+])
+def test_range_error_names_its_section(config, message):
+    with pytest.raises(ConfigError) as exc:
+        parse_config_dict(config)
+    assert str(exc.value) == f"RANGE_ERROR: {message}"
+
+
+@pytest.mark.parametrize("pair_map", [(1, 0), (1, 2, 2), (1, 2, 3), (0, 2, 1)])
+def test_asymmetric_pair_map_checked_against_synth_classes(pair_map):
+    noise = {"kind": "asymmetric", "pair_map": list(pair_map)}
+    with pytest.raises(ConfigError):
+        parse_config_dict({"noise": noise, "synth": {"num_classes": 3}})
+    # without a synth section the class count is unknown until the input is
+    # read, and the injector checks the map
+    assert parse_config_dict({"noise": noise}).noise.pair_map == pair_map
+    parsed = parse_config_dict({"noise": {**noise, "pair_map": [1, 2, 0]},
+                                "synth": {"num_classes": 3}})
+    assert parsed.noise.pair_map == (1, 2, 0)
+
+
 @pytest.mark.parametrize("section", ["noise", "synth"])
 @pytest.mark.parametrize("value", [None, 5, "ab", [1, 2]])
 def test_section_that_is_not_an_object(section, value):

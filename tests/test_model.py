@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import numeric_grad, rel_err
 from oracles import sgd_step_per_pair
+from ssrlab import model as model_module
 from ssrlab.errors import ConfigError, DataError, NumericError
 from ssrlab.model import (MiniBatch, OptimizerState, PmcModel, cosine_lr,
                           cross_entropy_loss, feature_consistency_loss,
@@ -70,6 +72,60 @@ def test_trunk_forward_holds_one_array_per_layer():
     (w1, b1), (w2, b2) = model.trunk
     assert np.array_equal(cache[1], np.maximum(x @ w1 + b1, 0.0))
     assert np.array_equal(emb, cache[1] @ w2 + b2)
+
+
+# --- forward in row blocks ---------------------------------------------------
+
+def exact_model_and_inputs(n, d=6, hidden=(8, 5), m=3):
+    """A model and inputs of small multiples of 1/4: every product and sum
+    of the forward pass is exact in any order, so a row block's GEMM gives
+    the single call's bits whatever BLAS kernel it takes."""
+    rng = np.random.default_rng(0)
+    dims = [d, *hidden]
+    trunk = [(rng.integers(-2, 3, (a, b)) / 2.0, rng.integers(-2, 3, b) / 2.0)
+             for a, b in zip(dims[:-1], dims[1:])]
+    head = (rng.integers(-2, 3, (dims[-1], m)) / 4.0, rng.integers(-2, 3, m) / 4.0)
+    eye = (np.eye(dims[-1]), np.zeros(dims[-1]))
+    return PmcModel(trunk, head, eye, eye), rng.integers(-3, 4, (n, d)) * 1.0
+
+
+@pytest.mark.parametrize("rows", [1, 7, 299])
+def test_blocked_forward_equals_single_call(rows):
+    n = 300
+    model, x = exact_model_and_inputs(n)
+    whole = forward(model, x)
+    blocks = []
+
+    def spy(model, x):
+        blocks.append(x.shape[0])
+        return trunk_forward(model, x)
+
+    with mock.patch.object(model_module, "_FORWARD_ROWS", rows), \
+            mock.patch.object(model_module, "trunk_forward", spy):
+        blocked = forward(model, x)
+    # equal blocks of at most `rows` rows: 299 gives two of 150
+    assert sum(blocks) == n and max(blocks) <= rows
+    assert len(blocks) == -(-n // rows) and max(blocks) - min(blocks) <= 1
+    assert blocked.keys() == whole.keys()
+    for key, value in whole.items():
+        assert np.array_equal(blocked[key], value), key
+
+
+def test_blocked_forward_never_holds_n_by_hidden():
+    # one trunk call holds the (N, 256) first layer, 20 MB at N = 10k; the
+    # blocks hold the (N, e) and (N, M) outputs and one block's activations
+    n, hidden = 10000, (256, 32)
+    model = init_model(16, 4, hidden_dims=hidden, rng=0)
+    x = np.random.default_rng(1).normal(size=(n, 16))
+    tracemalloc.start()
+    try:
+        out = forward(model, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = n * hidden[0] * 8
+    assert peak < bound, f"peak {peak / bound:.2f} x N*hidden*8"
+    assert out["embeddings"].shape == (n, hidden[-1])
 
 
 # --- cross entropy -----------------------------------------------------------

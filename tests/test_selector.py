@@ -459,6 +459,55 @@ def test_vote_counts_equal_per_row_bincount(case):
         ids, state.working_labels, state.class_counts.shape[0]))
 
 
+@st.composite
+def counts_case(draw):
+    """Features, a k, small tile and key sizes, and working labels over 2 to
+    6 classes, for the index's counts path."""
+    kind = draw(st.sampled_from(("tie_heavy", "dup_groups", "settle")))
+    if kind == "tie_heavy":
+        feats, k, tile_elems = draw(exact_tie_heavy_features())
+    else:
+        feats, k, _, _ = draw(key_edge_case(kind))
+        tile_elems = draw(st.integers(1, 2 * len(feats) ** 2))
+    n = len(feats)
+    m = draw(st.integers(2, 6))
+    labels = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, m, n)
+    return (feats, k, tile_elems, draw(st.integers(1, 2 * n * n)),
+            LabelState.from_working(labels, labels, m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(counts_case())
+def test_index_counts_equal_counts_of_index_ids(case):
+    feats, k, tile_elems, key_elems, state = case
+    with mock.patch.object(selector, "_TILE_ELEMS", tile_elems), \
+            mock.patch.object(selector, "_KEY_ELEMS", key_elems):
+        ids = build_neighbour_index(feats, k)
+        counts = build_neighbour_index(feats, k, state)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, neighbour_label_counts(ids, state))
+
+
+def test_index_counts_never_hold_n_by_k_ids():
+    # the ids of one tile are counted and dropped: with tiles far below the
+    # (N, K) ids, the peak is the unit rows, one tile, its keys and the
+    # (N, M) counts, below the N*K*8 bytes that the ids alone would take
+    n, k, m = 4000, 100, 4
+    rng = np.random.default_rng(12)
+    feats = rng.normal(size=(n, 16))
+    labels = rng.integers(0, m, n)
+    state = LabelState.from_working(labels, labels, m)
+    with mock.patch.object(selector, "_TILE_ELEMS", 1 << 16):
+        tracemalloc.start()
+        try:
+            counts = build_neighbour_index(feats, k, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < n * k * 8, f"peak {peak / (n * k * 8):.2f} x N*K*8"
+    assert counts.shape == (n, m) and (counts.sum(axis=1) == k).all()
+
+
 def test_vote_holds_one_n_by_k_array():
     # the gathered labels become the bincount cells in place: the vote's
     # peak is one (N, K) int64 array plus the (N, M) counts and N offsets
@@ -563,7 +612,8 @@ def test_tie_with_row_max_is_selected():
                    dtype=np.int64)
     labels = [0, 1, 0, 1, 1, 1]
     state = LabelState.from_working(labels, labels, 2)
-    result = compute_selection(ids, state, theta_s=1.0)
+    result = compute_selection(neighbour_label_counts(ids, state), state,
+                               theta_s=1.0)
     # sample 0: neighbour votes tie after balancing; its label is in the
     # argmax set, so c is exactly 1 and it is selected
     assert result.consistency[0] == 1.0
@@ -581,8 +631,8 @@ def test_consistency_never_rounds_up_to_one():
                                    replace=False) for i in range(n)])
         labels = rng.integers(0, m, n)
         state = LabelState.from_working(labels, labels, m)
-        result = compute_selection(ids, state, theta_s=1.0)
         counts = neighbour_label_counts(ids, state)
+        result = compute_selection(counts, state, theta_s=1.0)
         exact = exact_top_mask(counts, state.class_counts, labels)
         assert np.array_equal(result.consistency == 1.0, exact)
         assert np.array_equal(result.clean_mask, exact)
@@ -611,7 +661,7 @@ def test_unbalanced_selection_equals_raw_vote_oracle(case):
                                      state.class_counts.shape[0])
     own = counts[np.arange(ids.shape[0]), state.working_labels]
     top = counts.max(axis=1)
-    result = compute_selection(ids, state, theta_s=1.0, balance=False)
+    result = compute_selection(counts, state, theta_s=1.0, balance=False)
     assert np.array_equal(result.clean_mask, own == top)
     assert np.allclose(result.consistency, own / top, rtol=1e-12, atol=0.0)
 

@@ -251,7 +251,10 @@ def total_loss_grads(model: PmcModel, batch: MiniBatch, lambda_fc: float,
     if lambda_fc > 0:
         fc, fc_grads = feature_consistency_loss(model, fc_view1, fc_view2,
                                                 distance, stop_gradient)
-        grads.flat += lambda_fc * fc_grads.flat
+        # in place: the two roundings of lambda_fc * fc_grads.flat, without
+        # a parameter-sized temporary
+        fc_grads.flat *= lambda_fc
+        grads.flat += fc_grads.flat
     return ce + lambda_fc * fc, grads, {"ce": ce, "fc": fc}
 
 

@@ -166,10 +166,14 @@ def _epoch(epoch, model, opt, rng, dataset, test, config, select, tau, feat_std)
         raise NumericError("DIVERGED", f"epoch {epoch}: the trained "
                            f"model's outputs overflow ({exc})") from exc
     t2 = time.perf_counter()
+    # the pass below reads only the fallback's probs: the (N, e) embeddings
+    # and the logits are freed before it allocates
+    probs = fwd["probs"]
+    del fwd
     sel_idx = np.flatnonzero(clean_mask)
     if sel_idx.size == 0:
         # fall back to relabel-confident samples; skip the pass if none
-        sel_idx = np.flatnonzero(fwd["probs"].max(axis=1) > config.theta_r)
+        sel_idx = np.flatnonzero(probs.max(axis=1) > config.theta_r)
         log.warning("epoch %d: empty selection, falling back to %d "
                     "relabel-confident samples", epoch, sel_idx.size)
     if sel_idx.size:

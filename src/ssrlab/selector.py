@@ -16,7 +16,15 @@ from .data import TRAIN_PARAMS, LabelState
 from .errors import ConfigError, DataError, NumericError
 
 _NORM_EPS = 1e-12
-_TILE_ELEMS = 1 << 20   # similarities held at once by build_neighbour_index
+# a similarity tile of build_neighbour_index is at most _TILE_ROWS rows and
+# _TILE_ELEMS values: each tile GEMM packs the whole (N, d) operand, and about
+# 100 rows amortise that, so larger tiles at N < 4096 only add memory. Not
+# 128 rows: glibc trims its heap past twice the largest block it has
+# unmapped, and with 2 MB tiles (N = 2000) the epochs' freed arrays went back
+# to the kernel and were faulted in again (36k minor faults per 30-epoch run
+# against 3), making runs 5-24% slower; 4 MB tiles do not
+_TILE_ROWS = 256
+_TILE_ELEMS = 1 << 20
 _KEY_ELEMS = 1 << 17    # int64 order keys held at once by build_neighbour_index
 _GMM_MAX_ITER = 100     # EM iterations of baseline_gmm_loss, at most
 _GMM_TOL = 1e-6         # EM stops when the mean log-likelihood moves less
@@ -38,11 +46,12 @@ def build_neighbour_index(features: np.ndarray, k: int,
     no (N, K) array is ever held.
 
     Similarities exist one tile of rows at a time, so memory grows as the
-    output plus one tile of _TILE_ELEMS values, not as N*N. A similarity's
-    int64 key is its float64 bit pattern with the low bits replaced by its
-    column; one int64 partition per row gives the ids of every row the key
-    settles, and the others are re-sorted from their float64 values; only a
-    row whose K-th similarity is <= +0 sorts its whole row (see _tile_topk).
+    output plus one tile of at most _TILE_ROWS rows and _TILE_ELEMS values,
+    not as N*N. A similarity's int64 key is its float64 bit pattern with the
+    low bits replaced by its column; one int64 partition per row gives the
+    ids of every row the key settles, and the others are re-sorted from
+    their float64 values; only a row whose K-th similarity is <= +0 sorts
+    its whole row (see _tile_topk).
     The speed comes from NumPy's SIMD int64 partition (NumPy >= 2); the ids
     are the same on any supported NumPy (>= 1.24).
     """
@@ -60,7 +69,7 @@ def build_neighbour_index(features: np.ndarray, k: int,
     unit = feats / norms[:, None]
     width = k if state is None else state.class_counts.shape[0]
     out = np.empty((n, width), dtype=np.int64)
-    rows = max(1, _TILE_ELEMS // n)
+    rows = min(_TILE_ROWS, max(1, _TILE_ELEMS // n))
     keys = np.empty(min(rows, max(1, _KEY_ELEMS // n)) * n, dtype=np.int64)
     for lo in range(0, n, rows):
         ids = _tile_topk(unit[lo:lo + rows] @ unit.T, lo, k, keys)

@@ -9,6 +9,10 @@ It prints one JSON object of sha256 hex digests:
 
 - ``index``: the ``build_neighbour_index`` ids on ``default_rng(0).normal``
   features at (N, d, k) = (2000, 16, 100), (10000, 16, 100) and (3000, 8, 1);
+- ``forward``: the logits, softmax and embeddings that ``forward`` gives
+  for 5000 ``default_rng(0).normal`` rows of width 16, more than one trunk
+  block, through a seeded ``init_model`` at the default hidden widths with
+  its zero head redrawn, so the logits are not all zero;
 - ``ties``: per ``KEY_EDGE_KINDS`` kind of ``test_selector``, the ids of 11
   tie-heavy cases drawn by ``hypothesis`` from a fixed seed;
 - ``runs``: ``metrics.csv`` and the ``model.flat`` bytes of criterion 10's
@@ -38,9 +42,11 @@ from ssrlab import (NoiseSpec, SynthSpec, TrainConfig, apply_noise,  # noqa: E40
                     build_neighbour_index, compare_selection_modes,
                     make_gaussian_dataset, pipeline, run_experiment, selector)
 from ssrlab.cli import emit_metrics  # noqa: E402
+from ssrlab.model import forward, init_model  # noqa: E402
 from test_selector import KEY_EDGE_KINDS, key_edge_case  # noqa: E402
 
 INDEX_SHAPES = ((2000, 16, 100), (10000, 16, 100), (3000, 8, 1))
+FORWARD_ROWS = 5000
 TIE_EXAMPLES = 11
 
 
@@ -54,6 +60,14 @@ def index_digests(shapes) -> dict:
         feats = np.random.default_rng(0).normal(size=(n, d))
         out[f"{n},{d},{k}"] = _sha(build_neighbour_index(feats, k).tobytes())
     return out
+
+
+def forward_digest(n: int) -> str:
+    rng = np.random.default_rng(0)
+    model = init_model(16, 4, TrainConfig().hidden_dims, rng)
+    model.head[0][:] = rng.normal(size=model.head[0].shape)
+    out = forward(model, rng.normal(size=(n, 16)))
+    return _sha(b"".join(out[name].tobytes() for name in sorted(out)))
 
 
 def tie_digests(examples: int) -> dict:
@@ -125,9 +139,10 @@ def run_digests(full: bool) -> dict:
 
 
 def digests(full: bool = True) -> dict:
-    """Every digest; ``full=False`` keeps one small index shape, two cases
-    per tie kind and criterion 10's run."""
+    """Every digest; ``full=False`` keeps one small index shape, a forward
+    of two trunk blocks, two cases per tie kind and criterion 10's run."""
     return {"index": index_digests(INDEX_SHAPES if full else ((300, 8, 5),)),
+            "forward": forward_digest(FORWARD_ROWS if full else 2100),
             "ties": tie_digests(TIE_EXAMPLES if full else 2),
             "runs": run_digests(full)}
 

@@ -94,12 +94,20 @@ def exact_tie_heavy_features(draw):
     return feats, draw(st.integers(1, n - 1)), draw(st.integers(1, 2 * n * n))
 
 
+def tile_rows(draw, feats):
+    """A row cap for the index's tiles, so that tiles limited by rows and
+    tiles limited by values both occur; drawn apart from the case, whose
+    draws the tie digests of tests/digests.py replay."""
+    return draw(st.integers(1, len(feats)))
+
+
 @settings(max_examples=200, deadline=None)
-@given(exact_tie_heavy_features())
-def test_tiled_index_equals_dense_oracle(case):
+@given(exact_tie_heavy_features(), st.data())
+def test_tiled_index_equals_dense_oracle(case, data):
     # tile sizes range from one row per tile to the whole matrix in one tile
     feats, k, tile_elems = case
-    with mock.patch.object(selector, "_TILE_ELEMS", tile_elems):
+    with mock.patch.object(selector, "_TILE_ELEMS", tile_elems), \
+            mock.patch.object(selector, "_TILE_ROWS", tile_rows(data.draw, feats)):
         index = build_neighbour_index(feats, k)
     ids = full_sort_oracle(feats, k)
     assert np.array_equal(index, ids)
@@ -228,7 +236,8 @@ def key_edge_case(draw, kind):
     - antipodal: duplicates of both signs, whose cosines clip at -1;
     - k_max: k = n - 1, where the k-th value is each row's minimum;
     - small_tile: the exact tie-heavy features with tiles and key chunks of
-      a few values, so that tile GEMMs of any shape give the oracle's values;
+      a few values, so that tile GEMMs of any shape give the oracle's values
+      (the oracle test also caps the tiles' rows);
     - dup_groups: exact duplicates of the exact tie-heavy rows in groups
       larger than k, so every row re-sorts a large tie group at 1;
     - settle: the conditions that let a row skip the re-sort. Signed basis
@@ -287,8 +296,11 @@ def key_edge_case(draw, kind):
 @given(data=st.data())
 def test_key_edge_cases_equal_full_sort_oracle(kind, data):
     feats, k, tile_elems, key_elems = data.draw(key_edge_case(kind))
+    rows = (tile_rows(data.draw, feats) if kind == "small_tile"
+            else selector._TILE_ROWS)
     with mock.patch.object(selector, "_TILE_ELEMS", tile_elems), \
-            mock.patch.object(selector, "_KEY_ELEMS", key_elems):
+            mock.patch.object(selector, "_KEY_ELEMS", key_elems), \
+            mock.patch.object(selector, "_TILE_ROWS", rows):
         resorted = resorted_rows(feats, k)
     if kind == "dup_groups" and k > 1:
         # at least k candidates, all equal at 1
@@ -342,6 +354,23 @@ def test_index_memory_grows_with_n_times_k():
     finally:
         tracemalloc.stop()
     assert peak < 48 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_index_tile_is_capped_in_rows():
+    # sym50_n2k's build: a tile of 2^20 values would be 524 rows, 8 MB, and
+    # the whole build peaked at 11.4 MB; 256 rows hold it near 6.4 MB
+    n, m = 2000, 4
+    rng = np.random.default_rng(14)
+    feats = rng.normal(size=(n, 32))
+    labels = rng.integers(0, m, n)
+    state = LabelState.from_working(labels, labels, m)
+    tracemalloc.start()
+    try:
+        build_neighbour_index(feats, 100, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_index_self_excluded():
@@ -461,8 +490,8 @@ def test_vote_counts_equal_per_row_bincount(case):
 
 @st.composite
 def counts_case(draw):
-    """Features, a k, small tile and key sizes, and working labels over 2 to
-    6 classes, for the index's counts path."""
+    """Features, a k, small tile and key sizes, a tile row cap, and working
+    labels over 2 to 6 classes, for the index's counts path."""
     kind = draw(st.sampled_from(("tie_heavy", "dup_groups", "settle")))
     if kind == "tie_heavy":
         feats, k, tile_elems = draw(exact_tie_heavy_features())
@@ -473,15 +502,16 @@ def counts_case(draw):
     m = draw(st.integers(2, 6))
     labels = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, m, n)
     return (feats, k, tile_elems, draw(st.integers(1, 2 * n * n)),
-            LabelState.from_working(labels, labels, m))
+            tile_rows(draw, feats), LabelState.from_working(labels, labels, m))
 
 
 @settings(max_examples=150, deadline=None)
 @given(counts_case())
 def test_index_counts_equal_counts_of_index_ids(case):
-    feats, k, tile_elems, key_elems, state = case
+    feats, k, tile_elems, key_elems, rows, state = case
     with mock.patch.object(selector, "_TILE_ELEMS", tile_elems), \
-            mock.patch.object(selector, "_KEY_ELEMS", key_elems):
+            mock.patch.object(selector, "_KEY_ELEMS", key_elems), \
+            mock.patch.object(selector, "_TILE_ROWS", rows):
         ids = build_neighbour_index(feats, k)
         counts = build_neighbour_index(feats, k, state)
     assert counts.dtype == np.int64

@@ -17,15 +17,14 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .config import ParsedConfig, parse_config
 from .data import TRAIN_PARAMS
 from .errors import ConfigError, DataError, NumericError
 from .noise import apply_noise, make_gaussian_dataset
 from .pipeline import (EpochMetrics, EpochTimings, ExperimentRecord,
-                       compare_selection_modes, run_experiment)
+                       check_experiment, compare_selection_modes,
+                       run_experiment)
 from .ssrd import (load_embeddings, load_pool, write_atomic, write_dataset,
                    write_pool)
 
@@ -140,7 +139,7 @@ def _cmd_inject(args) -> int:
     if parsed.noise is None:
         raise ConfigError("RANGE_ERROR", "config has no noise section")
     dataset = load_embeddings(args.input)
-    pool = load_pool(args.ood) if args.ood else np.zeros((0, dataset.dim))
+    pool = load_pool(args.ood) if args.ood else None
     noisy = apply_noise(dataset, parsed.noise, pool)
     write_dataset(args.out, noisy)
     log.info("wrote noisy dataset to %s", args.out)
@@ -189,6 +188,8 @@ def _cmd_grid(args, parsed, data, test) -> Path:
     except ValueError as exc:
         raise ConfigError("RANGE_ERROR",
                           f"bad sweep values {args.values!r}: {exc}") from exc
+    for train in trains:   # and against the data
+        check_experiment(data, train)
     out_root = Path(args.out)
     summary = []
     for train in trains:

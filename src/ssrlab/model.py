@@ -107,28 +107,25 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def forward(model: PmcModel, inputs: np.ndarray) -> dict:
     """Logits, softmax predictions and trunk embeddings of every input row.
 
-    An input of more than _FORWARD_ROWS rows runs the trunk in equal row
-    blocks of at most that many rows, each written into the preallocated
-    (N, e) embeddings, so one block's hidden activations exist at a time;
-    equal blocks leave no remainder of a few rows, whose GEMM may take
-    another BLAS kernel (one row takes gemv) and other bits. Smaller inputs
-    take one trunk call. The head and the softmax run once over all the
-    embeddings: their outputs are (N, M), and a row block of a GEMM only a
-    few columns wide (2, 3 or 10 on OpenBLAS) need not keep the bits of the
-    single call.
+    Every input runs the trunk in ceil(N / _FORWARD_ROWS) equal row blocks,
+    each written into the preallocated (N, e) embeddings, so one block's
+    hidden activations exist at a time; equal blocks leave no remainder of a
+    few rows, whose GEMM may take another BLAS kernel (one row takes gemv)
+    and other bits. An input of at most _FORWARD_ROWS rows is one block, the
+    GEMM of a single trunk call. The head and the softmax run once over all
+    the embeddings: their outputs are (N, M), and a row block of a GEMM only
+    a few columns wide (2, 3 or 10 on OpenBLAS) need not keep the bits of
+    the single call.
     """
     x = np.asarray(inputs, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise NumericError("NON_FINITE_INPUT", "inputs contain non-finite values")
     n = x.shape[0]
     blocks = -(-n // _FORWARD_ROWS)
-    if blocks <= 1:
-        emb, _ = trunk_forward(model, x)
-    else:
-        rows = -(-n // blocks)
-        emb = np.empty((n, model.head[0].shape[0]))
-        for lo in range(0, n, rows):
-            emb[lo:lo + rows] = trunk_forward(model, x[lo:lo + rows])[0]
+    rows = -(-n // blocks) if blocks else 1   # 0 rows: no block, no call
+    emb = np.empty((n, model.head[0].shape[0]))
+    for lo in range(0, n, rows):
+        emb[lo:lo + rows] = trunk_forward(model, x[lo:lo + rows])[0]
     wh, bh = model.head
     logits = emb @ wh + bh
     return {"logits": logits, "probs": softmax(logits), "embeddings": emb}
@@ -258,30 +255,17 @@ def total_loss_grads(model: PmcModel, batch: MiniBatch, lambda_fc: float,
     return ce + lambda_fc * fc, grads, {"ce": ce, "fc": fc}
 
 
-@dataclass
-class OptimizerState:
-    velocity: np.ndarray   # same length as the model's flat buffer
-    momentum: float
-    weight_decay: float
-
-    @classmethod
-    def for_model(cls, model: PmcModel, momentum: float,
-                  weight_decay: float) -> "OptimizerState":
-        return cls(np.zeros_like(model.flat), momentum, weight_decay)
-
-
 def cosine_lr(base_lr: float, epoch: int, total_epochs: int) -> float:
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * epoch / total_epochs))
 
 
-def sgd_step(model: PmcModel, grads: PmcModel, opt: OptimizerState,
-             lr: float) -> PmcModel:
-    """In-place SGD update: v <- mu*v + g + wd*theta; theta <- theta - lr*v."""
-    v = opt.velocity
-    v *= opt.momentum
-    v += grads.flat + opt.weight_decay * model.flat
-    model.flat -= lr * v
-    return model
+def sgd_step(model: PmcModel, grads: PmcModel, velocity: np.ndarray,
+             lr: float, momentum: float, weight_decay: float) -> None:
+    """In-place SGD update of ``model.flat`` and the equal-length velocity
+    buffer: v <- mu*v + g + wd*theta; theta <- theta - lr*v."""
+    velocity *= momentum
+    velocity += grads.flat + weight_decay * model.flat
+    model.flat -= lr * velocity
 
 
 def oversample_balanced(selected_indices: np.ndarray, working_labels: np.ndarray,

@@ -88,12 +88,8 @@ def make_gaussian_dataset(spec: SynthSpec) -> SynthData:
     test_counts = [max(1, round(spec.holdout_fraction * c)) for c in counts]
     test_labels = np.repeat(np.arange(m), test_counts)
     test_feats = draw(test_labels)
-    pool_size = max(counts)
-    if spec.ood_classes > 0:
-        ood_labels = np.repeat(np.arange(m, m + spec.ood_classes), pool_size)
-        ood_pool = draw(ood_labels)
-    else:
-        ood_pool = np.zeros((0, spec.dim))
+    # the last draw: with no open-set classes it is empty and takes no numbers
+    ood_pool = draw(np.repeat(np.arange(m, m + spec.ood_classes), max(counts)))
     train = NoisyDataset(train_feats, train_labels, m, train_labels.copy())
     test = NoisyDataset(test_feats, test_labels, m, test_labels.copy())
     return SynthData(train, test, ood_pool)

@@ -21,9 +21,8 @@ import numpy as np
 
 from .data import LabelState, NoisyDataset, TrainConfig
 from .errors import ConfigError, DataError, NumericError
-from .model import (MiniBatch, OptimizerState, PmcModel, cosine_lr, forward,
-                    init_model, mixup_pair, oversample_balanced, sgd_step,
-                    total_loss_grads)
+from .model import (MiniBatch, PmcModel, cosine_lr, forward, init_model,
+                    mixup_pair, oversample_balanced, sgd_step, total_loss_grads)
 from .model import trunk_forward  # noqa: F401 (uncalled; perfbench patches it)
 from .relabel import relabel, relabel_metrics
 from .selector import (baseline_gmm_loss, baseline_small_loss_predefined,
@@ -142,7 +141,8 @@ SELECTORS = {
 }
 
 
-def _epoch(epoch, model, opt, rng, dataset, test, config, select, tau, feat_std):
+def _epoch(epoch, model, velocity, rng, dataset, test, config, select, tau,
+           feat_std):
     """Relabel and select from one forward pass, train one pass of SGD steps
     over the selection, then evaluate. Raises DIVERGED when relabelling puts
     every sample in one class, on a non-finite loss, or when a parameter is
@@ -212,7 +212,8 @@ def _epoch(epoch, model, opt, rng, dataset, test, config, select, tau, feat_std)
             if not math.isfinite(loss):
                 raise NumericError("DIVERGED",
                                    f"epoch {epoch} step {step}: loss is {loss}")
-            sgd_step(model, grads, opt, lr)
+            sgd_step(model, grads, velocity, lr, config.momentum,
+                     config.weight_decay)
         top = np.abs(model.flat).max()
         if not top <= _PARAM_BOUND:   # also true for nan
             what = (f"max |parameter| {top:.3g} is past {_PARAM_BOUND:g}"
@@ -232,12 +233,12 @@ def _epoch(epoch, model, opt, rng, dataset, test, config, select, tau, feat_std)
                                  time.perf_counter() - t3)
 
 
-def run_experiment(dataset: NoisyDataset, config: TrainConfig,
-                   test: Optional[NoisyDataset] = None,
-                   selection_mode: str = "npk_automatic",
-                   tau: Optional[float] = None) -> ExperimentOutcome:
-    """Train from scratch for config.epochs, applying relabel -> select ->
-    train each epoch, and record per-epoch quality metrics."""
+def check_experiment(dataset: NoisyDataset, config: TrainConfig,
+                     selection_mode: str = "npk_automatic",
+                     tau: Optional[float] = None) -> None:
+    """Raise the error run_experiment would raise before it trains: the
+    limits that depend on the data or the selection mode, not on the config
+    alone."""
     if selection_mode not in SELECTORS:
         raise ConfigError("RANGE_ERROR", f"selection_mode={selection_mode!r} "
                           f"not in {tuple(SELECTORS)}")
@@ -256,14 +257,23 @@ def run_experiment(dataset: NoisyDataset, config: TrainConfig,
     if selection_mode == "clean_subset" and dataset.true_labels is None:
         raise DataError("MISSING_GROUND_TRUTH",
                         "selection mode 'clean_subset' needs true labels")
+
+
+def run_experiment(dataset: NoisyDataset, config: TrainConfig,
+                   test: Optional[NoisyDataset] = None,
+                   selection_mode: str = "npk_automatic",
+                   tau: Optional[float] = None) -> ExperimentOutcome:
+    """Train from scratch for config.epochs, applying relabel -> select ->
+    train each epoch, and record per-epoch quality metrics."""
+    check_experiment(dataset, config, selection_mode, tau)
     select = SELECTORS[selection_mode]
     rng = np.random.default_rng(config.seed)
     model = init_model(dataset.dim, dataset.num_classes, config.hidden_dims,
                        rng)
-    opt = OptimizerState.for_model(model, config.momentum, config.weight_decay)
+    velocity = np.zeros_like(model.flat)
     feat_std = dataset.features.std(axis=0)
     feat_std[feat_std == 0] = 1.0
-    epochs, timings = zip(*(_epoch(epoch, model, opt, rng, dataset, test,
+    epochs, timings = zip(*(_epoch(epoch, model, velocity, rng, dataset, test,
                                    config, select, tau, feat_std)
                             for epoch in range(config.epochs)))
     record = ExperimentRecord(config=asdict(config), epochs=list(epochs),

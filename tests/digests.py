@@ -20,7 +20,8 @@ It prints one JSON object of sha256 hex digests:
   ``compare_selection_modes`` runs at criterion 8's seed 0.
 
 The ids and the trained parameters depend on the BLAS kernel, so no golden
-values are kept; ``test_digests`` only checks that a reduced set repeats.
+values are kept; tier-1's ``test_determinism_across_blas_threads`` only
+checks that a reduced set repeats, at one and at two BLAS threads.
 The file name keeps it out of pytest's collection.
 """
 from __future__ import annotations

@@ -1,0 +1,104 @@
+"""Mutation check of tier-1: every listed mutant of ``src/`` must fail a test.
+
+Run from the repository root:
+
+    python3 tests/mutants.py
+
+A mutant is a (label, file, old, new) replacement of one exact piece of
+source. For each one the script copies ``src/``, ``tests/`` and
+``pyproject.toml`` into a temporary directory, applies the mutant there,
+runs tier-1 with ``-x`` and prints ``killed`` with the first failing test,
+or ``survived`` when every test passes; ``error`` means pytest stopped
+for another reason. A mutant whose ``old`` text is not found exactly once is
+``stale``: the code it names has moved. The working tree is never changed.
+The exit status is 1 unless every mutant is killed. The file name keeps
+it out of pytest's collection.
+
+A change that adds a guard adds its mutant here.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+MUTANTS = [
+    ("the FC's weak view takes the strong jitter", "src/ssrlab/pipeline.py",
+     "v2 = xs[fb] + rng.standard_normal((fb.size, d)) * weak",
+     "v2 = xs[fb] + rng.standard_normal((fb.size, d)) * strong"),
+    ("the empty-selection fallback takes every sample",
+     "src/ssrlab/pipeline.py",
+     "np.flatnonzero(probs.max(axis=1) > config.theta_r)",
+     "np.flatnonzero(probs.max(axis=1) >= 0.0)"),
+    ("oversampling skips a class short by one", "src/ssrlab/model.py",
+     "if short > 0:", "if short > 1:"),
+    ("the FC order reshuffles one batch early", "src/ssrlab/pipeline.py",
+     "if fc_pos + idx.size > n:", "if fc_pos + idx.size >= n:"),
+    ("forward's blocks leave a remainder", "src/ssrlab/model.py",
+     "rows = -(-n // blocks) if blocks else 1",
+     "rows = n // blocks if blocks else 1"),
+    ("sgd_step decays the velocity after adding the gradient",
+     "src/ssrlab/model.py",
+     "    velocity *= momentum\n"
+     "    velocity += grads.flat + weight_decay * model.flat\n",
+     "    velocity += grads.flat + weight_decay * model.flat\n"
+     "    velocity *= momentum\n"),
+    ("the open-set pool draws before the test set", "src/ssrlab/noise.py",
+     "    test_feats = draw(test_labels)\n"
+     "    # the last draw: with no open-set classes it is empty and takes no numbers\n"
+     "    ood_pool = draw(np.repeat(np.arange(m, m + spec.ood_classes), max(counts)))\n",
+     "    ood_pool = draw(np.repeat(np.arange(m, m + spec.ood_classes), max(counts)))\n"
+     "    test_feats = draw(test_labels)\n"),
+    ("the open-set pool has min(class_counts) rows per cluster",
+     "src/ssrlab/noise.py",
+     "spec.ood_classes), max(counts)))", "spec.ood_classes), min(counts)))"),
+    ("grid runs a point before checking the rest against the data",
+     "src/ssrlab/cli.py",
+     "    for train in trains:   # and against the data\n"
+     "        check_experiment(data, train)\n", ""),
+]
+
+
+def run_mutant(path: str, old: str, new: str) -> tuple[str, str]:
+    """(verdict, detail) of one mutant, tested in a temporary copy."""
+    source = (ROOT / path).read_text()
+    if source.count(old) != 1:
+        return "stale", f"{source.count(old)} matches of the old text"
+    with tempfile.TemporaryDirectory() as tmp:
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, Path(tmp) / name, ignore=ignore)
+        shutil.copy(ROOT / "pyproject.toml", tmp)
+        (Path(tmp) / path).write_text(source.replace(old, new))
+        env = dict(os.environ, PYTHONPATH=str(Path(tmp) / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p",
+             "no:cacheprovider"], cwd=tmp, env=env, capture_output=True,
+            text=True)
+    if proc.returncode == 0:
+        return "survived", ""
+    if proc.returncode != 1:   # not a failing test: a usage or collection error
+        return "error", proc.stdout.strip().splitlines()[-1]
+    # the short summary's lines, not the captured log's "ERROR    ssrlab:..."
+    failed = [line for line in proc.stdout.splitlines()
+              if line.split(" ")[0] in ("FAILED", "ERROR") and "::" in line]
+    return "killed", failed[0] if failed else ""
+
+
+def main() -> int:
+    bad = 0
+    for label, path, old, new in MUTANTS:
+        verdict, detail = run_mutant(path, old, new)
+        bad += verdict != "killed"
+        print(f"{verdict:8}  {Path(path).name:11}  {label}"
+              + (f"\n          {detail}" if detail else ""), flush=True)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

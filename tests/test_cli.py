@@ -226,15 +226,31 @@ def test_grid_rejects_bad_values(tmp_path, config_path):
     assert code == 2
 
 
+# the failing value of each sweep; theta_r = 0.2 is below 1/M for M = 3,
+# a limit of the data and not of the config alone
+_GRID_BAD_VALUE = {"0.5,1.5": "1.5", "5,0": "0", "0.9,0.2,0.5": "0.2"}
+
+
 @pytest.mark.parametrize("param, values", [("theta_s", "0.5,1.5"),
-                                           ("k_neighbours", "5,0")])
+                                           ("k_neighbours", "5,0"),
+                                           ("theta_r", "0.9,0.2,0.5")])
 def test_grid_checks_every_point_before_the_first_runs(tmp_path, config_path,
                                                        caplog, param, values):
     out = tmp_path / "g"
     assert main(["grid", "-c", str(config_path), "-o", str(out),
                  "--param", param, "--values", values]) == 2
-    assert f"RANGE_ERROR: {param}=" in caplog.text
+    assert f"RANGE_ERROR: {param}={_GRID_BAD_VALUE[values]}" in caplog.text
     # no point directory, no summary.csv, no manifest: not even the directory
+    assert not out.exists()
+
+
+def test_grid_checks_k_against_the_data_before_the_first_runs(
+        tmp_path, config_path, caplog):
+    # k = 500 is a valid config value, but not below N = 90
+    out = tmp_path / "g"
+    assert main(["grid", "-c", str(config_path), "-o", str(out),
+                 "--param", "k_neighbours", "--values", "5,500"]) == 3
+    assert "K_TOO_LARGE: k=500" in caplog.text
     assert not out.exists()
 
 

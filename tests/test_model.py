@@ -10,11 +10,10 @@ from conftest import numeric_grad, rel_err
 from oracles import sgd_step_per_pair
 from ssrlab import model as model_module
 from ssrlab.errors import ConfigError, DataError, NumericError
-from ssrlab.model import (MiniBatch, OptimizerState, PmcModel, cosine_lr,
-                          cross_entropy_loss, feature_consistency_loss,
-                          forward, init_model, mixup_pair, oversample_balanced,
-                          sample_beta, sgd_step, softmax, total_loss_grads,
-                          trunk_forward)
+from ssrlab.model import (MiniBatch, PmcModel, cosine_lr, cross_entropy_loss,
+                          feature_consistency_loss, forward, init_model,
+                          mixup_pair, oversample_balanced, sample_beta,
+                          sgd_step, softmax, total_loss_grads, trunk_forward)
 
 
 # --- forward pass ------------------------------------------------------------
@@ -89,11 +88,13 @@ def exact_model_and_inputs(n, d=6, hidden=(8, 5), m=3):
     return PmcModel(trunk, head, eye, eye), rng.integers(-3, 4, (n, d)) * 1.0
 
 
-@pytest.mark.parametrize("rows", [1, 7, 299])
+@pytest.mark.parametrize("rows", [1, 7, 299, 300])
 def test_blocked_forward_equals_single_call(rows):
     n = 300
     model, x = exact_model_and_inputs(n)
-    whole = forward(model, x)
+    emb = trunk_forward(model, x)[0]
+    logits = emb @ model.head[0] + model.head[1]
+    whole = {"logits": logits, "probs": softmax(logits), "embeddings": emb}
     blocks = []
 
     def spy(model, x):
@@ -103,12 +104,19 @@ def test_blocked_forward_equals_single_call(rows):
     with mock.patch.object(model_module, "_FORWARD_ROWS", rows), \
             mock.patch.object(model_module, "trunk_forward", spy):
         blocked = forward(model, x)
-    # equal blocks of at most `rows` rows: 299 gives two of 150
+    # equal blocks of at most `rows` rows: 299 gives two of 150, 300 one
     assert sum(blocks) == n and max(blocks) <= rows
     assert len(blocks) == -(-n // rows) and max(blocks) - min(blocks) <= 1
     assert blocked.keys() == whole.keys()
     for key, value in whole.items():
         assert np.array_equal(blocked[key], value), key
+
+
+def test_forward_of_no_rows_is_empty():
+    model = init_model(4, 3, hidden_dims=(5, 2), rng=0)
+    out = forward(model, np.zeros((0, 4)))
+    assert out["logits"].shape == out["probs"].shape == (0, 3)
+    assert out["embeddings"].shape == (0, 2)
 
 
 def test_blocked_forward_never_holds_n_by_hidden():
@@ -344,24 +352,24 @@ def unit_grads(model):
 
 
 def test_sgd_zero_grad_no_change(tiny_model):
-    opt = OptimizerState.for_model(tiny_model, 0.9, 0.0)
+    velocity = np.zeros_like(tiny_model.flat)
     before = tiny_model.flat.copy()
-    sgd_step(tiny_model, tiny_model.zeros(), opt, 0.1)
+    sgd_step(tiny_model, tiny_model.zeros(), velocity, 0.1, 0.9, 0.0)
     assert np.array_equal(before, tiny_model.flat)
 
 
 def test_sgd_single_step():
     model = scalar_model(0.0)
-    opt = OptimizerState.for_model(model, 0.0, 0.0)
-    sgd_step(model, unit_grads(model), opt, 0.1)
+    velocity = np.zeros_like(model.flat)
+    sgd_step(model, unit_grads(model), velocity, 0.1, 0.0, 0.0)
     assert abs(model.trunk[0][0][0, 0] + 0.1) < 1e-15
 
 
 def test_sgd_momentum_two_steps():
     model = scalar_model(0.0)
-    opt = OptimizerState.for_model(model, 0.9, 0.0)
-    sgd_step(model, unit_grads(model), opt, 0.1)
-    sgd_step(model, unit_grads(model), opt, 0.1)
+    velocity = np.zeros_like(model.flat)
+    sgd_step(model, unit_grads(model), velocity, 0.1, 0.9, 0.0)
+    sgd_step(model, unit_grads(model), velocity, 0.1, 0.9, 0.0)
     assert abs(model.trunk[0][0][0, 0] + 0.29) < 1e-12
 
 
@@ -377,17 +385,17 @@ def test_flat_sgd_matches_per_pair_reference(dim, classes, hidden,
     model.flat[:] = rng.normal(size=model.flat.size)
     ref = model.zeros()
     ref.flat[:] = model.flat
-    opt = OptimizerState.for_model(model, momentum, wd)
+    flat_velocity = np.zeros_like(model.flat)
     velocity = [np.zeros_like(a) for pair in [*ref.trunk, ref.head,
                                              ref.projector, ref.predictor]
                 for a in pair]
     for _ in range(4):
         grads = model.zeros()
         grads.flat[:] = rng.normal(size=grads.flat.size)
-        sgd_step(model, grads, opt, lr)
+        sgd_step(model, grads, flat_velocity, lr, momentum, wd)
         sgd_step_per_pair(ref, grads, velocity, lr, momentum, wd)
         assert np.array_equal(model.flat, ref.flat)
-    assert np.array_equal(opt.velocity,
+    assert np.array_equal(flat_velocity,
                           np.concatenate([v.ravel() for v in velocity]))
 
 
@@ -414,6 +422,12 @@ def test_oversample_minority_repeated():
     assert out.size == 8
     assert (labels[out] == 0).sum() == 4
     assert (out == 4).sum() == 4  # the single minority index repeated
+
+
+def test_oversample_tops_up_a_class_short_by_one():
+    labels = np.array([0, 0, 0, 1, 1])
+    out = oversample_balanced(np.arange(5), labels, np.random.default_rng(13))
+    assert np.array_equal(np.bincount(labels[out]), [3, 3])
 
 
 def test_oversample_three_classes():

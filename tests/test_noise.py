@@ -66,6 +66,20 @@ def test_class_counts_override():
     assert np.bincount(synth.train.observed_labels).tolist() == [30, 20, 10]
 
 
+def test_open_set_pool_is_the_last_draw():
+    # the pool draws after the train and test sets, max(class_counts) rows
+    # per open-set cluster, and none without open-set clusters
+    def synth(ood_classes):
+        return make_gaussian_dataset(SynthSpec(
+            num_classes=3, dim=8, seed=2, class_counts=(30, 20, 10),
+            ood_classes=ood_classes))
+    with_pool, without = synth(2), synth(0)
+    assert np.array_equal(with_pool.train.features, without.train.features)
+    assert np.array_equal(with_pool.test.features, without.test.features)
+    assert with_pool.ood_pool.shape == (60, 8)
+    assert without.ood_pool.shape == (0, 8)
+
+
 # --- symmetric: combined noise with no open set ------------------------------
 
 NO_POOL = np.zeros((0, 8))

@@ -15,6 +15,7 @@ from ssrlab import (NoiseSpec, NoisyDataset, SynthSpec, TrainConfig,
 from oracles import initial_state, macro_f1
 from ssrlab.cli import emit_metrics
 from ssrlab.errors import ConfigError, DataError, NumericError
+from ssrlab.model import init_model
 
 
 def small_config(**kwargs):
@@ -294,8 +295,8 @@ def test_non_finite_parameter_raises_diverged(small_noisy, monkeypatch):
     noisy, _ = small_noisy
     real = pipeline.sgd_step
 
-    def inf_predictor(model, grads, opt, lr):
-        real(model, grads, opt, lr)
+    def inf_predictor(model, *args):
+        real(model, *args)
         model.predictor[1][0] = np.inf
 
     monkeypatch.setattr(pipeline, "sgd_step", inf_predictor)
@@ -377,6 +378,68 @@ def test_empty_selection_skips_training():
     assert out.record.epochs[0].selected_count == 0
 
 
+def spy_on_steps(monkeypatch):
+    """Patch pipeline.total_loss_grads to record each call's keyword
+    arguments; returns the list they are appended to."""
+    real = pipeline.total_loss_grads
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "total_loss_grads", spy)
+    return calls
+
+
+def test_forced_empty_selection_at_epoch_0_trains_nothing(small_noisy,
+                                                          monkeypatch):
+    # the zero head gives uniform softmax rows, so no sample is above
+    # theta_r and the fallback has nothing to train on
+    noisy, _ = small_noisy
+    monkeypatch.setitem(pipeline.SELECTORS, "npk_automatic",
+                        lambda ds, *rest: np.zeros(ds.n_samples, dtype=bool))
+    steps = spy_on_steps(monkeypatch)
+    cfg = small_config(epochs=2)
+    out = run_experiment(noisy, cfg)
+    fresh = init_model(noisy.dim, noisy.num_classes, cfg.hidden_dims,
+                       np.random.default_rng(cfg.seed))
+    assert steps == []
+    assert np.array_equal(out.model.flat, fresh.flat)
+    assert [e.selected_count for e in out.record.epochs] == [0, 0]
+
+
+def test_fc_first_view_is_strong_and_second_weak(small_noisy, monkeypatch):
+    # with sigma_weak = 0 the second view is the raw rows, and the strong
+    # jitter moves every row of the first view off them
+    noisy, _ = small_noisy
+    steps = spy_on_steps(monkeypatch)
+    run_experiment(noisy, small_config(epochs=1, sigma_strong=0.1,
+                                       sigma_weak=0.0))
+    rows = {r.tobytes() for r in noisy.features}
+    assert steps
+    for kw in steps:
+        assert all(r.tobytes() in rows for r in kw["fc_view2"])
+        assert not any(r.tobytes() in rows for r in kw["fc_view1"])
+
+
+def test_fc_views_visit_every_sample_once_before_the_reshuffle(monkeypatch):
+    # whole_dataset over equal classes trains N = 96 rows in three full
+    # batches of 32, so one pass uses exactly one shuffle of the FC order;
+    # with both sigmas 0 the views are the raw rows
+    labels = np.repeat(np.arange(3), 32)
+    ds = NoisyDataset(np.random.default_rng(3).normal(size=(96, 8)), labels,
+                      3, labels.copy())
+    steps = spy_on_steps(monkeypatch)
+    run_experiment(ds, small_config(epochs=1, sigma_strong=0.0,
+                                    sigma_weak=0.0),
+                   selection_mode="whole_dataset")
+    assert len(steps) == 3
+    for view in ("fc_view1", "fc_view2"):
+        seen = sorted(r.tobytes() for kw in steps for r in kw[view])
+        assert seen == sorted(r.tobytes() for r in ds.features)
+
+
 def test_lambda_zero_runs_without_views(small_noisy):
     noisy, test = small_noisy
     out = run_experiment(noisy, small_config(lambda_fc=0.0), test=test)
@@ -430,35 +493,28 @@ def test_comparison_needs_ground_truth():
         compare_selection_modes(ds, small_config())
 
 
-# the criterion-10 config, written with emit_metrics plus the final parameters
-_THREADS_CHILD = """
-import sys
-from pathlib import Path
-from ssrlab import (NoiseSpec, SynthSpec, TrainConfig, apply_noise,
-                    make_gaussian_dataset, run_experiment)
-from ssrlab.cli import emit_metrics
-out = Path(sys.argv[1])
-synth = make_gaussian_dataset(SynthSpec(num_classes=3, per_class=80, dim=8,
-                                        seed=0))
-noisy = apply_noise(synth.train, NoiseSpec("symmetric", 0.4, seed=0))
-outcome = run_experiment(noisy, TrainConfig(epochs=5, k_neighbours=20),
-                         test=synth.test)
-emit_metrics(outcome.record, out)
-(out / "model.flat").write_bytes(outcome.model.flat.tobytes())
+# the reduced digests, twice in one process, as one JSON line
+_DIGESTS_CHILD = """
+import json
+from digests import digests
+print(json.dumps([digests(full=False), digests(full=False)]))
 """
 
 
-def test_determinism_across_blas_threads(tmp_path):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    blobs = []
+def test_determinism_across_blas_threads():
+    # the neighbour ids of a tiled index and of every tie kind, a 2-block
+    # forward, and criterion 10's metrics.csv and model.flat, at 1 and 2
+    # BLAS threads
+    tests = Path(__file__).resolve().parent
+    path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]
+    runs = []
     for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        subprocess.run([sys.executable, "-c", _THREADS_CHILD, str(out)],
-                       env=env, check=True, capture_output=True, timeout=300)
-        blobs.append(((out / "metrics.csv").read_bytes(),
-                      (out / "model.flat").read_bytes()))
-    assert blobs[0][0] == blobs[1][0]
-    assert blobs[0][1] == blobs[1][1]
+                   PYTHONPATH=os.pathsep.join(p for p in path if p))
+        child = subprocess.run([sys.executable, "-c", _DIGESTS_CHILD], env=env,
+                               check=True, capture_output=True, text=True,
+                               timeout=300)
+        runs.extend(json.loads(child.stdout))
+    assert all(run == runs[0] for run in runs)
+    assert set(runs[0]) == {"index", "forward", "ties", "runs"}
+    assert runs[0]["runs"]["criterion_10"]["model.flat"]

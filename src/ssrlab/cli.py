@@ -3,8 +3,8 @@
 Verbs: ``synth`` (generate dataset files), ``inject`` (apply noise to an
 embedding file), ``run`` (single experiment), ``grid`` (hyperparameter
 sweep), ``compare-modes`` (selector comparison). Flags override config keys.
-Exit codes: 0 success, 2 config error, 3 data error or a file that cannot be
-read or written, 4 numeric failure.
+Exit codes: 0 on success, else the ``exit_code`` of the error's class in
+``ssrlab.errors``; a file that cannot be read or written exits as a DataError.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from pathlib import Path
 from . import __version__
 from .config import ParsedConfig, parse_config
 from .data import TRAIN_PARAMS
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, SsrError
 from .noise import apply_noise, make_gaussian_dataset
 from .pipeline import (EpochMetrics, EpochTimings, ExperimentRecord,
                        check_experiment, compare_selection_modes,
@@ -268,18 +268,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except SsrError as exc:
         log.error("%s", exc)
-        return 2
-    except DataError as exc:
-        log.error("%s", exc)
-        return 3
-    except NumericError as exc:
-        log.error("%s", exc)
-        return 4
+        return exc.exit_code
     except OSError as exc:
         log.error("IO_ERROR: %s: %s", exc.filename, exc.strerror or exc)
-        return 3
+        return DataError.exit_code
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Error types. Every error carries a stable machine-readable code."""
+"""Error types: each has a stable code, and its class the CLI's exit code."""
 
 
 class SsrError(Exception):
@@ -9,12 +9,15 @@ class SsrError(Exception):
 
 
 class ConfigError(SsrError):
-    """Bad configuration: unknown keys, out-of-range hyperparameters (exit 2)."""
+    """Bad configuration: unknown keys, out-of-range hyperparameters."""
+    exit_code = 2
 
 
 class DataError(SsrError):
-    """Bad data: malformed datasets, files, or empty selections (exit 3)."""
+    """Bad data: malformed datasets, files, or empty selections."""
+    exit_code = 3
 
 
 class NumericError(SsrError):
-    """Numeric failure: zero norms, degenerate fits, non-finite inputs (exit 4)."""
+    """Numeric failure: zero norms, degenerate fits, non-finite inputs."""
+    exit_code = 4

@@ -145,22 +145,22 @@ def _epoch(epoch, model, velocity, rng, dataset, test, config, select, tau,
            feat_std):
     """Relabel and select from one forward pass, train one pass of SGD steps
     over the selection, then evaluate. Raises DIVERGED when relabelling puts
-    every sample in one class, on a non-finite loss, or when a parameter is
-    non-finite or past _PARAM_BOUND after the pass."""
+    every sample in one class, on a trained model's non-finite outputs or loss,
+    or when a parameter is non-finite or past _PARAM_BOUND after the pass."""
     t0 = time.perf_counter()
     fwd = forward(model, dataset.features)
-    state = relabel(fwd["probs"], dataset.observed_labels, config.theta_r)
-    live = np.flatnonzero(state.class_counts)
-    if live.size < 2 and np.unique(dataset.observed_labels).size > 1:
-        raise NumericError("DIVERGED", f"epoch {epoch}: relabelling put all "
-                           f"{dataset.n_samples} samples in class {live[0]}")
-    t1 = time.perf_counter()
     try:
+        state = relabel(fwd["probs"], dataset.observed_labels, config.theta_r)
+        live = np.flatnonzero(state.class_counts)
+        if live.size < 2 and np.unique(dataset.observed_labels).size > 1:
+            raise NumericError("DIVERGED", f"epoch {epoch}: relabelling put all "
+                               f"{dataset.n_samples} samples in class {live[0]}")
+        t1 = time.perf_counter()
         clean_mask = select(dataset, state, fwd, config, tau)
     except NumericError as exc:
         # the raw features are finite (forward checks them), and a model that
         # no pass has changed repeats epoch 0's inputs, so after epoch 0 a
-        # non-finite selector input comes from training
+        # non-finite relabel or selector input comes from training
         if epoch == 0 or exc.code != "NON_FINITE_INPUT":
             raise
         raise NumericError("DIVERGED", f"epoch {epoch}: the trained "

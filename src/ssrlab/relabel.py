@@ -4,12 +4,15 @@ from __future__ import annotations
 import numpy as np
 
 from .data import OPEN_SET, TRAIN_PARAMS, LabelState, NoisyDataset
-from .errors import DataError
+from .errors import DataError, NumericError
 
 _ROW_SUM_TOL = 1e-6
 
 
 def _check_rows(probs: np.ndarray) -> None:
+    bad = np.flatnonzero(~np.isfinite(probs).all(axis=1))
+    if bad.size:
+        raise NumericError("NON_FINITE_INPUT", f"row {bad[0]} is not finite")
     bad = np.flatnonzero((probs < -_ROW_SUM_TOL).any(axis=1)
                          | (np.abs(probs.sum(axis=1) - 1.0) > _ROW_SUM_TOL))
     if bad.size:

@@ -33,7 +33,7 @@ _GMM_TOL = 1e-6         # EM stops when the mean log-likelihood moves less
 def check_k(k: int, n: int) -> None:
     """Raise K_TOO_LARGE unless each of n samples has k neighbours besides itself."""
     if not 1 <= k <= n - 1:
-        raise DataError("K_TOO_LARGE", f"k={k} must be in [1, {n - 1}]")
+        raise DataError("K_TOO_LARGE", f"k_neighbours={k} must be in [1, {n - 1}]")
 
 
 def build_neighbour_index(features: np.ndarray, k: int,

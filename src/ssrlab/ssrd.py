@@ -98,7 +98,7 @@ def _read(path) -> dict:
         raise DataError("SHAPE_MISMATCH", f"{path}: the noisy mask needs true "
                         "labels and must equal true != observed")
     return {"features": feats, "observed_labels": obs, "num_classes": int(m),
-            "true_labels": true, "is_noisy": mask}
+            "true_labels": true}
 
 
 def load_embeddings(path) -> NoisyDataset:
@@ -108,7 +108,6 @@ def load_embeddings(path) -> NoisyDataset:
     if raw["num_classes"] == 0:
         raise DataError("SHAPE_MISMATCH",
                         f"{path} is a pool file (M = 0), not a dataset")
-    del raw["is_noisy"]   # _read has checked that it equals the derived mask
     return NoisyDataset(**raw)
 
 

@@ -61,6 +61,21 @@ MUTANTS = [
      "src/ssrlab/cli.py",
      "    for train in trains:   # and against the data\n"
      "        check_experiment(data, train)\n", ""),
+    ("main exits 3 for every SsrError", "src/ssrlab/cli.py",
+     "        return exc.exit_code\n", "        return 3\n"),
+    ("relabel lets a non-finite row through", "src/ssrlab/relabel.py",
+     "    bad = np.flatnonzero(~np.isfinite(probs).all(axis=1))\n"
+     "    if bad.size:\n"
+     "        raise NumericError(\"NON_FINITE_INPUT\", f\"row {bad[0]} is not finite\")\n",
+     ""),
+    ("the epoch's DIVERGED remap starts after relabelling",
+     "src/ssrlab/pipeline.py",
+     "    try:\n"
+     "        state = relabel(fwd[\"probs\"], dataset.observed_labels, config.theta_r)\n",
+     "    state = relabel(fwd[\"probs\"], dataset.observed_labels, config.theta_r)\n"
+     "    try:\n"),
+    ("check_k names k, not its config key", "src/ssrlab/selector.py",
+     'f"k_neighbours={k} must be', 'f"k={k} must be'),
 ]
 
 

@@ -7,21 +7,7 @@ helpers the acceptance gate needs.
 import numpy as np
 
 from ssrlab.data import LabelState
-from ssrlab.errors import NumericError
 from ssrlab.selector import neighbour_label_counts
-
-_NORM_EPS = 1e-12
-
-
-def cosine_similarity(a, b) -> float:
-    """Cosine of two vectors, clamped to [-1, 1]."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na < _NORM_EPS or nb < _NORM_EPS:
-        raise NumericError("ZERO_NORM_VECTOR", "cannot take cosine of a zero vector")
-    return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
 
 
 def dense_cosine(feats) -> np.ndarray:
@@ -62,15 +48,6 @@ def neighbour_votes_per_row(neighbour_ids, working_labels, num_classes) -> np.nd
 def neighbour_label_distribution(ids, state) -> np.ndarray:
     """Normalised neighbour label distribution (rows sum to 1)."""
     return neighbour_label_counts(ids, state) / ids.shape[1]
-
-
-def consistency_measure(q_balanced_row, working_label: int) -> float:
-    """Ratio of the balanced vote at the sample's label to the row maximum."""
-    row = np.asarray(q_balanced_row, dtype=np.float64)
-    top = row.max()
-    if top <= 0:
-        raise NumericError("ALL_ZERO_ROW", "balanced vote row is all zero")
-    return float(row[int(working_label)] / top)
 
 
 def macro_f1(predicted: np.ndarray, true: np.ndarray, num_classes: int) -> float:

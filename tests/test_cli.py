@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ssrlab import NoisyDataset, load_embeddings, load_pool, ssrd
-from ssrlab.cli import CSV_COLUMNS, TIMING_COLUMNS, main
+from ssrlab.cli import CSV_COLUMNS, TIMING_COLUMNS, _run_dir, main
 from ssrlab.config import parse_config_dict
 from ssrlab.errors import ConfigError
 
@@ -124,6 +124,17 @@ def run_dir_of(root):
     runs = [p for p in root.iterdir() if p.is_dir() and p.name.startswith("run_")]
     assert len(runs) == 1
     return runs[0]
+
+
+def test_run_dir_takes_the_next_free_suffix(tmp_path, monkeypatch):
+    # runs started in the same second with the same seed get _1, _2, ...
+    monkeypatch.setattr("ssrlab.cli.time.strftime",
+                        lambda fmt: "20260101-000000")
+    dirs = [_run_dir(tmp_path / "out", 3) for _ in range(3)]
+    assert [d.name for d in dirs] == ["run_20260101-000000_s3",
+                                      "run_20260101-000000_s3_1",
+                                      "run_20260101-000000_s3_2"]
+    assert all(d.is_dir() for d in dirs)
 
 
 def test_run_emits_artifacts(tmp_path, config_path):
@@ -250,7 +261,7 @@ def test_grid_checks_k_against_the_data_before_the_first_runs(
     out = tmp_path / "g"
     assert main(["grid", "-c", str(config_path), "-o", str(out),
                  "--param", "k_neighbours", "--values", "5,500"]) == 3
-    assert "K_TOO_LARGE: k=500" in caplog.text
+    assert "K_TOO_LARGE: k_neighbours=500" in caplog.text
     assert not out.exists()
 
 
@@ -342,6 +353,35 @@ def test_exit_code_config_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"theta_r": 1.5}))
     assert main(["run", "-c", str(bad), "-o", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "config root must be a JSON object"),
+    (None, "cannot read")])
+def test_exit_code_unusable_config_file(tmp_path, caplog, text, message):
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(["run", "-c", str(path), "-o", str(tmp_path / "o")]) == 2
+    assert f"PARSE_ERROR: {message}" in caplog.text
+
+
+@pytest.mark.parametrize("verb, section, message", [
+    ("run", "synth", "no input file given and no synth section in config"),
+    ("synth", "synth", "config has no synth section"),
+    ("inject", "noise", "config has no noise section")])
+def test_exit_code_missing_config_section(tmp_path, caplog, verb, section,
+                                          message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({k: v for k, v in BASE_CONFIG.items()
+                                if k != section}))
+    out = tmp_path / "o"
+    args = [verb, "-c", str(path), "-o", str(out)]
+    if verb == "inject":   # the section is checked before the input is read
+        args += ["-i", str(tmp_path / "absent.ssrd")]
+    assert main(args) == 2
+    assert f"RANGE_ERROR: {message}" in caplog.text
+    assert not out.exists()
 
 
 def test_exit_code_data_error(tmp_path, config_path):

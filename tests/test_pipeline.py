@@ -250,26 +250,45 @@ def test_theta_r_of_one_over_m_is_valid(m):
     assert out.record.epochs[0].relabelled_count == 0
 
 
+def spoil_forward_after_first(monkeypatch, key, spoil):
+    """Every forward after the first returns spoil(out[key]) as out[key]."""
+    real = pipeline.forward
+    calls = []
+
+    def spoiled(model, x):
+        out = real(model, x)
+        calls.append(x)
+        if len(calls) > 1:
+            out[key] = spoil(out[key])
+        return out
+
+    monkeypatch.setattr(pipeline, "forward", spoiled)
+
+
 def test_overflowing_embeddings_after_training_raise_diverged(small_noisy,
                                                               monkeypatch):
     # embeddings that overflow once a pass has run: the selector's
     # NON_FINITE_INPUT is re-raised as DIVERGED, naming the epoch
     noisy, _ = small_noisy
-    real = pipeline.forward
-    calls = []
-
-    def overflow_after_first(model, x):
-        out = real(model, x)
-        calls.append(x)
-        if len(calls) > 1:
-            out["embeddings"] = out["embeddings"] * 1e300
-        return out
-
-    monkeypatch.setattr(pipeline, "forward", overflow_after_first)
+    spoil_forward_after_first(monkeypatch, "embeddings", lambda e: e * 1e300)
     with np.errstate(over="ignore"), pytest.raises(NumericError) as exc:
         run_experiment(noisy, small_config())
     assert exc.value.code == "DIVERGED"
     assert "epoch 1: the trained model's outputs overflow" in str(exc.value)
+
+
+def test_non_finite_probabilities_after_training_raise_diverged(small_noisy,
+                                                                monkeypatch):
+    # a softmax that is NaN once a pass has run: relabelling's
+    # NON_FINITE_INPUT is re-raised as DIVERGED, as the selector's is
+    noisy, _ = small_noisy
+    spoil_forward_after_first(monkeypatch, "probs",
+                              lambda p: np.full_like(p, np.nan))
+    with pytest.raises(NumericError) as exc:
+        run_experiment(noisy, small_config())
+    assert exc.value.code == "DIVERGED"
+    assert "epoch 1: the trained model's outputs overflow" in str(exc.value)
+    assert "NON_FINITE_INPUT" in str(exc.value)
 
 
 def test_non_finite_loss_raises_diverged(small_noisy, monkeypatch):
@@ -333,6 +352,17 @@ def test_predefined_modes_need_tau_in_range(small_noisy, monkeypatch, mode, tau)
     with pytest.raises(ConfigError) as exc:
         run_experiment(noisy, small_config(), selection_mode=mode, tau=tau)
     assert exc.value.code == "RANGE_ERROR"
+
+
+def test_gmm_selector_reraises_other_numeric_errors():
+    # only DEGENERATE_FIT falls back to the predefined selector; a NaN
+    # softmax row gives a non-finite loss, which is raised as it is
+    labels = np.array([0, 1, 0, 1])
+    probs = np.array([[0.9, 0.1], [0.2, 0.8], [np.nan, np.nan], [0.5, 0.5]])
+    with pytest.raises(NumericError) as exc:
+        pipeline._gmm(None, initial_state(labels, 2), {"probs": probs}, None,
+                      0.3)
+    assert exc.value.code == "NON_FINITE_INPUT"
 
 
 def test_gmm_mode_runs_without_tau(small_noisy):

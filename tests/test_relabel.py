@@ -4,7 +4,7 @@ import pytest
 from oracles import initial_state
 from ssrlab import OPEN_SET, NoisyDataset, relabel, relabel_metrics
 from ssrlab.data import LabelState
-from ssrlab.errors import ConfigError, DataError
+from ssrlab.errors import ConfigError, DataError, NumericError
 
 
 def test_confident_row_is_relabelled():
@@ -41,6 +41,16 @@ def test_invalid_probability_row():
     with pytest.raises(DataError) as exc:
         relabel([[0.7, 0.7]], [0], 0.9)
     assert exc.value.code == "INVALID_PROBABILITY_ROW"
+
+
+@pytest.mark.parametrize("row", [[np.nan, np.nan], [np.inf, 0.0],
+                                 [0.5, -np.inf]])
+def test_non_finite_row_raises_non_finite_input(row):
+    # NaN fails both range comparisons, so only the finiteness test stops it
+    with pytest.raises(NumericError) as exc:
+        relabel(np.array([[0.5, 0.5], row]), [0, 0], 0.9)
+    assert exc.value.code == "NON_FINITE_INPUT"
+    assert "row 1" in str(exc.value)
 
 
 def test_bad_threshold():

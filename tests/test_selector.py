@@ -7,35 +7,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import (consistency_measure, cosine_similarity, dense_cosine,
-                     full_sort_oracle, neighbour_label_distribution,
-                     neighbour_votes_per_row, topk_lexsort)
+from oracles import (dense_cosine, full_sort_oracle,
+                     neighbour_label_distribution, neighbour_votes_per_row,
+                     topk_lexsort)
 from ssrlab import LabelState, build_neighbour_index, selector
 from ssrlab.errors import ConfigError, DataError, NumericError
 from ssrlab.selector import (_tile_topk, balance_distribution,
                              baseline_gmm_loss, baseline_small_loss_predefined,
                              compute_selection, exact_top_mask,
                              neighbour_label_counts, select_clean)
-
-
-# --- cosine_similarity -------------------------------------------------------
-
-def test_cosine_identical():
-    assert cosine_similarity([3, 4], [3, 4]) == 1.0
-
-
-def test_cosine_orthogonal():
-    assert cosine_similarity([1, 0], [0, 1]) == 0.0
-
-
-def test_cosine_hand_value():
-    assert abs(cosine_similarity([1, 0], [1, 1]) - 0.70710678) < 1e-8
-
-
-def test_cosine_zero_norm():
-    with pytest.raises(NumericError) as exc:
-        cosine_similarity([0, 0], [1, 0])
-    assert exc.value.code == "ZERO_NORM_VECTOR"
 
 
 # --- build_neighbour_index ---------------------------------------------------
@@ -595,26 +575,7 @@ def test_balance_duplication_invariance():
         assert np.array_equal(base.argmax(axis=1), dup.argmax(axis=1))
 
 
-# --- consistency and selection ----------------------------------------------
-
-def test_consistency_unique_max():
-    assert consistency_measure([0.1, 0.8, 0.1], 1) == 1.0
-
-
-def test_consistency_zero_numerator():
-    assert consistency_measure([0.5, 0.0, 0.5], 1) == 0.0
-
-
-def test_consistency_hand_value():
-    # counts (2,1,1) of K=4 under uniform class counts, own label index 1
-    assert consistency_measure([0.5, 0.25, 0.25], 1) == 0.5
-
-
-def test_consistency_all_zero_row():
-    with pytest.raises(NumericError) as exc:
-        consistency_measure([0.0, 0.0], 0)
-    assert exc.value.code == "ALL_ZERO_ROW"
-
+# --- selection ----------------------------------------------------------------
 
 def test_select_theta_zero_selects_all():
     c = np.array([0.0, 0.3, 1.0])
@@ -712,6 +673,13 @@ def test_predefined_tie_break():
     assert mask.tolist() == [True, True, False, False]
 
 
+@pytest.mark.parametrize("tau", [-0.1, 1.0, np.nan])
+def test_predefined_tau_out_of_range(tau):
+    with pytest.raises(ConfigError) as exc:
+        baseline_small_loss_predefined(np.ones(4), tau)
+    assert exc.value.code == "RANGE_ERROR"
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.sampled_from([0.0, 0.25, 0.5, np.nextafter(1.0, 0.0), 1.0]),
                 min_size=1, max_size=60),
@@ -752,6 +720,25 @@ def test_gmm_empty_component_is_degenerate():
         baseline_gmm_loss(losses, mu_init=[0.5, 1e6])
     assert exc.value.code == "DEGENERATE_FIT"
     assert "component is empty" in str(exc.value)
+
+
+def test_gmm_component_variance_collapse_is_degenerate():
+    # the losses' variance is 0.09, but EM shrinks the low component onto
+    # the nine equal losses
+    with pytest.raises(NumericError) as exc:
+        baseline_gmm_loss(np.array([0.0] * 9 + [1.0]))
+    assert exc.value.code == "DEGENERATE_FIT"
+    assert "component variance collapsed" in str(exc.value)
+
+
+@pytest.mark.parametrize("losses, error, code", [
+    ([], DataError, "EMPTY_DATASET"), ([0.3], DataError, "EMPTY_DATASET"),
+    ([0.1, np.nan, 2.0], NumericError, "NON_FINITE_INPUT"),
+    ([0.1, 2.0, -np.inf], NumericError, "NON_FINITE_INPUT")])
+def test_gmm_rejects_bad_losses(losses, error, code):
+    with pytest.raises(error) as exc:
+        baseline_gmm_loss(np.array(losses))
+    assert exc.value.code == code
 
 
 def test_gmm_init_order_invariance():

@@ -214,4 +214,3 @@ def test_read_fuzz_raises_only_data_error(tmp_path, version, n, d, m, flags,
     assert raw["features"].shape == (n, d)
     assert raw["observed_labels"].shape == (n,)
     assert (raw["true_labels"] is not None) == bool(flags & 0x01)
-    assert (raw["is_noisy"] is not None) == bool(flags & 0x02)

@@ -4,8 +4,7 @@ __version__ = "0.1.0"
 
 from .data import OPEN_SET, LabelState, NoisyDataset, TrainConfig
 from .errors import ConfigError, DataError, NumericError, SsrError
-from .noise import (NoiseSpec, SynthSpec, apply_noise, inject_asymmetric,
-                    inject_combined, make_gaussian_dataset)
+from .noise import NoiseSpec, SynthSpec, apply_noise, make_gaussian_dataset
 from .pipeline import (ExperimentOutcome, ExperimentRecord,
                        compare_selection_modes, run_experiment,
                        selection_metrics)
@@ -17,8 +16,7 @@ from .ssrd import load_embeddings, load_pool, write_dataset, write_pool
 __all__ = [
     "OPEN_SET", "LabelState", "NoisyDataset", "TrainConfig",
     "ConfigError", "DataError", "NumericError", "SsrError",
-    "NoiseSpec", "SynthSpec", "apply_noise", "inject_asymmetric",
-    "inject_combined", "make_gaussian_dataset",
+    "NoiseSpec", "SynthSpec", "apply_noise", "make_gaussian_dataset",
     "ExperimentOutcome", "ExperimentRecord", "compare_selection_modes",
     "run_experiment", "selection_metrics",
     "relabel", "relabel_metrics",

@@ -88,8 +88,7 @@ def _run_dir(root: Path, seed: int) -> Path:
     return out
 
 
-def _prepare_data(parsed: ParsedConfig, data_path=None, test_path=None,
-                  ood_path=None):
+def _prepare_data(parsed: ParsedConfig, data_path=None, test_path=None):
     """Dataset either from SSRD files or generated from the synth/noise spec."""
     if data_path is not None:
         dataset = load_embeddings(data_path)
@@ -101,8 +100,7 @@ def _prepare_data(parsed: ParsedConfig, data_path=None, test_path=None,
     synth = make_gaussian_dataset(parsed.synth)
     dataset = synth.train
     if parsed.noise is not None:
-        pool = load_pool(ood_path) if ood_path else synth.ood_pool
-        dataset = apply_noise(dataset, parsed.noise, pool)
+        dataset = apply_noise(dataset, parsed.noise, synth.ood_pool)
     return dataset, synth.test
 
 
@@ -152,7 +150,7 @@ def _with_data(verb, args) -> int:
     test), and write manifest.json into the directory it returns."""
     started = time.time()
     parsed = _apply_overrides(parse_config(args.config), args)
-    data, test = _prepare_data(parsed, args.input, args.test, args.ood)
+    data, test = _prepare_data(parsed, args.input, args.test)
     out = verb(args, parsed, data, test)
     manifest = {
         "config_path": str(args.config) if args.config else None,
@@ -170,8 +168,9 @@ def _cmd_run(args, parsed, data, test) -> Path:
     out = _run_dir(Path(args.out), parsed.train.seed)
     record = run_experiment(data, parsed.train, test=test).record
     _emit(record, parsed, out)
-    log.info("run finished: best=%.4f last=%.4f -> %s",
-             record.best_test_acc, record.last_test_acc, out)
+    accs = ("no test set" if record.last_test_acc is None else
+            f"best={record.best_test_acc:.4f} last={record.last_test_acc:.4f}")
+    log.info("run finished: %s -> %s", accs, out)
     return out
 
 
@@ -188,12 +187,15 @@ def _cmd_grid(args, parsed, data, test) -> Path:
     except ValueError as exc:
         raise ConfigError("RANGE_ERROR",
                           f"bad sweep values {args.values!r}: {exc}") from exc
+    values = [getattr(train, args.param) for train in trains]
+    if len(set(values)) < len(values):   # a repeat would overwrite its directory
+        raise ConfigError("RANGE_ERROR",
+                          f"sweep values {args.values!r} repeat a value")
     for train in trains:   # and against the data
         check_experiment(data, train)
     out_root = Path(args.out)
     summary = []
-    for train in trains:
-        value = getattr(train, args.param)
+    for train, value in zip(trains, values):
         record = run_experiment(data, train, test=test).record
         _emit(record, parsed, out_root / f"{args.param}_{value}")
         summary.append((value, record.best_test_acc, record.last_test_acc))
@@ -221,7 +223,6 @@ def _add_common(p):
     p.add_argument("-o", "--out", required=True, help="output directory")
     p.add_argument("-i", "--input", help="SSRD dataset file")
     p.add_argument("--test", help="SSRD holdout dataset file")
-    p.add_argument("--ood", help="SSRD open-set pool file")
     for key in _OVERRIDE_FLAGS:
         p.add_argument(f"--{key.replace('_', '-')}", dest=key,
                        type=TRAIN_PARAMS[key].kind, default=None,

@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericError
 
 # Reserved sentinel for out-of-vocabulary true labels; never a valid working label.
 OPEN_SET = -1
@@ -18,7 +18,8 @@ OPEN_SET = -1
 class NoisyDataset:
     """N feature embeddings with observed (possibly wrong) labels.
 
-    Checked when built: the first violated invariant raises DataError.
+    Checked when built: the first violated invariant raises DataError, or
+    NumericError (NON_FINITE_INPUT) for a NaN or infinite feature.
     ``true_labels`` is evaluation-only, as is ``is_noisy``, which is derived
     from it: the selection and relabelling machinery reads neither. Class
     indices are 0-based; ``true_labels`` may contain the OPEN_SET sentinel for
@@ -43,6 +44,10 @@ class NoisyDataset:
             raise DataError("EMPTY_DATASET", "dataset has no samples")
         if d == 0:
             raise DataError("SHAPE_MISMATCH", "feature dimension is 0")
+        bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
+        if bad.size:
+            raise NumericError("NON_FINITE_INPUT",
+                               f"feature row {bad[0]} is not finite")
         m = self.num_classes
         if m < 2:
             raise DataError("SHAPE_MISMATCH", f"num_classes must be >= 2, got {m}")

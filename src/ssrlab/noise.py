@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import OPEN_SET, NoisyDataset, Param, check_fields, param
+from .data import OPEN_SET, NoisyDataset, check_fields, param
 from .errors import ConfigError, DataError
 
 
@@ -95,9 +95,6 @@ def make_gaussian_dataset(spec: SynthSpec) -> SynthData:
     return SynthData(train, test, ood_pool)
 
 
-_RATIO = Param(float, "[0, 1]")  # the injectors' ratio arguments
-
-
 def pair_map_fits(pair_map, num_classes: int) -> bool:
     """True iff pair_map maps each of num_classes classes to another class."""
     pm = np.asarray(pair_map)  # not cast: a partner past int64 is out of range
@@ -105,67 +102,47 @@ def pair_map_fits(pair_map, num_classes: int) -> bool:
         (pm < 0) | (pm >= num_classes) | (pm == np.arange(num_classes)))
 
 
-def inject_asymmetric(dataset: NoisyDataset, ratio: float, pair_map, rng) -> NoisyDataset:
-    """Flip a ratio-fraction of each mapped class to its partner class."""
-    _RATIO.check("ratio", ratio)
-    if pair_map is None:
-        raise DataError("MISSING_PAIR_MAP", "asymmetric noise needs a pair map")
+def apply_noise(dataset: NoisyDataset, spec: NoiseSpec,
+                ood_pool: Optional[np.ndarray] = None) -> NoisyDataset:
+    """Noisy copy of dataset drawn from default_rng(spec.seed). Asymmetric:
+    int(total_ratio * size) members of each class flip to its partner. Else
+    floor(total_ratio * N) samples are noisy: an open_ratio fraction swaps its
+    features for distinct ood_pool rows (true label set to OPEN_SET), the rest
+    redraws its label uniformly over all classes. Symmetric noise has
+    open_ratio 0 and needs neither a pool nor true labels."""
+    rng = np.random.default_rng(spec.seed)
     m = dataset.num_classes
-    if not pair_map_fits(pair_map, m):
-        raise DataError("MISSING_PAIR_MAP",
-                        "pair map must map every class to a different class")
     labels = dataset.observed_labels.copy()
-    for cls in range(m):
-        members = np.flatnonzero(dataset.observed_labels == cls)
-        n_flip = int(ratio * members.size)
-        if n_flip:
-            chosen = rng.choice(members, size=n_flip, replace=False)
-            labels[chosen] = pair_map[cls]
     true = None if dataset.true_labels is None else dataset.true_labels.copy()
-    return NoisyDataset(dataset.features, labels, dataset.num_classes, true)
-
-
-def inject_combined(dataset: NoisyDataset, ood_pool: np.ndarray, total_ratio: float,
-                    open_ratio: float, rng) -> NoisyDataset:
-    """Make floor(total_ratio*N) samples noisy: an open_ratio fraction has its
-    feature vector replaced by a distinct pool vector (observed label kept,
-    true label set to OPEN_SET); the rest has its label redrawn uniformly
-    over all classes, which may give back the true label. With open_ratio 0
-    this is symmetric noise, and needs neither a pool nor true labels."""
-    _RATIO.check("total_ratio", total_ratio)
-    _RATIO.check("open_ratio", open_ratio)
-    n = dataset.n_samples
-    n_total = int(total_ratio * n)
-    n_open = int(open_ratio * n_total)
     feats = dataset.features
-    labels = dataset.observed_labels.copy()
-    true = None if dataset.true_labels is None else dataset.true_labels.copy()
+    if spec.kind == "asymmetric":
+        if not pair_map_fits(spec.pair_map, m):
+            raise DataError("MISSING_PAIR_MAP",
+                            "pair map must map every class to a different class")
+        for cls in range(m):
+            members = np.flatnonzero(dataset.observed_labels == cls)
+            n_flip = int(spec.total_ratio * members.size)
+            if n_flip:
+                chosen = rng.choice(members, size=n_flip, replace=False)
+                labels[chosen] = spec.pair_map[cls]
+        return NoisyDataset(feats, labels, m, true)
+    n = dataset.n_samples
+    n_total = int(spec.total_ratio * n)
+    n_open = int(spec.open_ratio * n_total)
     idx = rng.permutation(n)[:n_total]
     if n_open:
         if true is None:
             raise DataError("MISSING_GROUND_TRUTH",
                             "open-set injection needs true labels to mark")
-        if ood_pool.shape[0] < n_open:
+        pool_size = 0 if ood_pool is None else ood_pool.shape[0]
+        if pool_size < n_open:
             raise DataError("OOD_POOL_TOO_SMALL",
-                            f"need {n_open} pool vectors, have {ood_pool.shape[0]}")
-        picks = rng.permutation(ood_pool.shape[0])[:n_open]
+                            f"need {n_open} pool vectors, have {pool_size}")
+        picks = rng.permutation(pool_size)[:n_open]
         open_idx = idx[:n_open]
         feats = feats.copy()
         feats[open_idx] = ood_pool[picks]
         true[open_idx] = OPEN_SET
     closed = idx[n_open:]
-    labels[closed] = rng.integers(0, dataset.num_classes, size=closed.size)
-    return NoisyDataset(feats, labels, dataset.num_classes, true)
-
-
-def apply_noise(dataset: NoisyDataset, spec: NoiseSpec,
-                ood_pool: Optional[np.ndarray] = None) -> NoisyDataset:
-    rng = np.random.default_rng(spec.seed)
-    if spec.kind == "asymmetric":
-        return inject_asymmetric(dataset, spec.total_ratio, spec.pair_map, rng)
-    if ood_pool is None:
-        ood_pool = np.zeros((0, dataset.dim))
-    # symmetric noise is combined noise with no open set (NoiseSpec keeps
-    # open_ratio at 0 for it)
-    return inject_combined(dataset, ood_pool, spec.total_ratio,
-                           spec.open_ratio, rng)
+    labels[closed] = rng.integers(0, m, size=closed.size)
+    return NoisyDataset(feats, labels, m, true)

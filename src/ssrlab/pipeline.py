@@ -45,7 +45,7 @@ class EpochMetrics:
     sel_recall: Optional[float]
     sel_fscore: Optional[float]
     selected_count: int
-    test_acc: float
+    test_acc: Optional[float]           # None without a test set
     relabelled_count: int
 
 
@@ -65,11 +65,12 @@ class ExperimentRecord:
     timings: list         # EpochTimings, wall-clock seconds
 
     @property
-    def best_test_acc(self) -> float:
-        return max(e.test_acc for e in self.epochs)
+    def best_test_acc(self) -> Optional[float]:
+        return max((e.test_acc for e in self.epochs if e.test_acc is not None),
+                   default=None)
 
     @property
-    def last_test_acc(self) -> float:
+    def last_test_acc(self) -> Optional[float]:
         return self.epochs[-1].test_acc
 
 
@@ -222,7 +223,7 @@ def _epoch(epoch, model, velocity, rng, dataset, test, config, select, tau,
                                f"epoch {epoch} step {step}: {what} after the pass")
     t3 = time.perf_counter()
 
-    test_acc = 0.0
+    test_acc = None
     if test is not None:
         pred = forward(model, test.features)["probs"].argmax(axis=1)
         test_acc = float((pred == test.observed_labels).mean())

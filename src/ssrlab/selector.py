@@ -192,22 +192,23 @@ def select_clean(consistency: np.ndarray, theta_s: float) -> np.ndarray:
 
 
 def baseline_small_loss_predefined(losses: np.ndarray, tau: float) -> np.ndarray:
-    """Select the ceil((1-tau)*N) smallest-loss samples; ties by ascending index."""
+    """Select the ceil((1-tau)*N) smallest-loss samples, the product rounded to
+    9 decimals so that tau = k/N keeps N - k; ties by ascending index."""
     if not 0.0 <= tau < 1.0:
         raise ConfigError("RANGE_ERROR", f"tau={tau} not in [0, 1)")
     losses = np.asarray(losses, dtype=np.float64)
     n = losses.shape[0]
-    m = math.ceil((1.0 - tau) * n)
+    m = math.ceil(round((1.0 - tau) * n, 9))
     order = np.argsort(losses, kind="stable")
     mask = np.zeros(n, dtype=bool)
     mask[order[:m]] = True
     return mask
 
 
-def baseline_gmm_loss(losses: np.ndarray,
-                      mu_init: np.ndarray | None = None) -> np.ndarray:
-    """Two-component 1-D Gaussian mixture on the loss values via EM; selects the
-    samples whose posterior under the lower-mean component exceeds 0.5."""
+def baseline_gmm_loss(losses: np.ndarray) -> np.ndarray:
+    """Two-component 1-D Gaussian mixture on the loss values via EM, started
+    at their 10th and 90th percentiles; selects the samples whose posterior
+    under the lower-mean component exceeds 0.5."""
     x = np.asarray(losses, dtype=np.float64)
     n = x.shape[0]
     if n < 2:
@@ -217,10 +218,7 @@ def baseline_gmm_loss(losses: np.ndarray,
     var0 = float(x.var())
     if var0 < 1e-8:
         raise NumericError("DEGENERATE_FIT", "loss variance collapsed")
-    if mu_init is None:
-        mu = np.percentile(x, [10.0, 90.0])
-    else:
-        mu = np.asarray(mu_init, dtype=np.float64).copy()
+    mu = np.percentile(x, [10.0, 90.0])
     var = np.array([var0, var0])
     w = np.array([0.5, 0.5])
     prev_ll = -np.inf

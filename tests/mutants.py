@@ -76,6 +76,27 @@ MUTANTS = [
      "    try:\n"),
     ("check_k names k, not its config key", "src/ssrlab/selector.py",
      'f"k_neighbours={k} must be', 'f"k={k} must be'),
+    ("the fixed-ratio count takes the unrounded product",
+     "src/ssrlab/selector.py",
+     "m = math.ceil(round((1.0 - tau) * n, 9))",
+     "m = math.ceil((1.0 - tau) * n)"),
+    ("a dataset lets a non-finite feature through", "src/ssrlab/data.py",
+     "        bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))\n"
+     "        if bad.size:\n"
+     "            raise NumericError(\"NON_FINITE_INPUT\",\n"
+     "                               f\"feature row {bad[0]} is not finite\")\n",
+     ""),
+    ("grid runs a repeated sweep value", "src/ssrlab/cli.py",
+     "    if len(set(values)) < len(values):",
+     "    if False:"),
+    ("a run without a test set records test_acc 0.0",
+     "src/ssrlab/pipeline.py",
+     "    test_acc = None\n", "    test_acc = 0.0\n"),
+    ("apply_noise takes any asymmetric pair map", "src/ssrlab/noise.py",
+     "        if not pair_map_fits(spec.pair_map, m):\n"
+     "            raise DataError(\"MISSING_PAIR_MAP\",\n"
+     "                            \"pair map must map every class to a different class\")\n",
+     ""),
 ]
 
 

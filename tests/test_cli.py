@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ssrlab import NoisyDataset, load_embeddings, load_pool, ssrd
+from ssrlab import OPEN_SET, NoisyDataset, load_embeddings, load_pool, ssrd
 from ssrlab.cli import CSV_COLUMNS, TIMING_COLUMNS, _run_dir, main
 from ssrlab.config import parse_config_dict
 from ssrlab.errors import ConfigError
@@ -109,6 +109,52 @@ def test_inject_applies_noise(tmp_path, config_path):
     changed = (clean.observed_labels != noisy.observed_labels).sum()
     assert 0 < changed <= 27
     assert np.array_equal(clean.features, noisy.features)
+
+
+def test_inject_draws_open_set_vectors_from_the_pool(tmp_path, config_path):
+    config = {**BASE_CONFIG, "noise": {"kind": "combined", "total_ratio": 0.3,
+                                       "open_ratio": 0.5, "seed": 0}}
+    config_path.write_text(json.dumps(config))
+    data = tmp_path / "data"
+    main(["synth", "-c", str(config_path), "-o", str(data)])
+    noisy_path = tmp_path / "noisy.ssrd"
+    assert main(["inject", "-c", str(config_path), "-i",
+                 str(data / "train.ssrd"), "--ood", str(data / "ood.ssrd"),
+                 "-o", str(noisy_path)]) == 0
+    clean = load_embeddings(data / "train.ssrd")
+    noisy = load_embeddings(noisy_path)
+    swapped = noisy.true_labels == OPEN_SET
+    assert swapped.sum() == 13   # int(0.5 * int(0.3 * 90))
+    assert np.array_equal(noisy.features[~swapped], clean.features[~swapped])
+    pool = load_pool(data / "ood.ssrd")
+    assert all((pool == row).all(axis=1).any() for row in noisy.features[swapped])
+
+
+def test_run_verbs_have_no_ood_flag(capsys):
+    for verb in ("run", "grid", "compare-modes"):
+        with pytest.raises(SystemExit):
+            main([verb, "--help"])
+        assert "--ood" not in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        main(["inject", "--help"])
+    assert "--ood" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("verb", ["run", "inject"])
+def test_non_finite_feature_is_refused_on_load(tmp_path, config_path, caplog,
+                                                verb):
+    feats = np.random.default_rng(0).normal(size=(12, 3))
+    feats[4, 1] = np.nan
+    labels = np.arange(12) % 3
+    bad = tmp_path / "nan.ssrd"
+    # written without a NoisyDataset, which refuses the NaN
+    ssrd._write(bad, feats, labels, 3, labels)
+    out = tmp_path / "o"
+    assert main([verb, "-c", str(config_path), "-i", str(bad),
+                 "-o", str(out)]) == 4
+    assert "NON_FINITE_INPUT: feature row 4 is not finite" in caplog.text
+    # no run directory, no noisy file
+    assert not out.exists()
 
 
 # --- run ---------------------------------------------------------------------
@@ -218,6 +264,23 @@ def test_run_with_input_files(tmp_path, config_path):
     assert len(rows) == 2
 
 
+def test_run_without_test_set_records_no_test_accuracy(tmp_path, config_path,
+                                                      caplog):
+    caplog.set_level("INFO")
+    data = tmp_path / "data"
+    main(["synth", "-c", str(config_path), "-o", str(data)])
+    out = tmp_path / "out"
+    assert main(["run", "-c", str(config_path), "-o", str(out),
+                 "-i", str(data / "train.ssrd")]) == 0
+    run_dir = run_dir_of(out)
+    _, rows = read_csv(run_dir / "metrics.csv")
+    assert [row["test_acc"] for row in rows] == ["", ""]
+    record = json.loads((run_dir / "record.json").read_text())
+    assert [e["test_acc"] for e in record["epochs"]] == [None, None]
+    assert record["best_test_acc"] is None and record["last_test_acc"] is None
+    assert "run finished: no test set ->" in caplog.text
+
+
 # --- grid --------------------------------------------------------------------
 
 def test_grid_three_points(tmp_path, config_path):
@@ -253,6 +316,31 @@ def test_grid_checks_every_point_before_the_first_runs(tmp_path, config_path,
     assert f"RANGE_ERROR: {param}={_GRID_BAD_VALUE[values]}" in caplog.text
     # no point directory, no summary.csv, no manifest: not even the directory
     assert not out.exists()
+
+
+@pytest.mark.parametrize("param, values", [("theta_r", "0.9,0.90,0.5"),
+                                           ("k_neighbours", "5,7,05")])
+def test_grid_rejects_a_repeated_value(tmp_path, config_path, caplog, param,
+                                       values):
+    # a repeat would run twice into one directory and add a summary row
+    out = tmp_path / "g"
+    assert main(["grid", "-c", str(config_path), "-o", str(out),
+                 "--param", param, "--values", values]) == 2
+    assert f"RANGE_ERROR: sweep values {values!r} repeat a value" in caplog.text
+    assert not out.exists()
+
+
+def test_grid_without_test_set_leaves_accuracy_cells_empty(tmp_path,
+                                                           config_path):
+    data = tmp_path / "data"
+    main(["synth", "-c", str(config_path), "-o", str(data)])
+    out = tmp_path / "grid"
+    assert main(["grid", "-c", str(config_path), "-o", str(out), "-i",
+                 str(data / "train.ssrd"), "--param", "theta_s",
+                 "--values", "0.5,1.0"]) == 0
+    _, rows = read_csv(out / "summary.csv")
+    assert [(r["theta_s"], r["best_test_acc"], r["last_test_acc"])
+            for r in rows] == [("0.5", "", ""), ("1.0", "", "")]
 
 
 def test_grid_checks_k_against_the_data_before_the_first_runs(

@@ -3,7 +3,7 @@ import pytest
 
 from oracles import initial_state
 from ssrlab import OPEN_SET, LabelState, NoisyDataset, TrainConfig
-from ssrlab.errors import ConfigError, DataError
+from ssrlab.errors import ConfigError, DataError, NumericError
 
 
 def make_ds(n=4, d=3, m=2, seed=0):
@@ -67,6 +67,16 @@ def test_constructor_checks_in_order(args, code, message):
     with pytest.raises(DataError) as exc:
         NoisyDataset(*args)
     assert str(exc.value) == f"{code}: {message}"
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_feature_is_refused(value):
+    # refused when the dataset is built, before any run starts
+    feats = np.ones((4, 2))
+    feats[2, 1] = value
+    with pytest.raises(NumericError) as exc:
+        NoisyDataset(feats, [0, 1, 0, 1], 2)
+    assert str(exc.value) == "NON_FINITE_INPUT: feature row 2 is not finite"
 
 
 def test_is_noisy_is_derived_and_read_only():

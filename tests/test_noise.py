@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ssrlab import (OPEN_SET, NoiseSpec, NoisyDataset, SynthSpec, apply_noise,
-                    inject_asymmetric, inject_combined, make_gaussian_dataset)
+                    make_gaussian_dataset)
 from ssrlab.errors import ConfigError, DataError
 
 
@@ -82,13 +82,9 @@ def test_open_set_pool_is_the_last_draw():
 
 # --- symmetric: combined noise with no open set ------------------------------
 
-NO_POOL = np.zeros((0, 8))
-
-
 def test_symmetric_zero_ratio_identity():
     synth = make_gaussian_dataset(SynthSpec(num_classes=3, per_class=30, dim=8))
-    out = inject_combined(synth.train, NO_POOL, 0.0, 0.0,
-                          np.random.default_rng(0))
+    out = apply_noise(synth.train, NoiseSpec("symmetric", 0.0, seed=0))
     assert np.array_equal(out.observed_labels, synth.train.observed_labels)
     assert not out.is_noisy.any()
 
@@ -98,16 +94,15 @@ def test_symmetric_full_ratio_uniform_redraw():
     n, m = 10_000, 10
     labels = rng.integers(0, m, n)
     ds = NoisyDataset(rng.normal(size=(n, 4)), labels, m, labels.copy())
-    out = inject_combined(ds, NO_POOL, 1.0, 0.0, np.random.default_rng(2))
+    out = apply_noise(ds, NoiseSpec("symmetric", 1.0, seed=2))
     match = (out.observed_labels == out.true_labels).mean()
     assert abs(match - 1 / m) < 0.02
 
 
 def test_symmetric_noisy_count_bounded():
     synth = make_gaussian_dataset(SynthSpec(num_classes=4, per_class=50, dim=8))
-    rng = np.random.default_rng(3)
     for ratio in [0.1, 0.3, 0.5, 0.9]:
-        out = inject_combined(synth.train, NO_POOL, ratio, 0.0, rng)
+        out = apply_noise(synth.train, NoiseSpec("symmetric", ratio, seed=3))
         assert out.is_noisy.sum() <= int(ratio * out.n_samples)
 
 
@@ -116,7 +111,8 @@ def test_symmetric_noisy_count_bounded():
 def test_asymmetric_per_class_flip_counts():
     synth = make_gaussian_dataset(SynthSpec(num_classes=4, per_class=103, dim=8))
     pair = (1, 2, 3, 0)
-    out = inject_asymmetric(synth.train, 0.4, pair, np.random.default_rng(4))
+    out = apply_noise(synth.train,
+                      NoiseSpec("asymmetric", 0.4, pair_map=pair, seed=4))
     for cls in range(4):
         members = synth.train.observed_labels == cls
         flipped = (out.observed_labels[members] != cls).sum()
@@ -127,31 +123,32 @@ def test_asymmetric_per_class_flip_counts():
 
 def test_asymmetric_zero_ratio_identity():
     synth = make_gaussian_dataset(SynthSpec(num_classes=3, per_class=20, dim=8))
-    out = inject_asymmetric(synth.train, 0.0, (1, 2, 0),
-                            np.random.default_rng(0))
+    out = apply_noise(synth.train,
+                      NoiseSpec("asymmetric", 0.0, pair_map=(1, 2, 0), seed=0))
     assert np.array_equal(out.observed_labels, synth.train.observed_labels)
 
 
 def test_asymmetric_flips_always_noisy():
     synth = make_gaussian_dataset(SynthSpec(num_classes=3, per_class=40, dim=8))
-    out = inject_asymmetric(synth.train, 0.5, (1, 2, 0),
-                            np.random.default_rng(5))
+    out = apply_noise(synth.train,
+                      NoiseSpec("asymmetric", 0.5, pair_map=(1, 2, 0), seed=5))
     assert out.is_noisy.sum() == sum(int(0.5 * c) for c in
                                      np.bincount(synth.train.observed_labels))
 
 
 def test_asymmetric_missing_or_bad_pair_map():
     synth = make_gaussian_dataset(SynthSpec(num_classes=3, per_class=10, dim=8))
-    rng = np.random.default_rng(0)
-    with pytest.raises(DataError) as exc:
-        inject_asymmetric(synth.train, 0.4, None, rng)
-    assert exc.value.code == "MISSING_PAIR_MAP"
-    with pytest.raises(DataError):
-        inject_asymmetric(synth.train, 0.4, (0, 1, 2), rng)  # identity map
-    # a partner past int64 is out of range too, not an OverflowError
-    for pair_map in [(2**63, 2, 0), (10**30, 2, 0), (1, 2, -1)]:
+    # no map, or a negative partner, is refused when the spec is built
+    for pair_map in [None, (1, 2, -1)]:
+        with pytest.raises(ConfigError) as exc:
+            NoiseSpec("asymmetric", 0.4, pair_map=pair_map)
+        assert exc.value.code == "RANGE_ERROR"
+    # the class count is known only here; a partner past int64 is out of
+    # range too, not an OverflowError
+    for pair_map in [(0, 1, 2), (2**63, 2, 0), (10**30, 2, 0)]:
         with pytest.raises(DataError) as exc:
-            inject_asymmetric(synth.train, 0.4, pair_map, rng)
+            apply_noise(synth.train,
+                        NoiseSpec("asymmetric", 0.4, pair_map=pair_map))
         assert exc.value.code == "MISSING_PAIR_MAP"
 
 
@@ -160,8 +157,9 @@ def test_asymmetric_missing_or_bad_pair_map():
 def test_combined_all_open():
     synth = make_gaussian_dataset(SynthSpec(num_classes=4, per_class=250,
                                             dim=16, seed=1))
-    out = inject_combined(synth.train, synth.ood_pool, 0.3, 1.0,
-                          np.random.default_rng(6))
+    out = apply_noise(synth.train,
+                      NoiseSpec("combined", 0.3, open_ratio=1.0, seed=6),
+                      synth.ood_pool)
     assert (out.true_labels == OPEN_SET).sum() == 300
     # observed labels untouched: open-set noise keeps the in-vocabulary label
     assert np.array_equal(out.observed_labels, synth.train.observed_labels)
@@ -175,8 +173,9 @@ def test_combined_all_open():
 def test_combined_half_open():
     synth = make_gaussian_dataset(SynthSpec(num_classes=4, per_class=250,
                                             dim=16, seed=2))
-    out = inject_combined(synth.train, synth.ood_pool, 0.3, 0.5,
-                          np.random.default_rng(7))
+    out = apply_noise(synth.train,
+                      NoiseSpec("combined", 0.3, open_ratio=0.5, seed=7),
+                      synth.ood_pool)
     n_open = (out.true_labels == OPEN_SET).sum()
     assert n_open == 150
     n_closed_flips = ((out.observed_labels != synth.train.observed_labels)
@@ -201,38 +200,38 @@ def test_combined_open_zero_reduces_to_symmetric():
 def test_combined_pool_too_small():
     synth = make_gaussian_dataset(SynthSpec(num_classes=3, per_class=100,
                                             dim=8))
-    with pytest.raises(DataError) as exc:
-        inject_combined(synth.train, np.ones((5, 8)), 0.5, 1.0,
-                        np.random.default_rng(0))
-    assert exc.value.code == "OOD_POOL_TOO_SMALL"
+    for pool, size in [(np.ones((5, 8)), 5), (None, 0)]:
+        with pytest.raises(DataError) as exc:
+            apply_noise(synth.train, NoiseSpec("combined", 0.5, open_ratio=1.0),
+                        pool)
+        assert str(exc.value) == ("OOD_POOL_TOO_SMALL: need 150 pool vectors, "
+                                  f"have {size}")
 
 
 def test_combined_without_open_set_needs_no_ground_truth():
     synth = make_gaussian_dataset(SynthSpec(num_classes=3, per_class=30, dim=8))
     blind = NoisyDataset(synth.train.features, synth.train.observed_labels, 3)
-    out = inject_combined(blind, NO_POOL, 0.5, 0.0, np.random.default_rng(0))
+    spec = NoiseSpec("combined", 0.5, seed=0)
+    out = apply_noise(blind, spec)
     assert out.true_labels is None
-    ref = inject_combined(synth.train, NO_POOL, 0.5, 0.0,
-                          np.random.default_rng(0))
+    ref = apply_noise(synth.train, spec)
     assert np.array_equal(out.observed_labels, ref.observed_labels)
     with pytest.raises(DataError) as exc:
-        inject_combined(blind, synth.ood_pool, 0.5, 0.5,
-                        np.random.default_rng(0))
+        apply_noise(blind, NoiseSpec("combined", 0.5, open_ratio=0.5),
+                    synth.ood_pool)
     assert exc.value.code == "MISSING_GROUND_TRUTH"
 
 
-@pytest.mark.parametrize("inject", [
-    lambda ds, rng: inject_asymmetric(ds, 1.5, (1, 2, 0), rng),
-    lambda ds, rng: inject_asymmetric(ds, -0.5, (1, 2, 0), rng),
-    lambda ds, rng: inject_combined(ds, np.ones((100, 8)), 0.5, 2.0, rng),
-    lambda ds, rng: inject_combined(ds, NO_POOL, 1.5, 0.0, rng),
-    lambda ds, rng: inject_combined(ds, NO_POOL, -0.1, 0.0, rng),
+@pytest.mark.parametrize("kind, total, open_ratio", [
+    ("asymmetric", 1.5, 0.0), ("asymmetric", -0.5, 0.0),
+    ("combined", 0.5, 2.0), ("combined", 1.5, 0.0), ("combined", -0.1, 0.0),
 ], ids=["asym_above_1", "asym_below_0", "open_above_1", "total_above_1",
         "total_below_0"])
-def test_injectors_range_check_their_ratios(inject):
-    synth = make_gaussian_dataset(SynthSpec(num_classes=3, per_class=30, dim=8))
+def test_injectors_range_check_their_ratios(kind, total, open_ratio):
+    # apply_noise draws only from a NoiseSpec, which checks every ratio
     with pytest.raises(ConfigError) as exc:
-        inject(synth.train, np.random.default_rng(0))
+        NoiseSpec(kind, total, open_ratio=open_ratio,
+                  pair_map=(1, 2, 0) if kind == "asymmetric" else None)
     assert exc.value.code == "RANGE_ERROR"
 
 

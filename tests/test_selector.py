@@ -673,6 +673,18 @@ def test_predefined_tie_break():
     assert mask.tolist() == [True, True, False, False]
 
 
+def test_predefined_tau_k_over_n_keeps_n_minus_k():
+    # compare_selection_modes passes the noisy fraction k/N as tau; the
+    # unrounded ceil((1 - k/N) * N) is N - k + 1 for 1 in 5 such pairs with
+    # N < 600, (7, 6) and (9, 3) the first
+    for n in range(1, 301):
+        losses = np.arange(n, dtype=np.float64)
+        for k in range(n):
+            tau = float((np.arange(n) < k).mean())
+            kept = baseline_small_loss_predefined(losses, tau)
+            assert kept.sum() == n - k, (n, k)
+
+
 @pytest.mark.parametrize("tau", [-0.1, 1.0, np.nan])
 def test_predefined_tau_out_of_range(tau):
     with pytest.raises(ConfigError) as exc:
@@ -686,12 +698,13 @@ def test_predefined_tau_out_of_range(tau):
        st.floats(0.0, 1.0, exclude_max=True))
 def test_predefined_on_negated_consistency_matches_lexsort(values, tau):
     # the fixed-ratio consistency selector keeps the ceil((1-tau)*N) most
-    # consistent samples, ties by ascending index
+    # consistent samples, the product rounded to 9 decimals, ties by
+    # ascending index
     c = np.array(values)
     n = c.size
     order = np.lexsort((np.arange(n), -c))
     expect = np.zeros(n, dtype=bool)
-    expect[order[:math.ceil((1.0 - tau) * n)]] = True
+    expect[order[:math.ceil(round((1.0 - tau) * n, 9))]] = True
     assert np.array_equal(baseline_small_loss_predefined(-c, tau), expect)
 
 
@@ -711,13 +724,15 @@ def test_gmm_degenerate_fit():
     assert exc.value.code == "DEGENERATE_FIT"
 
 
-def test_gmm_empty_component_is_degenerate():
+def test_gmm_empty_component_is_degenerate(monkeypatch):
     # a mean far past every loss takes no responsibility (nk = 0); the fit
-    # stops before it divides by nk, so no RuntimeWarning comes first
+    # stops before it divides by nk, so no RuntimeWarning comes first. The
+    # percentile start never puts a mean there, so the start is patched
     rng = np.random.default_rng(17)
     losses = np.concatenate([rng.gamma(2.0, 0.1, 100), rng.gamma(20.0, 0.1, 100)])
+    monkeypatch.setattr(np, "percentile", lambda x, q: np.array([0.5, 1e6]))
     with pytest.raises(NumericError) as exc:
-        baseline_gmm_loss(losses, mu_init=[0.5, 1e6])
+        baseline_gmm_loss(losses)
     assert exc.value.code == "DEGENERATE_FIT"
     assert "component is empty" in str(exc.value)
 
@@ -741,10 +756,14 @@ def test_gmm_rejects_bad_losses(losses, error, code):
     assert exc.value.code == code
 
 
-def test_gmm_init_order_invariance():
+def test_gmm_init_order_invariance(monkeypatch):
+    # the low component is the one with the lower mean, not the first one:
+    # started from the 90th and then the 10th percentile, the same samples win
     rng = np.random.default_rng(16)
     losses = np.concatenate([rng.normal(0.2, 0.05, 100),
                              rng.normal(1.8, 0.05, 100)])
     mask = baseline_gmm_loss(losses)
-    swapped = baseline_gmm_loss(losses, mu_init=np.percentile(losses, [90, 10]))
+    percentile = np.percentile
+    monkeypatch.setattr(np, "percentile", lambda x, q: percentile(x, q[::-1]))
+    swapped = baseline_gmm_loss(losses)
     assert np.array_equal(mask, swapped)

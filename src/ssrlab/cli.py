@@ -94,6 +94,8 @@ def _prepare_data(parsed: ParsedConfig, data_path=None, test_path=None):
         dataset = load_embeddings(data_path)
         test = load_embeddings(test_path) if test_path else None
         return dataset, test
+    if test_path is not None:
+        raise ConfigError("RANGE_ERROR", "--test needs -i")
     if parsed.synth is None:
         raise ConfigError("RANGE_ERROR",
                           "no input file given and no synth section in config")
@@ -151,6 +153,8 @@ def _with_data(verb, args) -> int:
     started = time.time()
     parsed = _apply_overrides(parse_config(args.config), args)
     data, test = _prepare_data(parsed, args.input, args.test)
+    if args.input is not None:   # record.json echoes only what was applied
+        parsed = dataclasses.replace(parsed, synth=None, noise=None)
     out = verb(args, parsed, data, test)
     manifest = {
         "config_path": str(args.config) if args.config else None,

@@ -178,7 +178,6 @@ class TrainConfig:
     epochs: int = param(30, int, "[1, inf)")
     batch_size: int = param(128, int, "[1, inf)")
     seed: int = param(0, int, "[0, inf)")
-    fc_distance: str = param("cosine", ("cosine", "l2"))
     hidden_dims: tuple = param((64, 32), tuple, "[1, inf)")
     sigma_strong: float = param(0.1, float, "[0, inf)")  # jitter / per-dim std
     sigma_weak: float = param(0.02, float, "[0, inf)")

@@ -14,7 +14,6 @@ from typing import Optional
 
 import numpy as np
 
-from .data import TRAIN_PARAMS
 from .errors import DataError, NumericError
 
 _NORM_EPS = 1e-12
@@ -183,32 +182,24 @@ def classification_grads(model: PmcModel, inputs: np.ndarray,
     return loss, grads
 
 
-def _fc_head_grad(h1, h2, distance):
-    """Per-batch loss and d(loss)/d(h1), d(loss)/d(h2) for the consistency loss."""
+def _fc_head_grad(h1, h2):
+    """Per-batch negative cosine loss and d(loss)/d(h1), d(loss)/d(h2)."""
     b = h1.shape[0]
     n1 = np.linalg.norm(h1, axis=1)
     n2 = np.linalg.norm(h2, axis=1)
     if n1.min() < _NORM_EPS or n2.min() < _NORM_EPS:
         raise NumericError("ZERO_NORM_EMBEDDING",
                            "consistency-loss embedding has zero norm")
-    TRAIN_PARAMS["fc_distance"].check("fc_distance", distance)
     u = h1 / n1[:, None]
     v = h2 / n2[:, None]
     cos = (u * v).sum(axis=1)
-    if distance == "cosine":
-        loss = float(-cos.mean())
-        scale = 1.0
-    else:
-        # squared L2 between the normalized embeddings: 2 - 2*cos
-        loss = float((2.0 - 2.0 * cos).mean())
-        scale = 2.0
-    gh1 = -scale * (v - cos[:, None] * u) / n1[:, None] / b
-    gh2 = -scale * (u - cos[:, None] * v) / n2[:, None] / b
-    return loss, gh1, gh2
+    gh1 = -1.0 * (v - cos[:, None] * u) / n1[:, None] / b
+    gh2 = -1.0 * (u - cos[:, None] * v) / n2[:, None] / b
+    return float(-cos.mean()), gh1, gh2
 
 
 def feature_consistency_loss(model: PmcModel, view1: np.ndarray, view2: np.ndarray,
-                             distance: str = "cosine", stop_gradient: bool = True):
+                             stop_gradient: bool = True):
     """Consistency between predictor(projector(f(view1))) and projector(f(view2)).
 
     With stop_gradient (the default) the view2 branch is treated as a constant:
@@ -221,7 +212,7 @@ def feature_consistency_loss(model: PmcModel, view1: np.ndarray, view2: np.ndarr
     h1 = z1 @ wq + bq
     emb2, cache2 = trunk_forward(model, view2)
     h2 = emb2 @ wp + bp
-    loss, gh1, gh2 = _fc_head_grad(h1, h2, distance)
+    loss, gh1, gh2 = _fc_head_grad(h1, h2)
 
     grads = model.zeros()
     grads.predictor[0][:] = z1.T @ gh1
@@ -240,14 +231,14 @@ def feature_consistency_loss(model: PmcModel, view1: np.ndarray, view2: np.ndarr
 def total_loss_grads(model: PmcModel, batch: MiniBatch, lambda_fc: float,
                      fc_view1: Optional[np.ndarray] = None,
                      fc_view2: Optional[np.ndarray] = None,
-                     distance: str = "cosine", stop_gradient: bool = True):
+                     stop_gradient: bool = True):
     """Composite objective: cross-entropy plus lambda_fc times the consistency
     loss. With lambda_fc = 0 the consistency branch is never evaluated."""
     ce, grads = classification_grads(model, batch.inputs, batch.soft_labels)
     fc = 0.0
     if lambda_fc > 0:
         fc, fc_grads = feature_consistency_loss(model, fc_view1, fc_view2,
-                                                distance, stop_gradient)
+                                                stop_gradient)
         # in place: the two roundings of lambda_fc * fc_grads.flat, without
         # a parameter-sized temporary
         fc_grads.flat *= lambda_fc

@@ -167,16 +167,13 @@ def _epoch(epoch, model, velocity, rng, dataset, test, config, select, tau,
         raise NumericError("DIVERGED", f"epoch {epoch}: the trained "
                            f"model's outputs overflow ({exc})") from exc
     t2 = time.perf_counter()
-    # the pass below reads only the fallback's probs: the (N, e) embeddings
-    # and the logits are freed before it allocates
-    probs = fwd["probs"]
-    del fwd
     sel_idx = np.flatnonzero(clean_mask)
     if sel_idx.size == 0:
         # fall back to relabel-confident samples; skip the pass if none
-        sel_idx = np.flatnonzero(probs.max(axis=1) > config.theta_r)
+        sel_idx = np.flatnonzero(fwd["probs"].max(axis=1) > config.theta_r)
         log.warning("epoch %d: empty selection, falling back to %d "
                     "relabel-confident samples", epoch, sel_idx.size)
+    del fwd   # freed before the pass allocates
     if sel_idx.size:
         if config.oversample:
             train_idx = oversample_balanced(sel_idx, state.working_labels, rng)
@@ -209,7 +206,7 @@ def _epoch(epoch, model, velocity, rng, dataset, test, config, select, tau,
                 v2 = xs[fb] + rng.standard_normal((fb.size, d)) * weak
             loss, grads, _ = total_loss_grads(
                 model, batch, config.lambda_fc, fc_view1=v1, fc_view2=v2,
-                distance=config.fc_distance, stop_gradient=config.stop_gradient)
+                stop_gradient=config.stop_gradient)
             if not math.isfinite(loss):
                 raise NumericError("DIVERGED",
                                    f"epoch {epoch} step {step}: loss is {loss}")

@@ -208,13 +208,22 @@ def baseline_small_loss_predefined(losses: np.ndarray, tau: float) -> np.ndarray
 def baseline_gmm_loss(losses: np.ndarray) -> np.ndarray:
     """Two-component 1-D Gaussian mixture on the loss values via EM, started
     at their 10th and 90th percentiles; selects the samples whose posterior
-    under the lower-mean component exceeds 0.5."""
+    under the lower-mean component exceeds 0.5. Losses spread so far that
+    the fit's arithmetic overflows are a DEGENERATE_FIT too."""
     x = np.asarray(losses, dtype=np.float64)
-    n = x.shape[0]
-    if n < 2:
+    if x.shape[0] < 2:
         raise DataError("EMPTY_DATASET", "need at least 2 losses for a mixture fit")
     if not np.all(np.isfinite(x)):
         raise NumericError("NON_FINITE_INPUT", "losses contain non-finite values")
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _gmm_em(x)
+    except FloatingPointError as exc:
+        raise NumericError("DEGENERATE_FIT",
+                           f"the loss spread overflows ({exc})") from None
+
+
+def _gmm_em(x: np.ndarray) -> np.ndarray:
     var0 = float(x.var())
     if var0 < 1e-8:
         raise NumericError("DEGENERATE_FIT", "loss variance collapsed")
@@ -222,7 +231,6 @@ def baseline_gmm_loss(losses: np.ndarray) -> np.ndarray:
     var = np.array([var0, var0])
     w = np.array([0.5, 0.5])
     prev_ll = -np.inf
-    resp = None
     for _ in range(_GMM_MAX_ITER):
         log_pdf = (np.log(w)[None, :]
                    - 0.5 * np.log(2.0 * np.pi * var)[None, :]
@@ -233,7 +241,7 @@ def baseline_gmm_loss(losses: np.ndarray) -> np.ndarray:
         nk = resp.sum(axis=0)
         if not nk.min() > 0:
             raise NumericError("DEGENERATE_FIT", "a mixture component is empty")
-        w = nk / n
+        w = nk / x.size
         mu = (resp * x[:, None]).sum(axis=0) / nk
         var = (resp * (x[:, None] - mu[None, :]) ** 2).sum(axis=0) / nk
         if not var.min() >= 1e-8:   # nan too

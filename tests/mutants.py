@@ -7,9 +7,10 @@ Run from the repository root:
 A mutant is a (label, file, old, new) replacement of one exact piece of
 source. For each one the script copies ``src/``, ``tests/`` and
 ``pyproject.toml`` into a temporary directory, applies the mutant there,
-runs tier-1 with ``-x`` and prints ``killed`` with the first failing test,
-or ``survived`` when every test passes; ``error`` means pytest stopped
-for another reason. A mutant whose ``old`` text is not found exactly once is
+runs tier-1 with ``-x`` and the ``ci`` hypothesis profile (so a kill
+repeats) and prints ``killed`` with the first failing test, or
+``survived`` when every test passes; ``error`` means pytest stopped for
+another reason. A mutant whose ``old`` text is not found exactly once is
 ``stale``: the code it names has moved. The working tree is never changed.
 The exit status is 1 unless every mutant is killed. The file name keeps
 it out of pytest's collection.
@@ -33,8 +34,8 @@ MUTANTS = [
      "v2 = xs[fb] + rng.standard_normal((fb.size, d)) * strong"),
     ("the empty-selection fallback takes every sample",
      "src/ssrlab/pipeline.py",
-     "np.flatnonzero(probs.max(axis=1) > config.theta_r)",
-     "np.flatnonzero(probs.max(axis=1) >= 0.0)"),
+     "np.flatnonzero(fwd[\"probs\"].max(axis=1) > config.theta_r)",
+     "np.flatnonzero(fwd[\"probs\"].max(axis=1) >= 0.0)"),
     ("oversampling skips a class short by one", "src/ssrlab/model.py",
      "if short > 0:", "if short > 1:"),
     ("the FC order reshuffles one batch early", "src/ssrlab/pipeline.py",
@@ -97,6 +98,17 @@ MUTANTS = [
      "            raise DataError(\"MISSING_PAIR_MAP\",\n"
      "                            \"pair map must map every class to a different class\")\n",
      ""),
+    ("a run scores the synth holdout when --test comes without -i",
+     "src/ssrlab/cli.py",
+     "    if test_path is not None:\n"
+     "        raise ConfigError(\"RANGE_ERROR\", \"--test needs -i\")\n", ""),
+    ("record.json echoes the synth and noise sections of a run on -i data",
+     "src/ssrlab/cli.py",
+     "        parsed = dataclasses.replace(parsed, synth=None, noise=None)\n",
+     "        pass\n"),
+    ("the GMM fit lets an overflow through", "src/ssrlab/selector.py",
+     "with np.errstate(over=\"raise\", invalid=\"raise\"):",
+     "with np.errstate():"),
 ]
 
 
@@ -114,8 +126,8 @@ def run_mutant(path: str, old: str, new: str) -> tuple[str, str]:
         env = dict(os.environ, PYTHONPATH=str(Path(tmp) / "src"))
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p",
-             "no:cacheprovider"], cwd=tmp, env=env, capture_output=True,
-            text=True)
+             "no:cacheprovider", "--hypothesis-profile=ci"], cwd=tmp,
+            env=env, capture_output=True, text=True)
     if proc.returncode == 0:
         return "survived", ""
     if proc.returncode != 1:   # not a failing test: a usage or collection error

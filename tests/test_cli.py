@@ -55,7 +55,7 @@ def test_unknown_key_rejected():
 
 def test_removed_persistent_relabel_key_rejected():
     for key in ("persistent_relabel", "record_timings", "use_mixup",
-                "proj_dim"):
+                "proj_dim", "fc_distance"):
         with pytest.raises(ConfigError) as exc:
             parse_config_dict({key: True})
         assert exc.value.code == "UNKNOWN_KEY"
@@ -262,6 +262,25 @@ def test_run_with_input_files(tmp_path, config_path):
                  "--test", str(data / "test.ssrd")]) == 0
     _, rows = read_csv(run_dir_of(out) / "metrics.csv")
     assert len(rows) == 2
+    # the config's synth and noise sections were not applied to -i data, so
+    # record.json does not echo them (a synth run does, see compare-modes)
+    record = json.loads((run_dir_of(out) / "record.json").read_text())
+    assert sorted(record["config"]) == ["train"]
+
+
+@pytest.mark.parametrize("verb", ["run", "grid", "compare-modes"])
+def test_test_set_without_input_is_refused(tmp_path, config_path, caplog,
+                                           verb):
+    data = tmp_path / "data"
+    main(["synth", "-c", str(config_path), "-o", str(data)])
+    out = tmp_path / "o"
+    args = [verb, "-c", str(config_path), "-o", str(out),
+            "--test", str(data / "test.ssrd")]
+    if verb == "grid":
+        args += ["--param", "theta_s", "--values", "0.5,1.0"]
+    assert main(args) == 2
+    assert "RANGE_ERROR: --test needs -i" in caplog.text
+    assert not out.exists()
 
 
 def test_run_without_test_set_records_no_test_accuracy(tmp_path, config_path,
@@ -412,7 +431,7 @@ CONFIG_PROBES = [
     ("synth", "dim", "2"), (None, "noise", "null"), (None, "noise", "5"),
     (None, "synth", '"ab"'), (None, "hidden_dims", "[]"),
     ("noise", "pair_map", "[1.5, 0, 1]"), (None, "balance_voting", "0"),
-    (None, "fc_distance", "null"), ("noise", "kind", '"asymmetric"'),
+    (None, "stop_gradient", "null"), ("noise", "kind", '"asymmetric"'),
     ("noise", "pair_map", "[1, 0]", {"kind": "asymmetric"}),
     ("noise", "pair_map", "[1, 2, 2]", {"kind": "asymmetric"}),
     ("noise", "pair_map", "[1, 2, 3]", {"kind": "asymmetric"}),

@@ -89,8 +89,7 @@ def test_int_seed_from_numpy_runs():
 @pytest.mark.parametrize("cls, kwargs, message", [
     (TrainConfig, {"theta_s": True}, "theta_s=True, expected float in [0, 1]"),
     (TrainConfig, {"epochs": 1.5}, "epochs=1.5, expected int in [1, inf)"),
-    (TrainConfig, {"fc_distance": None},
-     "fc_distance=None, expected one of ('cosine', 'l2')"),
+    (TrainConfig, {"stop_gradient": None}, "stop_gradient=None, expected bool"),
     (NoiseSpec, {"kind": "salt"},
      "kind='salt', expected one of ('symmetric', 'asymmetric', 'combined')"),
     (NoiseSpec, {"open_ratio": 0.5},

@@ -111,7 +111,7 @@ def test_class_counts_match_recount():
 @pytest.mark.parametrize("kwargs", [
     {"theta_s": 1.2}, {"theta_r": 0.0}, {"theta_r": 1.5}, {"k_neighbours": 0},
     {"lambda_fc": -1}, {"mixup_alpha": -0.5}, {"epochs": 0},
-    {"fc_distance": "manhattan"}, {"momentum": 1.0},
+    {"batch_size": 0}, {"momentum": 1.0},
 ])
 def test_config_range_errors(kwargs):
     with pytest.raises(ConfigError) as exc:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import numeric_grad, rel_err
 from oracles import sgd_step_per_pair
 from ssrlab import model as model_module
-from ssrlab.errors import ConfigError, DataError, NumericError
+from ssrlab.errors import DataError, NumericError
 from ssrlab.model import (MiniBatch, PmcModel, cosine_lr, cross_entropy_loss,
                           feature_consistency_loss, forward, init_model,
                           mixup_pair, oversample_balanced, sample_beta,
@@ -271,10 +271,8 @@ def test_fc_orthogonal_views():
                      predictor=(np.eye(2), np.zeros(2)))
     v1 = np.array([[1.0, 0.0]])
     v2 = np.array([[0.0, 1.0]])
-    cos_loss, _ = feature_consistency_loss(ident, v1, v2, distance="cosine")
-    l2_loss, _ = feature_consistency_loss(ident, v1, v2, distance="l2")
+    cos_loss, _ = feature_consistency_loss(ident, v1, v2)
     assert abs(cos_loss) < 1e-12
-    assert abs(l2_loss - 2.0) < 1e-12
 
 
 def test_fc_zero_norm_embedding():
@@ -285,14 +283,6 @@ def test_fc_zero_norm_embedding():
     with pytest.raises(NumericError) as exc:
         feature_consistency_loss(ident, np.ones((1, 2)), np.ones((1, 2)))
     assert exc.value.code == "ZERO_NORM_EMBEDDING"
-
-
-def test_fc_unknown_distance(tiny_model):
-    v = np.random.default_rng(0).normal(size=(3, 5))
-    with pytest.raises(ConfigError) as exc:
-        feature_consistency_loss(tiny_model, v, v, distance="manhattan")
-    assert exc.value.code == "RANGE_ERROR"
-    assert "('cosine', 'l2')" in str(exc.value)
 
 
 def test_stop_gradient_blocks_second_branch(tiny_model):

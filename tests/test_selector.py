@@ -746,6 +746,17 @@ def test_gmm_component_variance_collapse_is_degenerate():
     assert "component variance collapsed" in str(exc.value)
 
 
+@pytest.mark.parametrize("losses", [
+    [0.0] * 5 + [1e200] * 5, [0.0, 1e155, 2.0, 3.0],
+    [-8e153, 8e153]])   # a finite variance, but EM's squares overflow
+def test_gmm_loss_overflow_is_degenerate(losses):
+    # the suite turns a RuntimeWarning into an error, so none may come first
+    with pytest.raises(NumericError) as exc:
+        baseline_gmm_loss(np.array(losses))
+    assert exc.value.code == "DEGENERATE_FIT"
+    assert "the loss spread overflows" in str(exc.value)
+
+
 @pytest.mark.parametrize("losses, error, code", [
     ([], DataError, "EMPTY_DATASET"), ([0.3], DataError, "EMPTY_DATASET"),
     ([0.1, np.nan, 2.0], NumericError, "NON_FINITE_INPUT"),

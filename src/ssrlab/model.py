@@ -104,7 +104,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def forward(model: PmcModel, inputs: np.ndarray) -> dict:
-    """Logits, softmax predictions and trunk embeddings of every input row.
+    """Softmax predictions and trunk embeddings of every input row.
 
     Every input runs the trunk in ceil(N / _FORWARD_ROWS) equal row blocks,
     each written into the preallocated (N, e) embeddings, so one block's
@@ -126,8 +126,7 @@ def forward(model: PmcModel, inputs: np.ndarray) -> dict:
     for lo in range(0, n, rows):
         emb[lo:lo + rows] = trunk_forward(model, x[lo:lo + rows])[0]
     wh, bh = model.head
-    logits = emb @ wh + bh
-    return {"logits": logits, "probs": softmax(logits), "embeddings": emb}
+    return {"probs": softmax(emb @ wh + bh), "embeddings": emb}
 
 
 def cross_entropy_loss(probs: np.ndarray, soft_labels: np.ndarray):
@@ -169,15 +168,18 @@ def mixup_pair(batch: MiniBatch, alpha: float, rng) -> MiniBatch:
 
 
 def classification_grads(model: PmcModel, inputs: np.ndarray,
-                         soft_labels: np.ndarray):
-    """Cross-entropy loss and gradients for all trunk/head parameters."""
+                         soft_labels: np.ndarray,
+                         grads: Optional[PmcModel] = None):
+    """Cross-entropy loss and its trunk and head gradients, added to what
+    ``grads`` holds (a new zero buffer when None)."""
     emb, cache = trunk_forward(model, inputs)
     wh, bh = model.head
     probs = softmax(emb @ wh + bh)
     loss, grad_logits = cross_entropy_loss(probs, soft_labels)
-    grads = model.zeros()
-    grads.head[0][:] = emb.T @ grad_logits
-    grads.head[1][:] = grad_logits.sum(axis=0)
+    if grads is None:
+        grads = model.zeros()
+    grads.head[0][:] += emb.T @ grad_logits
+    grads.head[1][:] += grad_logits.sum(axis=0)
     trunk_backward(model, cache, grad_logits @ wh.T, grads)
     return loss, grads
 
@@ -199,8 +201,11 @@ def _fc_head_grad(h1, h2):
 
 
 def feature_consistency_loss(model: PmcModel, view1: np.ndarray, view2: np.ndarray,
-                             stop_gradient: bool = True):
-    """Consistency between predictor(projector(f(view1))) and projector(f(view2)).
+                             stop_gradient: bool = True,
+                             grads: Optional[PmcModel] = None):
+    """Consistency between predictor(projector(f(view1))) and projector(f(view2)),
+    and its gradients, added to what ``grads`` holds (a new zero buffer when
+    None).
 
     With stop_gradient (the default) the view2 branch is treated as a constant:
     its trunk and projector activations receive no gradient.
@@ -214,12 +219,13 @@ def feature_consistency_loss(model: PmcModel, view1: np.ndarray, view2: np.ndarr
     h2 = emb2 @ wp + bp
     loss, gh1, gh2 = _fc_head_grad(h1, h2)
 
-    grads = model.zeros()
-    grads.predictor[0][:] = z1.T @ gh1
-    grads.predictor[1][:] = gh1.sum(axis=0)
+    if grads is None:
+        grads = model.zeros()
+    grads.predictor[0][:] += z1.T @ gh1
+    grads.predictor[1][:] += gh1.sum(axis=0)
     gz1 = gh1 @ wq.T
-    grads.projector[0][:] = emb1.T @ gz1
-    grads.projector[1][:] = gz1.sum(axis=0)
+    grads.projector[0][:] += emb1.T @ gz1
+    grads.projector[1][:] += gz1.sum(axis=0)
     trunk_backward(model, cache1, gz1 @ wp.T, grads)
     if not stop_gradient:
         grads.projector[0][:] += emb2.T @ gh2
@@ -233,16 +239,18 @@ def total_loss_grads(model: PmcModel, batch: MiniBatch, lambda_fc: float,
                      fc_view2: Optional[np.ndarray] = None,
                      stop_gradient: bool = True):
     """Composite objective: cross-entropy plus lambda_fc times the consistency
-    loss. With lambda_fc = 0 the consistency branch is never evaluated."""
-    ce, grads = classification_grads(model, batch.inputs, batch.soft_labels)
+    loss. With lambda_fc = 0 the consistency branch is never evaluated.
+
+    Both gradients go into one buffer: the consistency branch's, scaled by
+    lambda_fc in place, then the cross-entropy branch's added to it. Each
+    value rounds as ce + fl(lambda_fc * fc) does, since addition commutes."""
+    grads = model.zeros()
     fc = 0.0
     if lambda_fc > 0:
-        fc, fc_grads = feature_consistency_loss(model, fc_view1, fc_view2,
-                                                stop_gradient)
-        # in place: the two roundings of lambda_fc * fc_grads.flat, without
-        # a parameter-sized temporary
-        fc_grads.flat *= lambda_fc
-        grads.flat += fc_grads.flat
+        fc = feature_consistency_loss(model, fc_view1, fc_view2, stop_gradient,
+                                      grads)[0]
+        grads.flat *= lambda_fc
+    ce = classification_grads(model, batch.inputs, batch.soft_labels, grads)[0]
     return ce + lambda_fc * fc, grads, {"ce": ce, "fc": fc}
 
 
@@ -253,10 +261,14 @@ def cosine_lr(base_lr: float, epoch: int, total_epochs: int) -> float:
 def sgd_step(model: PmcModel, grads: PmcModel, velocity: np.ndarray,
              lr: float, momentum: float, weight_decay: float) -> None:
     """In-place SGD update of ``model.flat`` and the equal-length velocity
-    buffer: v <- mu*v + g + wd*theta; theta <- theta - lr*v."""
+    buffer: v <- mu*v + g + wd*theta; theta <- theta - lr*v, through one
+    parameter-sized temporary."""
+    t = weight_decay * model.flat
+    t += grads.flat
     velocity *= momentum
-    velocity += grads.flat + weight_decay * model.flat
-    model.flat -= lr * velocity
+    velocity += t
+    np.multiply(lr, velocity, out=t)
+    model.flat -= t
 
 
 def oversample_balanced(selected_indices: np.ndarray, working_labels: np.ndarray,

@@ -104,8 +104,11 @@ def _per_sample_ce(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 def _knn_selection(state, fwd, config):
-    # the index counts each tile's votes as it goes, so no (N, K) ids are held
-    counts = build_neighbour_index(fwd["embeddings"], config.k_neighbours, state)
+    # the index counts each tile's votes as it goes, so no (N, K) ids are
+    # held; handed over as the only reference, the embeddings are freed once
+    # the index has normalised them
+    counts = build_neighbour_index(fwd.pop("embeddings"), config.k_neighbours,
+                                   state)
     return compute_selection(counts, state, config.theta_s,
                              balance=config.balance_voting)
 
@@ -212,6 +215,7 @@ def _epoch(epoch, model, velocity, rng, dataset, test, config, select, tau,
                                    f"epoch {epoch} step {step}: loss is {loss}")
             sgd_step(model, grads, velocity, lr, config.momentum,
                      config.weight_decay)
+            del grads   # freed before the next step allocates its buffer
         top = np.abs(model.flat).max()
         if not top <= _PARAM_BOUND:   # also true for nan
             what = (f"max |parameter| {top:.3g} is past {_PARAM_BOUND:g}"

@@ -67,6 +67,10 @@ def build_neighbour_index(features: np.ndarray, k: int,
     if bad.size:
         raise NumericError("ZERO_NORM_VECTOR", f"feature row {bad[0]} has zero norm")
     unit = feats / norms[:, None]
+    # the input's references go, so an input handed over as the only one is
+    # freed before the first tile (CPython >= 3.11 moves call arguments off
+    # the caller's stack)
+    del features, feats
     width = k if state is None else state.class_counts.shape[0]
     out = np.empty((n, width), dtype=np.int64)
     rows = min(_TILE_ROWS, max(1, _TILE_ELEMS // n))

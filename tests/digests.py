@@ -9,10 +9,12 @@ It prints one JSON object of sha256 hex digests:
 
 - ``index``: the ``build_neighbour_index`` ids on ``default_rng(0).normal``
   features at (N, d, k) = (2000, 16, 100), (10000, 16, 100) and (3000, 8, 1);
-- ``forward``: the logits, softmax and embeddings that ``forward`` gives
-  for 5000 ``default_rng(0).normal`` rows of width 16, more than one trunk
-  block, through a seeded ``init_model`` at the default hidden widths with
-  its zero head redrawn, so the logits are not all zero;
+- ``forward``: the softmax and embeddings that ``forward`` gives for 5000
+  ``default_rng(0).normal`` rows of width 16, more than one trunk block,
+  through a seeded ``init_model`` at the default hidden widths with its zero
+  head redrawn, so the logits are not all zero; with them the logits, which
+  ``forward`` no longer returns, computed here from its embeddings by the
+  expression it applies (``emb @ wh + bh``);
 - ``ties``: per ``KEY_EDGE_KINDS`` kind of ``test_selector``, the ids of 11
   tie-heavy cases drawn by ``hypothesis`` from a fixed seed;
 - ``runs``: ``metrics.csv`` and the ``model.flat`` bytes of criterion 10's
@@ -68,6 +70,8 @@ def forward_digest(n: int) -> str:
     model = init_model(16, 4, TrainConfig().hidden_dims, rng)
     model.head[0][:] = rng.normal(size=model.head[0].shape)
     out = forward(model, rng.normal(size=(n, 16)))
+    wh, bh = model.head
+    out["logits"] = out["embeddings"] @ wh + bh
     return _sha(b"".join(out[name].tobytes() for name in sorted(out)))
 
 

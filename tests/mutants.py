@@ -46,9 +46,18 @@ MUTANTS = [
     ("sgd_step decays the velocity after adding the gradient",
      "src/ssrlab/model.py",
      "    velocity *= momentum\n"
-     "    velocity += grads.flat + weight_decay * model.flat\n",
-     "    velocity += grads.flat + weight_decay * model.flat\n"
+     "    velocity += t\n",
+     "    velocity += t\n"
      "    velocity *= momentum\n"),
+    ("the CE head gradient is assigned, not added", "src/ssrlab/model.py",
+     "grads.head[0][:] += emb.T @ grad_logits",
+     "grads.head[0][:] = emb.T @ grad_logits"),
+    ("the train loop keeps the previous step's gradients",
+     "src/ssrlab/pipeline.py",
+     "            del grads   # freed before the next step allocates its buffer\n",
+     ""),
+    ("the index keeps its input alive", "src/ssrlab/selector.py",
+     "    del features, feats\n", ""),
     ("the open-set pool draws before the test set", "src/ssrlab/noise.py",
      "    test_feats = draw(test_labels)\n"
      "    # the last draw: with no open-set classes it is empty and takes no numbers\n"

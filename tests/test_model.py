@@ -10,7 +10,8 @@ from conftest import numeric_grad, rel_err
 from oracles import sgd_step_per_pair
 from ssrlab import model as model_module
 from ssrlab.errors import DataError, NumericError
-from ssrlab.model import (MiniBatch, PmcModel, cosine_lr, cross_entropy_loss,
+from ssrlab.model import (MiniBatch, PmcModel, classification_grads,
+                          cosine_lr, cross_entropy_loss,
                           feature_consistency_loss, forward, init_model,
                           mixup_pair, oversample_balanced, sample_beta,
                           sgd_step, softmax, total_loss_grads, trunk_forward)
@@ -93,8 +94,8 @@ def test_blocked_forward_equals_single_call(rows):
     n = 300
     model, x = exact_model_and_inputs(n)
     emb = trunk_forward(model, x)[0]
-    logits = emb @ model.head[0] + model.head[1]
-    whole = {"logits": logits, "probs": softmax(logits), "embeddings": emb}
+    whole = {"probs": softmax(emb @ model.head[0] + model.head[1]),
+             "embeddings": emb}
     blocks = []
 
     def spy(model, x):
@@ -115,7 +116,8 @@ def test_blocked_forward_equals_single_call(rows):
 def test_forward_of_no_rows_is_empty():
     model = init_model(4, 3, hidden_dims=(5, 2), rng=0)
     out = forward(model, np.zeros((0, 4)))
-    assert out["logits"].shape == out["probs"].shape == (0, 3)
+    assert out.keys() == {"probs", "embeddings"}
+    assert out["probs"].shape == (0, 3)
     assert out["embeddings"].shape == (0, 2)
 
 
@@ -312,18 +314,55 @@ def test_total_loss_lambda_zero_is_pure_ce(tiny_model):
 
 
 def test_total_loss_weighted_sum(tiny_model):
+    # the one-buffer sum rounds as ce + fl(lam * fc): addition commutes
     rng = np.random.default_rng(9)
     batch = MiniBatch(rng.normal(size=(3, 5)), np.eye(3))
     v1 = rng.normal(size=(3, 5))
     v2 = rng.normal(size=(3, 5))
-    lam = 0.7
-    total, grads, parts = total_loss_grads(tiny_model, batch, lam,
-                                           fc_view1=v1, fc_view2=v2)
-    assert abs(total - (parts["ce"] + lam * parts["fc"])) < 1e-12
     ce_grads = total_loss_grads(tiny_model, batch, 0.0)[1]
-    fc_grads = feature_consistency_loss(tiny_model, v1, v2)[1]
-    assert np.allclose(grads.flat, ce_grads.flat + lam * fc_grads.flat,
-                       atol=1e-12)
+    for stop in (True, False):
+        fc_grads = feature_consistency_loss(tiny_model, v1, v2, stop)[1]
+        for lam in (0.7, 1.0, 2.0):
+            total, grads, parts = total_loss_grads(
+                tiny_model, batch, lam, fc_view1=v1, fc_view2=v2,
+                stop_gradient=stop)
+            assert abs(total - (parts["ce"] + lam * parts["fc"])) < 1e-12
+            assert np.array_equal(grads.flat,
+                                  ce_grads.flat + lam * fc_grads.flat)
+
+
+def test_total_loss_makes_one_gradient_buffer(tiny_model, monkeypatch):
+    rng = np.random.default_rng(9)
+    batch = MiniBatch(rng.normal(size=(3, 5)), np.eye(3))
+    real, made = PmcModel.zeros, []
+
+    def counted(self):
+        made.append(real(self))
+        return made[-1]
+
+    monkeypatch.setattr(PmcModel, "zeros", counted)
+    grads = total_loss_grads(tiny_model, batch, 0.7,
+                             fc_view1=rng.normal(size=(3, 5)),
+                             fc_view2=rng.normal(size=(3, 5)))[1]
+    assert made == [grads]
+
+
+def test_branch_gradients_add_into_the_given_buffer(tiny_model):
+    # each parameter takes one addition per branch, so adding into a buffer
+    # that holds g0 gives g0 + the branch's own gradient bit for bit
+    rng = np.random.default_rng(9)
+    x, v1, v2 = (rng.normal(size=(3, 5)) for _ in range(3))
+    g0 = tiny_model.zeros()
+    g0.flat[:] = rng.normal(size=g0.flat.size)
+    for branch in (lambda grads=None: classification_grads(
+                       tiny_model, x, np.eye(3), grads),
+                   lambda grads=None: feature_consistency_loss(
+                       tiny_model, v1, v2, True, grads)):
+        own = branch()[1]
+        into = tiny_model.zeros()
+        into.flat[:] = g0.flat
+        assert branch(into)[1] is into
+        assert np.array_equal(into.flat, g0.flat + own.flat)
 
 
 # --- optimizer ---------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -420,6 +421,23 @@ def spy_on_steps(monkeypatch):
 
     monkeypatch.setattr(pipeline, "total_loss_grads", spy)
     return calls
+
+
+def test_no_earlier_gradient_buffer_alive_at_a_step(small_noisy, monkeypatch):
+    # each step's parameter-sized buffer is freed once sgd_step has used it
+    noisy, _ = small_noisy
+    real = pipeline.total_loss_grads
+    refs, alive = [], []
+
+    def spy(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in refs))
+        out = real(*args, **kwargs)
+        refs.append(weakref.ref(out[1].flat))
+        return out
+
+    monkeypatch.setattr(pipeline, "total_loss_grads", spy)
+    run_experiment(noisy, small_config(epochs=2))
+    assert len(alive) > 2 and not any(alive)
 
 
 def test_forced_empty_selection_at_epoch_0_trains_nothing(small_noisy,

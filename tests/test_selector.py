@@ -1,5 +1,7 @@
 import math
+import sys
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -351,6 +353,33 @@ def test_index_tile_is_capped_in_rows():
     finally:
         tracemalloc.stop()
     assert peak < 7 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="before CPython 3.11 "
+                    "the caller's stack holds a call's arguments until it returns")
+def test_index_frees_an_input_passed_as_the_only_reference(monkeypatch):
+    refs, alive = [], []
+    real = selector._tile_topk
+
+    def spy(*args):
+        alive.append(refs[0]() is not None)
+        return real(*args)
+
+    def handed_over():
+        feats = np.random.default_rng(4).normal(size=(40, 5))
+        refs.append(weakref.ref(feats))
+        return feats
+
+    monkeypatch.setattr(selector, "_tile_topk", spy)
+    build_neighbour_index(handed_over(), 3)
+    assert alive and not alive[0]
+
+
+def test_index_leaves_a_kept_input_unchanged():
+    feats = np.random.default_rng(4).normal(size=(40, 5)) * 3.0
+    before = feats.copy()
+    build_neighbour_index(feats, 3)
+    assert feats.tobytes() == before.tobytes()
 
 
 def test_index_self_excluded():

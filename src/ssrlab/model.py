@@ -168,20 +168,17 @@ def mixup_pair(batch: MiniBatch, alpha: float, rng) -> MiniBatch:
 
 
 def classification_grads(model: PmcModel, inputs: np.ndarray,
-                         soft_labels: np.ndarray,
-                         grads: Optional[PmcModel] = None):
-    """Cross-entropy loss and its trunk and head gradients, added to what
-    ``grads`` holds (a new zero buffer when None)."""
+                         soft_labels: np.ndarray, grads: PmcModel) -> float:
+    """Cross-entropy loss; its trunk and head gradients are added to what
+    ``grads`` holds."""
     emb, cache = trunk_forward(model, inputs)
     wh, bh = model.head
     probs = softmax(emb @ wh + bh)
     loss, grad_logits = cross_entropy_loss(probs, soft_labels)
-    if grads is None:
-        grads = model.zeros()
     grads.head[0][:] += emb.T @ grad_logits
     grads.head[1][:] += grad_logits.sum(axis=0)
     trunk_backward(model, cache, grad_logits @ wh.T, grads)
-    return loss, grads
+    return loss
 
 
 def _fc_head_grad(h1, h2):
@@ -201,11 +198,9 @@ def _fc_head_grad(h1, h2):
 
 
 def feature_consistency_loss(model: PmcModel, view1: np.ndarray, view2: np.ndarray,
-                             stop_gradient: bool = True,
-                             grads: Optional[PmcModel] = None):
-    """Consistency between predictor(projector(f(view1))) and projector(f(view2)),
-    and its gradients, added to what ``grads`` holds (a new zero buffer when
-    None).
+                             grads: PmcModel, stop_gradient: bool = True) -> float:
+    """Consistency between predictor(projector(f(view1))) and projector(f(view2));
+    its gradients are added to what ``grads`` holds.
 
     With stop_gradient (the default) the view2 branch is treated as a constant:
     its trunk and projector activations receive no gradient.
@@ -219,8 +214,6 @@ def feature_consistency_loss(model: PmcModel, view1: np.ndarray, view2: np.ndarr
     h2 = emb2 @ wp + bp
     loss, gh1, gh2 = _fc_head_grad(h1, h2)
 
-    if grads is None:
-        grads = model.zeros()
     grads.predictor[0][:] += z1.T @ gh1
     grads.predictor[1][:] += gh1.sum(axis=0)
     gz1 = gh1 @ wq.T
@@ -231,7 +224,7 @@ def feature_consistency_loss(model: PmcModel, view1: np.ndarray, view2: np.ndarr
         grads.projector[0][:] += emb2.T @ gh2
         grads.projector[1][:] += gh2.sum(axis=0)
         trunk_backward(model, cache2, gh2 @ wp.T, grads)
-    return loss, grads
+    return loss
 
 
 def total_loss_grads(model: PmcModel, batch: MiniBatch, lambda_fc: float,
@@ -247,10 +240,10 @@ def total_loss_grads(model: PmcModel, batch: MiniBatch, lambda_fc: float,
     grads = model.zeros()
     fc = 0.0
     if lambda_fc > 0:
-        fc = feature_consistency_loss(model, fc_view1, fc_view2, stop_gradient,
-                                      grads)[0]
+        fc = feature_consistency_loss(model, fc_view1, fc_view2, grads,
+                                      stop_gradient)
         grads.flat *= lambda_fc
-    ce = classification_grads(model, batch.inputs, batch.soft_labels, grads)[0]
+    ce = classification_grads(model, batch.inputs, batch.soft_labels, grads)
     return ce + lambda_fc * fc, grads, {"ce": ce, "fc": fc}
 
 

@@ -76,8 +76,7 @@ def make_gaussian_dataset(spec: SynthSpec) -> SynthData:
     split and an out-of-distribution pool from extra centres."""
     rng = np.random.default_rng(spec.seed)
     m = spec.num_classes
-    centres = _simplex_centres(m + spec.ood_classes, spec.dim,
-                               spec.separation * 1.0)
+    centres = _simplex_centres(m + spec.ood_classes, spec.dim, spec.separation)
     counts = spec.class_counts or (spec.per_class,) * m
 
     def draw(labels):

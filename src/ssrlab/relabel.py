@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import OPEN_SET, TRAIN_PARAMS, LabelState, NoisyDataset
+from .data import TRAIN_PARAMS, LabelState, NoisyDataset
 from .errors import DataError, NumericError
 
 _ROW_SUM_TOL = 1e-6

@@ -32,6 +32,18 @@ MUTANTS = [
     ("the FC's weak view takes the strong jitter", "src/ssrlab/pipeline.py",
      "v2 = xs[fb] + rng.standard_normal((fb.size, d)) * weak",
      "v2 = xs[fb] + rng.standard_normal((fb.size, d)) * strong"),
+    ("the strong jitter divides sigma by the per-dimension std",
+     "src/ssrlab/pipeline.py",
+     "strong = config.sigma_strong * feat_std",
+     "strong = config.sigma_strong / feat_std"),
+    ("the weak jitter divides sigma by the per-dimension std",
+     "src/ssrlab/pipeline.py",
+     "weak = config.sigma_weak * feat_std",
+     "weak = config.sigma_weak / feat_std"),
+    ("an epoch's select time adds two clock readings",
+     "src/ssrlab/pipeline.py",
+     "EpochTimings(epoch, t1 - t0, t2 - t1,",
+     "EpochTimings(epoch, t1 - t0, t2 + t1,"),
     ("the empty-selection fallback takes every sample",
      "src/ssrlab/pipeline.py",
      "np.flatnonzero(fwd[\"probs\"].max(axis=1) > config.theta_r)",

@@ -112,16 +112,18 @@ def test_criterion_2_gradients():
                 continue
 
             # (a) cross-entropy with mixup soft labels, trunk + head
-            _, g = classification_grads(model, batch.inputs, batch.soft_labels)
+            g = model.zeros()
+            classification_grads(model, batch.inputs, batch.soft_labels, g)
             num = numeric_grad(
                 lambda: classification_grads(model, batch.inputs,
-                                             batch.soft_labels)[0],
+                                             batch.soft_labels, model.zeros()),
                 [model.flat])
             worst = max(worst, rel_err([g.flat], num))
             checks += 1
 
             # (b) consistency loss, stop-gradient branch held frozen
-            _, g = feature_consistency_loss(model, v1, v2, stop_gradient=True)
+            g = model.zeros()
+            feature_consistency_loss(model, v1, v2, g, stop_gradient=True)
             num = numeric_grad(
                 lambda: fc_loss_frozen_h2(model, v1, h2_base),
                 [model.flat])
@@ -133,7 +135,7 @@ def test_criterion_2_gradients():
                                        fc_view2=v2)
             num = numeric_grad(
                 lambda: classification_grads(model, batch.inputs,
-                                             batch.soft_labels)[0]
+                                             batch.soft_labels, model.zeros())
                 + lam * fc_loss_frozen_h2(model, v1, h2_base),
                 [model.flat])
             worst = max(worst, rel_err([g.flat], num))
@@ -141,8 +143,9 @@ def test_criterion_2_gradients():
 
             # (d) both-branch gradients without the stop
             loss_fn = lambda: feature_consistency_loss(
-                model, v1, v2, stop_gradient=False)[0]
-            _, g = feature_consistency_loss(model, v1, v2, stop_gradient=False)
+                model, v1, v2, model.zeros(), stop_gradient=False)
+            g = model.zeros()
+            feature_consistency_loss(model, v1, v2, g, stop_gradient=False)
             num = numeric_grad(loss_fn, [model.flat])
             worst = max(worst, rel_err([g.flat], num))
             checks += 1

@@ -251,7 +251,7 @@ def head_outputs(model, v1, v2):
 
 def test_fc_parallel_views_cosine_minimum(tiny_model):
     v = np.random.default_rng(0).normal(size=(3, 5))
-    loss, _ = feature_consistency_loss(tiny_model, v, v)
+    loss = feature_consistency_loss(tiny_model, v, v, tiny_model.zeros())
     h1, h2 = head_outputs(tiny_model, v, v)
     cos = (h1 * h2).sum(1) / (np.linalg.norm(h1, axis=1)
                               * np.linalg.norm(h2, axis=1))
@@ -262,7 +262,7 @@ def test_fc_parallel_views_cosine_minimum(tiny_model):
                      projector=(np.eye(2), np.zeros(2)),
                      predictor=(np.eye(2), np.zeros(2)))
     same = np.array([[1.0, 2.0]])
-    loss, _ = feature_consistency_loss(ident, same, same)
+    loss = feature_consistency_loss(ident, same, same, ident.zeros())
     assert abs(loss + 1.0) < 1e-12
 
 
@@ -273,7 +273,7 @@ def test_fc_orthogonal_views():
                      predictor=(np.eye(2), np.zeros(2)))
     v1 = np.array([[1.0, 0.0]])
     v2 = np.array([[0.0, 1.0]])
-    cos_loss, _ = feature_consistency_loss(ident, v1, v2)
+    cos_loss = feature_consistency_loss(ident, v1, v2, ident.zeros())
     assert abs(cos_loss) < 1e-12
 
 
@@ -283,7 +283,8 @@ def test_fc_zero_norm_embedding():
                      projector=(np.zeros((2, 2)), np.zeros(2)),
                      predictor=(np.eye(2), np.zeros(2)))
     with pytest.raises(NumericError) as exc:
-        feature_consistency_loss(ident, np.ones((1, 2)), np.ones((1, 2)))
+        feature_consistency_loss(ident, np.ones((1, 2)), np.ones((1, 2)),
+                                 ident.zeros())
     assert exc.value.code == "ZERO_NORM_EMBEDDING"
 
 
@@ -291,10 +292,9 @@ def test_stop_gradient_blocks_second_branch(tiny_model):
     rng = np.random.default_rng(7)
     v1 = rng.normal(size=(3, 5))
     v2 = rng.normal(size=(3, 5))
-    _, g_stop = feature_consistency_loss(tiny_model, v1, v2,
-                                         stop_gradient=True)
-    _, g_full = feature_consistency_loss(tiny_model, v1, v2,
-                                         stop_gradient=False)
+    g_stop, g_full = tiny_model.zeros(), tiny_model.zeros()
+    feature_consistency_loss(tiny_model, v1, v2, g_stop, stop_gradient=True)
+    feature_consistency_loss(tiny_model, v1, v2, g_full, stop_gradient=False)
     # the predictor sits only on the view1 branch: identical either way
     assert np.array_equal(g_stop.predictor[0], g_full.predictor[0])
     # the shared trunk/projector do receive extra gradient without the block
@@ -321,7 +321,8 @@ def test_total_loss_weighted_sum(tiny_model):
     v2 = rng.normal(size=(3, 5))
     ce_grads = total_loss_grads(tiny_model, batch, 0.0)[1]
     for stop in (True, False):
-        fc_grads = feature_consistency_loss(tiny_model, v1, v2, stop)[1]
+        fc_grads = tiny_model.zeros()
+        feature_consistency_loss(tiny_model, v1, v2, fc_grads, stop)
         for lam in (0.7, 1.0, 2.0):
             total, grads, parts = total_loss_grads(
                 tiny_model, batch, lam, fc_view1=v1, fc_view2=v2,
@@ -354,14 +355,15 @@ def test_branch_gradients_add_into_the_given_buffer(tiny_model):
     x, v1, v2 = (rng.normal(size=(3, 5)) for _ in range(3))
     g0 = tiny_model.zeros()
     g0.flat[:] = rng.normal(size=g0.flat.size)
-    for branch in (lambda grads=None: classification_grads(
+    for branch in (lambda grads: classification_grads(
                        tiny_model, x, np.eye(3), grads),
-                   lambda grads=None: feature_consistency_loss(
-                       tiny_model, v1, v2, True, grads)):
-        own = branch()[1]
+                   lambda grads: feature_consistency_loss(
+                       tiny_model, v1, v2, grads)):
+        own = tiny_model.zeros()
+        branch(own)
         into = tiny_model.zeros()
         into.flat[:] = g0.flat
-        assert branch(into)[1] is into
+        assert type(branch(into)) is float
         assert np.array_equal(into.flat, g0.flat + own.flat)
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -107,7 +108,9 @@ def test_zero_noise_high_recall():
 
 def test_best_last_and_ranges(small_noisy):
     noisy, test = small_noisy
+    start = time.perf_counter()
     out = run_experiment(noisy, small_config(), test=test)
+    wall = time.perf_counter() - start
     record = out.record
     accs = [e.test_acc for e in record.epochs]
     assert record.best_test_acc == max(accs)
@@ -121,9 +124,11 @@ def test_best_last_and_ranges(small_noisy):
         if e.relabelled_count == 0:
             assert e.relabel_accuracy == 0.0
     assert [t.epoch for t in record.timings] == [e.epoch for e in record.epochs]
-    for t in record.timings:
-        for v in (t.relabel_s, t.select_s, t.train_s, t.eval_s):
-            assert v >= 0.0
+    # each phase is a duration, and together they fit in the run's wall time
+    phases = [(t.relabel_s, t.select_s, t.train_s, t.eval_s)
+              for t in record.timings]
+    assert all(v >= 0.0 for p in phases for v in p)
+    assert sum(map(sum, phases)) <= wall
 
 
 def test_relabel_counts_need_no_ground_truth():
@@ -469,6 +474,50 @@ def test_fc_first_view_is_strong_and_second_weak(small_noisy, monkeypatch):
     for kw in steps:
         assert all(r.tobytes() in rows for r in kw["fc_view2"])
         assert not any(r.tobytes() in rows for r in kw["fc_view1"])
+
+
+class OnesNormal:
+    """A generator whose standard_normal returns ones; every other draw is
+    the wrapped generator's."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def standard_normal(self, size):
+        return np.ones(size)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def test_jitter_is_sigma_times_the_per_dimension_std(monkeypatch):
+    # with unit normal draws each jittered row is a raw row plus sigma times
+    # the per-dimension std, which is not 1 in any dimension here
+    labels = np.repeat(np.arange(3), 20)
+    feats = (np.random.default_rng(4).normal(size=(60, 4))
+             * np.array([0.5, 2.0, 3.0, 7.0]))
+    ds = NoisyDataset(feats, labels, 3, labels.copy())
+    cfg = small_config(epochs=1, mixup_alpha=0.0, sigma_strong=0.1,
+                       sigma_weak=0.02)
+    real, steps = pipeline.total_loss_grads, []
+
+    def spy(model, batch, *args, **kwargs):
+        steps.append((batch.inputs, kwargs["fc_view1"], kwargs["fc_view2"]))
+        return real(model, batch, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "total_loss_grads", spy)
+    rng = np.random.default_rng(cfg.seed)
+    model = init_model(ds.dim, ds.num_classes, cfg.hidden_dims, rng)
+    feat_std = feats.std(axis=0)
+    pipeline._epoch(0, model, np.zeros_like(model.flat), OnesNormal(rng), ds,
+                    None, cfg, pipeline.SELECTORS["whole_dataset"], None,
+                    feat_std)
+    strong = {(x + cfg.sigma_strong * feat_std).tobytes() for x in feats}
+    weak = {(x + cfg.sigma_weak * feat_std).tobytes() for x in feats}
+    assert steps
+    for inputs, view1, view2 in steps:
+        assert all(r.tobytes() in strong for r in [*inputs, *view1])
+        assert all(r.tobytes() in weak for r in view2)
 
 
 def test_fc_views_visit_every_sample_once_before_the_reshuffle(monkeypatch):

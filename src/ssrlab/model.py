@@ -19,6 +19,7 @@ from .errors import DataError, NumericError
 _NORM_EPS = 1e-12
 _PROB_CLAMP = 1e-12
 _FORWARD_ROWS = 2048   # rows of one trunk block in forward, at most
+_SGD_CHUNK = 1 << 15   # values of one sgd_step chunk: 256 KB per buffer
 
 
 class PmcModel:
@@ -70,15 +71,17 @@ def init_model(dim: int, num_classes: int, hidden_dims, rng) -> PmcModel:
     return PmcModel(trunk, head, projector, predictor)
 
 
-def trunk_forward(model: PmcModel, x: np.ndarray):
+def trunk_forward(model: PmcModel, x: np.ndarray, out=None):
     """Returns (embeddings, cache) where cache is the list of per-layer
-    inputs for the backward pass; bias and ReLU are applied in place."""
+    inputs for the backward pass; bias and ReLU are applied in place. The
+    embeddings are written into ``out`` when it is given."""
     acts, h = [], x
+    last = len(model.trunk) - 1
     for i, (w, b) in enumerate(model.trunk):
         acts.append(h)
-        h = h @ w
+        h = np.matmul(h, w, out=out if i == last else None)
         h += b
-        if i < len(model.trunk) - 1:
+        if i < last:
             np.maximum(h, 0.0, out=h)
     return h, acts
 
@@ -93,7 +96,8 @@ def trunk_backward(model: PmcModel, cache, grad_emb: np.ndarray,
         gb += g.sum(axis=0)
         if i > 0:
             # cache[i] = relu(z) of layer i - 1, and relu(z) > 0 iff z > 0
-            g = (g @ model.trunk[i][0].T) * (cache[i] > 0)
+            g = g @ model.trunk[i][0].T
+            g *= cache[i] > 0
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -107,14 +111,14 @@ def forward(model: PmcModel, inputs: np.ndarray) -> dict:
     """Softmax predictions and trunk embeddings of every input row.
 
     Every input runs the trunk in ceil(N / _FORWARD_ROWS) equal row blocks,
-    each written into the preallocated (N, e) embeddings, so one block's
-    hidden activations exist at a time; equal blocks leave no remainder of a
-    few rows, whose GEMM may take another BLAS kernel (one row takes gemv)
-    and other bits. An input of at most _FORWARD_ROWS rows is one block, the
-    GEMM of a single trunk call. The head and the softmax run once over all
-    the embeddings: their outputs are (N, M), and a row block of a GEMM only
-    a few columns wide (2, 3 or 10 on OpenBLAS) need not keep the bits of
-    the single call.
+    each block's last layer written straight into the preallocated (N, e)
+    embeddings, so one block's hidden activations exist at a time; equal
+    blocks leave no remainder of a few rows, whose GEMM may take another
+    BLAS kernel (one row takes gemv) and other bits. An input of at most
+    _FORWARD_ROWS rows is one block, the GEMM of a single trunk call. The
+    head and the softmax run once over all the embeddings: their outputs are
+    (N, M), and a row block of a GEMM only a few columns wide (2, 3 or 10 on
+    OpenBLAS) need not keep the bits of the single call.
     """
     x = np.asarray(inputs, dtype=np.float64)
     if not np.all(np.isfinite(x)):
@@ -124,7 +128,7 @@ def forward(model: PmcModel, inputs: np.ndarray) -> dict:
     rows = -(-n // blocks) if blocks else 1   # 0 rows: no block, no call
     emb = np.empty((n, model.head[0].shape[0]))
     for lo in range(0, n, rows):
-        emb[lo:lo + rows] = trunk_forward(model, x[lo:lo + rows])[0]
+        trunk_forward(model, x[lo:lo + rows], out=emb[lo:lo + rows])
     wh, bh = model.head
     return {"probs": softmax(emb @ wh + bh), "embeddings": emb}
 
@@ -181,8 +185,9 @@ def classification_grads(model: PmcModel, inputs: np.ndarray,
     return loss
 
 
-def _fc_head_grad(h1, h2):
-    """Per-batch negative cosine loss and d(loss)/d(h1), d(loss)/d(h2)."""
+def _fc_head_grad(h1, h2, stop_gradient: bool):
+    """Per-batch negative cosine loss, d(loss)/d(h1) and d(loss)/d(h2); the
+    last is None under stop_gradient, whose h2 branch takes no gradient."""
     b = h1.shape[0]
     n1 = np.linalg.norm(h1, axis=1)
     n2 = np.linalg.norm(h2, axis=1)
@@ -192,8 +197,15 @@ def _fc_head_grad(h1, h2):
     u = h1 / n1[:, None]
     v = h2 / n2[:, None]
     cos = (u * v).sum(axis=1)
-    gh1 = -1.0 * (v - cos[:, None] * u) / n1[:, None] / b
-    gh2 = -1.0 * (u - cos[:, None] * v) / n2[:, None] / b
+    # -1.0 * (v - cos * u) / n1 / b, one operation at a time in one array
+    gh1 = cos[:, None] * u
+    np.subtract(v, gh1, out=gh1)
+    gh1 *= -1.0
+    gh1 /= n1[:, None]
+    gh1 /= b
+    gh2 = None
+    if not stop_gradient:
+        gh2 = -1.0 * (u - cos[:, None] * v) / n2[:, None] / b
     return float(-cos.mean()), gh1, gh2
 
 
@@ -208,11 +220,14 @@ def feature_consistency_loss(model: PmcModel, view1: np.ndarray, view2: np.ndarr
     wp, bp = model.projector
     wq, bq = model.predictor
     emb1, cache1 = trunk_forward(model, view1)
-    z1 = emb1 @ wp + bp
-    h1 = z1 @ wq + bq
+    z1 = emb1 @ wp
+    z1 += bp
+    h1 = z1 @ wq
+    h1 += bq
     emb2, cache2 = trunk_forward(model, view2)
-    h2 = emb2 @ wp + bp
-    loss, gh1, gh2 = _fc_head_grad(h1, h2)
+    h2 = emb2 @ wp
+    h2 += bp
+    loss, gh1, gh2 = _fc_head_grad(h1, h2, stop_gradient)
 
     grads.predictor[0][:] += z1.T @ gh1
     grads.predictor[1][:] += gh1.sum(axis=0)
@@ -254,14 +269,23 @@ def cosine_lr(base_lr: float, epoch: int, total_epochs: int) -> float:
 def sgd_step(model: PmcModel, grads: PmcModel, velocity: np.ndarray,
              lr: float, momentum: float, weight_decay: float) -> None:
     """In-place SGD update of ``model.flat`` and the equal-length velocity
-    buffer: v <- mu*v + g + wd*theta; theta <- theta - lr*v, through one
-    parameter-sized temporary."""
-    t = weight_decay * model.flat
-    t += grads.flat
-    velocity *= momentum
-    velocity += t
-    np.multiply(lr, velocity, out=t)
-    model.flat -= t
+    buffer: v <- mu*v + g + wd*theta; theta <- theta - lr*v.
+
+    The buffers are walked in chunks of _SGD_CHUNK values through one
+    chunk-sized scratch, so a chunk's six passes run in cache; each value
+    takes the same operations in the same order as whole-buffer passes."""
+    theta, g = model.flat, grads.flat
+    scratch = np.empty(min(_SGD_CHUNK, theta.size))
+    for lo in range(0, theta.size, _SGD_CHUNK):
+        p = theta[lo:lo + _SGD_CHUNK]
+        v = velocity[lo:lo + _SGD_CHUNK]
+        u = scratch[:p.size]
+        np.multiply(weight_decay, p, out=u)
+        u += g[lo:lo + _SGD_CHUNK]
+        v *= momentum
+        v += u
+        np.multiply(lr, v, out=u)
+        p -= u
 
 
 def oversample_balanced(selected_indices: np.ndarray, working_labels: np.ndarray,

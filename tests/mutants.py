@@ -57,10 +57,18 @@ MUTANTS = [
      "rows = n // blocks if blocks else 1"),
     ("sgd_step decays the velocity after adding the gradient",
      "src/ssrlab/model.py",
-     "    velocity *= momentum\n"
-     "    velocity += t\n",
-     "    velocity += t\n"
-     "    velocity *= momentum\n"),
+     "        v *= momentum\n"
+     "        v += u\n",
+     "        v += u\n"
+     "        v *= momentum\n"),
+    ("the chunk loop drops the partial last chunk", "src/ssrlab/model.py",
+     "for lo in range(0, theta.size, _SGD_CHUNK):",
+     "for lo in range(0, theta.size // _SGD_CHUNK * _SGD_CHUNK, _SGD_CHUNK):"),
+    ("gh2 is skipped even without the stop", "src/ssrlab/model.py",
+     "    if not stop_gradient:\n"
+     "        gh2 = ",
+     "    if False:\n"
+     "        gh2 = "),
     ("the CE head gradient is assigned, not added", "src/ssrlab/model.py",
      "grads.head[0][:] += emb.T @ grad_logits",
      "grads.head[0][:] = emb.T @ grad_logits"),

@@ -98,9 +98,9 @@ def test_blocked_forward_equals_single_call(rows):
              "embeddings": emb}
     blocks = []
 
-    def spy(model, x):
+    def spy(model, x, **kw):
         blocks.append(x.shape[0])
-        return trunk_forward(model, x)
+        return trunk_forward(model, x, **kw)
 
     with mock.patch.object(model_module, "_FORWARD_ROWS", rows), \
             mock.patch.object(model_module, "trunk_forward", spy):
@@ -408,9 +408,10 @@ def test_sgd_momentum_two_steps():
 @given(st.integers(1, 6), st.integers(2, 5),
        st.lists(st.integers(1, 7), min_size=1, max_size=3),
        st.floats(0.0, 0.99), st.floats(0.0, 1e-2), st.floats(1e-4, 1.0),
-       st.integers(0, 2**32 - 1))
+       st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 7, 64, 1 << 15]))
 def test_flat_sgd_matches_per_pair_reference(dim, classes, hidden,
-                                             momentum, wd, lr, seed):
+                                             momentum, wd, lr, seed, chunk):
+    # small chunks put chunk edges and a partial last chunk inside the model
     rng = np.random.default_rng(seed)
     model = init_model(dim, classes, tuple(hidden), rng)
     model.flat[:] = rng.normal(size=model.flat.size)
@@ -423,7 +424,8 @@ def test_flat_sgd_matches_per_pair_reference(dim, classes, hidden,
     for _ in range(4):
         grads = model.zeros()
         grads.flat[:] = rng.normal(size=grads.flat.size)
-        sgd_step(model, grads, flat_velocity, lr, momentum, wd)
+        with mock.patch.object(model_module, "_SGD_CHUNK", chunk):
+            sgd_step(model, grads, flat_velocity, lr, momentum, wd)
         sgd_step_per_pair(ref, grads, velocity, lr, momentum, wd)
         assert np.array_equal(model.flat, ref.flat)
     assert np.array_equal(flat_velocity,

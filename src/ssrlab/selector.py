@@ -8,6 +8,8 @@ hosts the two loss-based baseline selectors used for comparison runs.
 from __future__ import annotations
 
 import math
+import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +27,7 @@ _NORM_EPS = 1e-12
 # against 3), making runs 5-24% slower; 4 MB tiles do not
 _TILE_ROWS = 256
 _TILE_ELEMS = 1 << 20
-_KEY_ELEMS = 1 << 17    # int64 order keys held at once by build_neighbour_index
+_KEY_ELEMS = 1 << 17    # tile values keyed and partitioned at a time
 _GMM_MAX_ITER = 100     # EM iterations of baseline_gmm_loss, at most
 _GMM_TOL = 1e-6         # EM stops when the mean log-likelihood moves less
 
@@ -47,10 +49,11 @@ def build_neighbour_index(features: np.ndarray, k: int,
 
     Similarities exist one tile of rows at a time, so memory grows as the
     output plus one tile of at most _TILE_ROWS rows and _TILE_ELEMS values,
-    not as N*N. A similarity's int64 key is its float64 bit pattern with the
-    low bits replaced by its column; one int64 partition per row gives the
-    ids of every row the key settles, and the others are re-sorted from
-    their float64 values; only a row whose K-th similarity is <= +0 sorts
+    not as N*N. Each similarity is keyed in the tile itself: its float64 bit
+    pattern with the low bits replaced by its column is an int64 key, and one
+    int64 partition per row gives the neighbours of every row the key
+    settles. The others are re-sorted from the float64 values of the tile
+    remade by the same GEMM; only a row whose K-th similarity is <= +0 sorts
     its whole row (see _tile_topk).
     The speed comes from NumPy's SIMD int64 partition (NumPy >= 2); the ids
     are the same on any supported NumPy (>= 1.24).
@@ -74,54 +77,70 @@ def build_neighbour_index(features: np.ndarray, k: int,
     width = k if state is None else state.class_counts.shape[0]
     out = np.empty((n, width), dtype=np.int64)
     rows = min(_TILE_ROWS, max(1, _TILE_ELEMS // n))
-    keys = np.empty(min(rows, max(1, _KEY_ELEMS // n)) * n, dtype=np.int64)
     for lo in range(0, n, rows):
-        ids = _tile_topk(unit[lo:lo + rows] @ unit.T, lo, k, keys)
+        ids = _tile_topk(lambda: unit[lo:lo + rows] @ unit.T, lo, k, state is None)
         out[lo:lo + rows] = ids if state is None else neighbour_label_counts(ids, state)
     return out
 
 
-def _tile_topk(tile: np.ndarray, lo: int, k: int, keys: np.ndarray) -> np.ndarray:
-    """Top-k ids of the unclipped cosine rows lo, lo+1, ... in `tile`, by
-    (descending clipped value, ascending column) with self at -inf; `keys`
-    is an int64 scratch buffer of a whole number of rows.
+def _tile_topk(make_tile: Callable[[], np.ndarray], lo: int, k: int,
+               ordered: bool) -> np.ndarray:
+    """Top-k ids of the unclipped cosine rows lo, lo+1, ... of the tile that
+    `make_tile()` returns, by (descending clipped value, ascending column)
+    with self at -inf; in that order if `ordered`, else in any order.
 
-    With m = 2^b - 1 >= n - 1, the key of column c is the bit pattern of its
-    value y with the low b bits replaced by m - c; for y > 0 the high bits
-    are monotone in y. An int64 partition of a few rows at a time leaves a
-    row's k + 1 largest keys, and sorted they give the winners as
-    m - (key & m) when the k-th key's high bits are > 0 (negative keys, in
-    reverse order, rank below every winner), the largest key is below 1.0
-    (no clipping) and the k + 1 keys have pairwise distinct high bits (the
-    cut orders the values strictly). The other rows' candidates take one
-    stable lexsort by (row, descending clipped value): the columns with
-    y >= min(L, 1), L <= y_k the float of the k-th key's high bits, or every
-    column but self when y_k <= +0, the one case that sorts a whole row.
+    With m = 2^16 - 1 (2^32 - 1 past 65 536 columns), the key of column c is
+    the bit pattern of its value y with the low 16 (32) bits replaced by
+    m - c, written into the tile; for y > 0 the high bits are monotone in y.
+    An int64 partition of a few rows at a time leaves a row's k + 1 largest
+    keys, the (k + 1)-th first, and they give the winners as m - (key & m)
+    when the smallest winner's high bits are > 0 (negative keys, in reverse
+    order, rank below every winner) and the largest winner is below 1.0 (no
+    clipping), and the cut orders the values strictly: unordered, when the
+    smallest winner's high bits differ from the (k + 1)-th key's; ordered,
+    when the k + 1 keys, sorted, have pairwise distinct high bits. The other
+    rows' candidates take one stable lexsort by (row, descending clipped
+    value) in the tile remade by `make_tile`: the columns with
+    y >= min(L, 1), L <= y_k the float of the smallest winner's high bits,
+    or every column but self when y_k <= +0, the one case that sorts a
+    whole row.
     """
+    tile = make_tile()
     r, n = tile.shape
     np.fill_diagonal(tile[:, lo:], -np.inf)
-    m = (1 << (n - 1).bit_length()) - 1
-    col = m - np.arange(n)
-    bits = tile.view(np.int64)
-    step = keys.size // n
+    field = np.dtype(np.uint16 if n <= 1 << 16 else np.uint32)
+    m = int(np.iinfo(field).max)
+    per = 8 // field.itemsize
+    low = 0 if sys.byteorder == "little" else per - 1
+    col = (m - np.arange(n)).astype(field)
+    keys = tile.view(np.int64)
+    step = max(1, _KEY_ELEMS // n)
     top = np.empty((r, k + 1), dtype=np.int64)
     for a in range(0, r, step):
-        key = keys[:min(step, r - a) * n].reshape(-1, n)
-        np.bitwise_and(bits[a:a + step], ~m, out=key)
-        key |= col
+        key = keys[a:a + step]
+        key.view(field)[:, low::per] = col
         key.partition(n - k - 1, axis=1)
         top[a:a + step] = key[:, n - k - 1:]
-    top.sort(axis=1)
-    ids = m - (top[:, :0:-1] & m)
+    if ordered:
+        top.sort(axis=1)
+        ids = m - (top[:, :0:-1] & m)
+    else:
+        ids = m - (top[:, 1:] & m)
     high = top & ~m
-    settled = ((high[:, 1] > 0) & (high[:, k].view(np.float64) < 1.0)
-               & np.all(high[:, 1:] != high[:, :-1], axis=1))
+    kth = high[:, 1:].min(axis=1)   # the high bits of the smallest winner
+    settled = (kth > 0) & (high[:, 1:].max(axis=1).view(np.float64) < 1.0)
+    settled &= (np.all(high[:, 1:] != high[:, :-1], axis=1) if ordered
+                else kth != high[:, 0])
     redo = np.flatnonzero(~settled)
     if redo.size:
         # candidates y >= thr: none in settled rows, all but self if y_k <= +0
-        thr = np.where(high[:, 1] > 0, np.minimum(high[:, 1].view(np.float64), 1.0),
+        thr = np.where(kth > 0, np.minimum(kth.view(np.float64), 1.0),
                        np.nextafter(-np.inf, 0.0))
         thr[settled] = np.inf
+        # the keyed tile goes before its remake, so a re-sort holds one tile
+        del tile, keys, key
+        tile = make_tile()
+        np.fill_diagonal(tile[:, lo:], -np.inf)
         a, b = redo[0], redo[-1] + 1
         cand = np.flatnonzero(tile[a:b] >= thr[a:b, None]) + a * n
         # by row, then by descending clipped value; stable, so ties keep

@@ -78,6 +78,15 @@ MUTANTS = [
      ""),
     ("the index keeps its input alive", "src/ssrlab/selector.py",
      "    del features, feats\n", ""),
+    ("the re-sort reads the keyed tile", "src/ssrlab/selector.py",
+     "        del tile, keys, key\n"
+     "        tile = make_tile()\n"
+     "        np.fill_diagonal(tile[:, lo:], -np.inf)\n", ""),
+    ("the counting settle skips the boundary check", "src/ssrlab/selector.py",
+     "else kth != high[:, 0])", "else True)"),
+    ("the 16-bit field is used past 65 536 columns", "src/ssrlab/selector.py",
+     "np.dtype(np.uint16 if n <= 1 << 16 else np.uint32)",
+     "np.dtype(np.uint16)"),
     ("the open-set pool draws before the test set", "src/ssrlab/noise.py",
      "    test_feats = draw(test_labels)\n"
      "    # the last draw: with no open-set classes it is empty and takes no numbers\n"

@@ -115,10 +115,17 @@ def quantised_matrix_slice(draw):
 
 
 def tile_topk(sims, lo, k):
-    """_tile_topk on a copy of the rows of sims from lo, whose selves are
-    the columns lo, lo + 1, ..."""
-    tile = np.array(sims, dtype=np.float64)
-    return _tile_topk(tile, lo, k, np.empty(tile.size, dtype=np.int64))
+    """_tile_topk, ordered, on copies of the rows of sims from lo, whose
+    selves are the columns lo, lo + 1, ..."""
+    return _tile_topk(lambda: np.array(sims, dtype=np.float64), lo, k, True)
+
+
+def own_topk(sims, lo, k):
+    """topk_lexsort of the clipped rows of sims with selves from column lo."""
+    expect = np.clip(sims, -1.0, 1.0)
+    own = np.arange(len(sims))
+    expect[own, lo + own] = -np.inf
+    return topk_lexsort(expect, k)
 
 
 @settings(max_examples=200, deadline=None)
@@ -150,10 +157,7 @@ def settle_tile(draw):
 @given(settle_tile())
 def test_tile_topk_settle_conditions_equal_lexsort(case):
     sims, lo, k = case
-    expect = np.clip(sims, -1.0, 1.0)
-    own = np.arange(len(sims))
-    expect[own, lo + own] = -np.inf
-    assert np.array_equal(tile_topk(sims, lo, k), topk_lexsort(expect, k))
+    assert np.array_equal(tile_topk(sims, lo, k), own_topk(sims, lo, k))
 
 
 def test_tile_topk_straddling_tie_hand_case():
@@ -161,6 +165,70 @@ def test_tile_topk_straddling_tie_hand_case():
     # (self is the last column)
     sims = [[1.0, 0.5, 0.5, 0.5, 0.0, 1.0]]
     assert tile_topk(sims, 5, 2).tolist() == [[0, 1]]
+
+
+def counted_maker(make):
+    """A tile maker that calls make() and a list that grows by one per call."""
+    calls = []
+
+    def maker():
+        calls.append(1)
+        return make()
+
+    return maker, calls
+
+
+@pytest.mark.parametrize("ordered", [True, False])
+@pytest.mark.parametrize("feats, calls", [
+    # normal rows: every row settles on the keyed tile
+    (np.random.default_rng(13).normal(size=(2000, 16)), 1),
+    # 10 groups of 200 duplicates: the rows re-sort from one remade tile
+    (np.repeat(np.random.default_rng(0).normal(size=(10, 16)), 200, axis=0), 2),
+])
+def test_tile_topk_remakes_its_tile_only_to_resort(feats, calls, ordered):
+    unit = feats / np.linalg.norm(feats, axis=1, keepdims=True)
+    maker, made = counted_maker(lambda: unit[:256] @ unit.T)
+    ids = _tile_topk(maker, 0, 100, ordered)
+    assert len(made) == calls
+    expect = own_topk(unit[:256] @ unit.T, 0, 100)
+    if not ordered:
+        ids, expect = np.sort(ids, axis=1), np.sort(expect, axis=1)
+    assert np.array_equal(ids, expect)
+
+
+def test_counting_settles_a_tie_inside_the_top_k():
+    # the top 3 differ only in the low bits that the key replaces, so the
+    # key ranks them by column, against their values: the ids path must
+    # re-sort the row, but its set of neighbours is settled by the boundary
+    # between 0.75 and 0.5, so the counting path keeps its one tile
+    top = 0.75 + np.arange(3) * np.spacing(0.75)
+    sims = np.array([[*top, 0.5, 0.25, 0.0]])
+    labels = [0, 1, 1, 0, 2, 2]
+    state = LabelState.from_working(labels, labels, 3)
+    maker, made = counted_maker(lambda: sims.copy())
+    counts = neighbour_label_counts(_tile_topk(maker, 5, 3, False), state)
+    assert len(made) == 1
+    assert counts.tolist() == [[1, 2, 0]]
+    assert np.array_equal(counts, neighbour_label_counts(own_topk(sims, 5, 3), state))
+    maker, made = counted_maker(lambda: sims.copy())
+    assert _tile_topk(maker, 5, 3, True).tolist() == [[2, 1, 0]]
+    assert len(made) == 2
+
+
+def test_tile_topk_past_65536_columns_equals_lexsort():
+    # 70 000 columns take the 32-bit field; the winners and selves sit past
+    # column 65 535, row 0 has exact ties inside its top K and row 1 a tie
+    # across its K-th place
+    n, k, lo = 70_000, 10, 68_000
+    sims = np.random.default_rng(21).uniform(-0.5, 0.5, size=(2, n))
+    sims[0, [69_999, 3, 65_537, 40_000]] = 0.99
+    sims[0, [66_000, 12]] = 0.97
+    sims[1, 65_540 + 400 * np.arange(9)] = 0.95 - 0.01 * np.arange(9)
+    sims[1, [69_001, 2, 66_001]] = 0.8
+    expect = own_topk(sims, lo, k)
+    assert np.array_equal(_tile_topk(lambda: sims.copy(), lo, k, True), expect)
+    assert np.array_equal(np.sort(_tile_topk(lambda: sims.copy(), lo, k, False), axis=1),
+                          np.sort(expect, axis=1))
 
 
 class SortSpy:
@@ -340,7 +408,7 @@ def test_index_memory_grows_with_n_times_k():
 
 def test_index_tile_is_capped_in_rows():
     # sym50_n2k's build: a tile of 2^20 values would be 524 rows, 8 MB, and
-    # the whole build peaked at 11.4 MB; 256 rows hold it near 6.4 MB
+    # the whole build peaked at 11.4 MB; 256 rows hold it near 5.3 MB
     n, m = 2000, 4
     rng = np.random.default_rng(14)
     feats = rng.normal(size=(n, 32))
@@ -500,8 +568,11 @@ def test_vote_counts_equal_per_row_bincount(case):
 @st.composite
 def counts_case(draw):
     """Features, a k, small tile and key sizes, a tile row cap, and working
-    labels over 2 to 6 classes, for the index's counts path."""
-    kind = draw(st.sampled_from(("tie_heavy", "dup_groups", "settle")))
+    labels over 2 to 6 classes, for the index's counts path; the collide,
+    above_one and antipodal kinds tie in the key's high bits inside the top
+    K, where the counts settle a row that the ids re-sort."""
+    kind = draw(st.sampled_from(("tie_heavy", "dup_groups", "settle", "collide",
+                                 "above_one", "antipodal")))
     if kind == "tie_heavy":
         feats, k, tile_elems = draw(exact_tie_heavy_features())
     else:
@@ -529,8 +600,8 @@ def test_index_counts_equal_counts_of_index_ids(case):
 
 def test_index_counts_never_hold_n_by_k_ids():
     # the ids of one tile are counted and dropped: with tiles far below the
-    # (N, K) ids, the peak is the unit rows, one tile, its keys and the
-    # (N, M) counts, below the N*K*8 bytes that the ids alone would take
+    # (N, K) ids, the peak is the unit rows, one keyed tile and the (N, M)
+    # counts, below the N*K*8 bytes that the ids alone would take
     n, k, m = 4000, 100, 4
     rng = np.random.default_rng(12)
     feats = rng.normal(size=(n, 16))

@@ -121,8 +121,8 @@ def _gmm(dataset, state, fwd, config, tau):
         if exc.code != "DEGENERATE_FIT":
             raise
         fallback = tau if tau is not None else 0.5
-        log.warning("GMM fit degenerate; falling back to predefined tau=%s",
-                    fallback)
+        log.warning("GMM fit degenerate (%s); falling back to predefined "
+                    "tau=%s", exc.message, fallback)
         return baseline_small_loss_predefined(losses, fallback)
 
 

@@ -240,37 +240,55 @@ def baseline_gmm_loss(losses: np.ndarray) -> np.ndarray:
         raise NumericError("NON_FINITE_INPUT", "losses contain non-finite values")
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return _gmm_em(x)
+            return _gmm_em(x)[0]
     except FloatingPointError as exc:
         raise NumericError("DEGENERATE_FIT",
                            f"the loss spread overflows ({exc})") from None
 
 
-def _gmm_em(x: np.ndarray) -> np.ndarray:
+def _gmm_em(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                    np.ndarray]:
+    """The EM of baseline_gmm_loss: (mask, weights, means, variances).
+
+    Each iteration works on component-major (2, N) buffers allocated once.
+    An M-step sum is the last column of a running sum along the samples,
+    which adds them in index order as ``.sum(axis=0)`` of an (N, 2) array
+    does; a contiguous ``.sum(axis=1)`` is pairwise and gives other bits.
+    """
     var0 = float(x.var())
     if var0 < 1e-8:
         raise NumericError("DEGENERATE_FIT", "loss variance collapsed")
     mu = np.percentile(x, [10.0, 90.0])
     var = np.array([var0, var0])
     w = np.array([0.5, 0.5])
+    dev = np.empty((2, x.size))    # x - mu, then an M-step product
+    resp = np.empty((2, x.size))   # log densities, then responsibilities
+    run = np.empty((2, x.size))    # running sums
+    lse = np.empty(x.size)
     prev_ll = -np.inf
     for _ in range(_GMM_MAX_ITER):
-        log_pdf = (np.log(w)[None, :]
-                   - 0.5 * np.log(2.0 * np.pi * var)[None, :]
-                   - (x[:, None] - mu[None, :]) ** 2 / (2.0 * var)[None, :])
-        lse = np.logaddexp(log_pdf[:, 0], log_pdf[:, 1])
-        resp = np.exp(log_pdf - lse[:, None])
+        np.subtract(x, mu[:, None], out=dev)
+        np.square(dev, out=resp)
+        resp /= (2.0 * var)[:, None]
+        np.subtract((np.log(w) - 0.5 * np.log(2.0 * np.pi * var))[:, None],
+                    resp, out=resp)
+        np.logaddexp(resp[0], resp[1], out=lse)
+        resp -= lse
+        np.exp(resp, out=resp)
         ll = float(lse.mean())
-        nk = resp.sum(axis=0)
+        nk = np.cumsum(resp, axis=1, out=run)[:, -1].copy()
         if not nk.min() > 0:
             raise NumericError("DEGENERATE_FIT", "a mixture component is empty")
         w = nk / x.size
-        mu = (resp * x[:, None]).sum(axis=0) / nk
-        var = (resp * (x[:, None] - mu[None, :]) ** 2).sum(axis=0) / nk
+        np.multiply(resp, x, out=dev)
+        mu = np.cumsum(dev, axis=1, out=run)[:, -1] / nk
+        np.subtract(x, mu[:, None], out=dev)
+        np.square(dev, out=dev)
+        dev *= resp
+        var = np.cumsum(dev, axis=1, out=run)[:, -1] / nk
         if not var.min() >= 1e-8:   # nan too
             raise NumericError("DEGENERATE_FIT", "component variance collapsed")
         if abs(ll - prev_ll) < _GMM_TOL:
             break
         prev_ll = ll
-    low = int(np.argmin(mu))
-    return resp[:, low] > 0.5
+    return resp[int(np.argmin(mu))] > 0.5, w, mu, var

@@ -147,6 +147,21 @@ MUTANTS = [
     ("the GMM fit lets an overflow through", "src/ssrlab/selector.py",
      "with np.errstate(over=\"raise\", invalid=\"raise\"):",
      "with np.errstate():"),
+    ("the EM's sums are pairwise", "src/ssrlab/selector.py",
+     "nk = np.cumsum(resp, axis=1, out=run)[:, -1].copy()",
+     "nk = resp.sum(axis=1)"),
+    ("the variance reads the previous means", "src/ssrlab/selector.py",
+     "        mu = np.cumsum(dev, axis=1, out=run)[:, -1] / nk\n"
+     "        np.subtract(x, mu[:, None], out=dev)\n"
+     "        np.square(dev, out=dev)\n"
+     "        dev *= resp\n"
+     "        var = np.cumsum(dev, axis=1, out=run)[:, -1] / nk\n",
+     "        mu_next = np.cumsum(dev, axis=1, out=run)[:, -1] / nk\n"
+     "        np.subtract(x, mu[:, None], out=dev)\n"
+     "        np.square(dev, out=dev)\n"
+     "        dev *= resp\n"
+     "        var = np.cumsum(dev, axis=1, out=run)[:, -1] / nk\n"
+     "        mu = mu_next\n"),
 ]
 
 

@@ -7,7 +7,8 @@ helpers the acceptance gate needs.
 import numpy as np
 
 from ssrlab.data import LabelState
-from ssrlab.selector import neighbour_label_counts
+from ssrlab.errors import NumericError
+from ssrlab.selector import _GMM_MAX_ITER, _GMM_TOL, neighbour_label_counts
 
 
 def dense_cosine(feats) -> np.ndarray:
@@ -74,3 +75,38 @@ def sgd_step_per_pair(model, grads, velocity, lr, momentum, weight_decay):
         v *= momentum
         v += g + weight_decay * p
         p -= lr * v
+
+
+def gmm_em_row_major(x):
+    """The EM of baseline_gmm_loss on sample-major (N, 2) arrays: (mask,
+    weights, means, variances). Its M-step sums are ``.sum(axis=0)`` of a
+    C-contiguous (N, 2) array, which adds the rows in index order: it fixes
+    the row-order sums that the package's running sums must repeat bit for
+    bit."""
+    var0 = float(x.var())
+    if var0 < 1e-8:
+        raise NumericError("DEGENERATE_FIT", "loss variance collapsed")
+    mu = np.percentile(x, [10.0, 90.0])
+    var = np.array([var0, var0])
+    w = np.array([0.5, 0.5])
+    prev_ll = -np.inf
+    for _ in range(_GMM_MAX_ITER):
+        log_pdf = (np.log(w)[None, :]
+                   - 0.5 * np.log(2.0 * np.pi * var)[None, :]
+                   - (x[:, None] - mu[None, :]) ** 2 / (2.0 * var)[None, :])
+        lse = np.logaddexp(log_pdf[:, 0], log_pdf[:, 1])
+        resp = np.exp(log_pdf - lse[:, None])
+        ll = float(lse.mean())
+        nk = resp.sum(axis=0)
+        if not nk.min() > 0:
+            raise NumericError("DEGENERATE_FIT", "a mixture component is empty")
+        w = nk / x.size
+        mu = (resp * x[:, None]).sum(axis=0) / nk
+        var = (resp * (x[:, None] - mu[None, :]) ** 2).sum(axis=0) / nk
+        if not var.min() >= 1e-8:   # nan too
+            raise NumericError("DEGENERATE_FIT", "component variance collapsed")
+        if abs(ll - prev_ll) < _GMM_TOL:
+            break
+        prev_ll = ll
+    low = int(np.argmin(mu))
+    return resp[:, low] > 0.5, w, mu, var

@@ -371,6 +371,18 @@ def test_gmm_selector_reraises_other_numeric_errors():
     assert exc.value.code == "NON_FINITE_INPUT"
 
 
+def test_gmm_fallback_warning_gives_the_reason(caplog):
+    # a zero head gives every sample the same loss, as at epoch 0 of a
+    # pmc_gmm_automatic run; the warning names why the fit degenerated
+    labels = np.array([0, 1, 0, 1, 1])
+    probs = np.full((5, 2), 0.5)
+    mask = pipeline._gmm(None, initial_state(labels, 2), {"probs": probs},
+                         None, 0.4)
+    assert mask.tolist() == [True, True, True, False, False]
+    assert ("GMM fit degenerate (loss variance collapsed); falling back to "
+            "predefined tau=0.4") in caplog.text
+
+
 def test_gmm_mode_runs_without_tau(small_noisy):
     noisy, _ = small_noisy
     record = run_experiment(noisy, small_config(epochs=1),

@@ -6,10 +6,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (dense_cosine, full_sort_oracle,
+from oracles import (dense_cosine, full_sort_oracle, gmm_em_row_major,
                      neighbour_label_distribution, neighbour_votes_per_row,
                      topk_lexsort)
 from ssrlab import LabelState, build_neighbour_index, selector
@@ -878,3 +878,35 @@ def test_gmm_init_order_invariance(monkeypatch):
     monkeypatch.setattr(np, "percentile", lambda x, q: percentile(x, q[::-1]))
     swapped = baseline_gmm_loss(losses)
     assert np.array_equal(mask, swapped)
+
+
+def gmm_outcome(fit, x):
+    """What a fit gives under baseline_gmm_loss's errstate: its result, or
+    the type and text of what it raised."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return fit(x)
+    except (NumericError, FloatingPointError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(deadline=None)
+@given(n=st.integers(2, 3000), clusters=st.integers(2, 3),
+       sep=st.sampled_from([0.0, 0.3, 1.0, 3.0, 10.0]),
+       scale=st.integers(-6, 3), run=st.sampled_from([1, 1, 2, 7, 50]),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=2000, clusters=3, sep=3.0, scale=0, run=1, seed=0)   # 100 iterations
+@example(n=10, clusters=2, sep=0.0, scale=0, run=9, seed=0)     # variance collapse
+def test_gmm_em_equals_row_major_oracle(n, clusters, sep, scale, run, seed):
+    # the running sums add in index order, as the oracle's .sum(axis=0)
+    # does: the same error text, or the same mask and fit bit for bit
+    rng = np.random.default_rng(seed)
+    x = rng.normal(rng.integers(0, clusters, n) * sep, 1.0, n) * 10.0 ** scale
+    x = np.repeat(x[::run], run)[:n]   # runs of equal values
+    got, want = gmm_outcome(selector._gmm_em, x), gmm_outcome(gmm_em_row_major, x)
+    assert type(got[0]) is type(want[0])
+    if isinstance(want[0], str):
+        assert got == want
+    else:
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)

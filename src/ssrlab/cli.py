@@ -196,7 +196,7 @@ def _cmd_grid(args, parsed, data, test) -> Path:
         raise ConfigError("RANGE_ERROR",
                           f"sweep values {args.values!r} repeat a value")
     for train in trains:   # and against the data
-        check_experiment(data, train)
+        check_experiment(data, train, test=test)
     out_root = Path(args.out)
     summary = []
     for train, value in zip(trains, values):

@@ -19,15 +19,18 @@ from .errors import DataError, NumericError
 _NORM_EPS = 1e-12
 _PROB_CLAMP = 1e-12
 _FORWARD_ROWS = 2048   # rows of one trunk block in forward, at most
-_SGD_CHUNK = 1 << 15   # values of one sgd_step chunk: 256 KB per buffer
+_SGD_CHUNK = 1 << 15   # values of one sgd_step chunk: 128 KB per float32 buffer
 
 
 class PmcModel:
     """Encoder trunk, softmax head, projector and predictor.
 
-    Every parameter lives in one float64 buffer, ``flat``; each (W, b) pair
-    is a view into it, in ``[*trunk, head, projector, predictor]`` order.
-    The constructor copies the given arrays into a new buffer.
+    Every parameter lives in one buffer, ``flat``; each (W, b) pair is a view
+    into it, in ``[*trunk, head, projector, predictor]`` order. The
+    constructor copies the given arrays into a new float64 buffer;
+    ``astype`` gives a copy in another dtype, such as the float32 one that
+    ``run_experiment`` trains. Every GEMM of the model runs in the buffer's
+    dtype.
     """
 
     def __init__(self, trunk, head, projector, predictor):
@@ -51,6 +54,11 @@ class PmcModel:
         """A model of the same layout with every parameter zero, used to
         hold gradients."""
         return copy.copy(self)._bind(np.zeros_like(self.flat))
+
+    def astype(self, dtype) -> "PmcModel":
+        """A model of the same layout whose buffer is this one's, rounded to
+        ``dtype``."""
+        return copy.copy(self)._bind(self.flat.astype(dtype))
 
 
 def init_model(dim: int, num_classes: int, hidden_dims, rng) -> PmcModel:
@@ -110,6 +118,12 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def forward(model: PmcModel, inputs: np.ndarray) -> dict:
     """Softmax predictions and trunk embeddings of every input row.
 
+    The inputs are rounded to the model's dtype, and the trunk and the head
+    run in it, so the embeddings have that dtype. The (N, M) logits are
+    promoted to float64 before the softmax, so every decision taken on the
+    probabilities reads float64: a float32 1/3 is above the float64 1/3,
+    and the uniform rows of a zero head would pass theta_r = 1/M.
+
     Every input runs the trunk in ceil(N / _FORWARD_ROWS) equal row blocks,
     each block's last layer written straight into the preallocated (N, e)
     embeddings, so one block's hidden activations exist at a time; equal
@@ -120,17 +134,21 @@ def forward(model: PmcModel, inputs: np.ndarray) -> dict:
     (N, M), and a row block of a GEMM only a few columns wide (2, 3 or 10 on
     OpenBLAS) need not keep the bits of the single call.
     """
-    x = np.asarray(inputs, dtype=np.float64)
+    dtype = model.flat.dtype
+    with np.errstate(over="ignore"):   # a value past dtype's range is inf
+        x = np.asarray(inputs, dtype=dtype)
     if not np.all(np.isfinite(x)):
-        raise NumericError("NON_FINITE_INPUT", "inputs contain non-finite values")
+        raise NumericError("NON_FINITE_INPUT",
+                           f"inputs contain non-finite {dtype} values")
     n = x.shape[0]
     blocks = -(-n // _FORWARD_ROWS)
     rows = -(-n // blocks) if blocks else 1   # 0 rows: no block, no call
-    emb = np.empty((n, model.head[0].shape[0]))
+    emb = np.empty((n, model.head[0].shape[0]), dtype=dtype)
     for lo in range(0, n, rows):
         trunk_forward(model, x[lo:lo + rows], out=emb[lo:lo + rows])
     wh, bh = model.head
-    return {"probs": softmax(emb @ wh + bh), "embeddings": emb}
+    logits = (emb @ wh + bh).astype(np.float64, copy=False)
+    return {"probs": softmax(logits), "embeddings": emb}
 
 
 def cross_entropy_loss(probs: np.ndarray, soft_labels: np.ndarray):
@@ -275,7 +293,7 @@ def sgd_step(model: PmcModel, grads: PmcModel, velocity: np.ndarray,
     chunk-sized scratch, so a chunk's six passes run in cache; each value
     takes the same operations in the same order as whole-buffer passes."""
     theta, g = model.flat, grads.flat
-    scratch = np.empty(min(_SGD_CHUNK, theta.size))
+    scratch = np.empty(min(_SGD_CHUNK, theta.size), dtype=theta.dtype)
     for lo in range(0, theta.size, _SGD_CHUNK):
         p = theta[lo:lo + _SGD_CHUNK]
         v = velocity[lo:lo + _SGD_CHUNK]

@@ -35,6 +35,11 @@ log = logging.getLogger(__name__)
 # (slower growth, such as lr 10 at a few hundred, collapses the labels)
 _PARAM_BOUND = 1e6
 
+# the dtype run_experiment trains in: the trunk, the head and the train step
+# run in it, while the softmax, relabelling, the neighbour index, the vote and
+# the GMM read float64
+TRAIN_DTYPE = np.dtype(np.float32)
+
 
 @dataclass
 class EpochMetrics:
@@ -185,16 +190,22 @@ def _epoch(epoch, model, velocity, rng, dataset, test, config, select, tau,
         lr = cosine_lr(config.learning_rate, epoch, config.epochs)
         xs = dataset.features
         n, d = xs.shape
-        eye = np.eye(dataset.num_classes)
+        dtype = model.flat.dtype
+        eye = np.eye(dataset.num_classes, dtype=dtype)
         strong = config.sigma_strong * feat_std
         weak = config.sigma_weak * feat_std
+
+        def jitter(rows, sigma):
+            # drawn and added in float64, then rounded once to the model's dtype
+            return (xs[rows] + rng.standard_normal((rows.size, d)) * sigma
+                    ).astype(dtype, copy=False)
+
         use_fc = config.lambda_fc > 0
         fc_order = rng.permutation(n) if use_fc else None
         fc_pos = 0
         for step, start in enumerate(range(0, train_idx.size, config.batch_size)):
             idx = train_idx[start:start + config.batch_size]
-            x = xs[idx] + rng.standard_normal((idx.size, d)) * strong
-            batch = MiniBatch(x, eye[state.working_labels[idx]])
+            batch = MiniBatch(jitter(idx, strong), eye[state.working_labels[idx]])
             if config.mixup_alpha > 0:
                 batch = mixup_pair(batch, config.mixup_alpha, rng)
             v1 = v2 = None
@@ -205,8 +216,8 @@ def _epoch(epoch, model, velocity, rng, dataset, test, config, select, tau,
                     fc_pos = 0
                 fb = fc_order[fc_pos:fc_pos + idx.size]
                 fc_pos += idx.size
-                v1 = xs[fb] + rng.standard_normal((fb.size, d)) * strong
-                v2 = xs[fb] + rng.standard_normal((fb.size, d)) * weak
+                v1 = jitter(fb, strong)
+                v2 = jitter(fb, weak)
             loss, grads, _ = total_loss_grads(
                 model, batch, config.lambda_fc, fc_view1=v1, fc_view2=v2,
                 stop_gradient=config.stop_gradient)
@@ -237,7 +248,8 @@ def _epoch(epoch, model, velocity, rng, dataset, test, config, select, tau,
 
 def check_experiment(dataset: NoisyDataset, config: TrainConfig,
                      selection_mode: str = "npk_automatic",
-                     tau: Optional[float] = None) -> None:
+                     tau: Optional[float] = None,
+                     test: Optional[NoisyDataset] = None) -> None:
     """Raise the error run_experiment would raise before it trains: the
     limits that depend on the data or the selection mode, not on the config
     alone."""
@@ -259,19 +271,31 @@ def check_experiment(dataset: NoisyDataset, config: TrainConfig,
     if selection_mode == "clean_subset" and dataset.true_labels is None:
         raise DataError("MISSING_GROUND_TRUTH",
                         "selection mode 'clean_subset' needs true labels")
+    # a finite float64 feature past TRAIN_DTYPE's range would be inf in the
+    # model's forward
+    top = np.finfo(TRAIN_DTYPE).max
+    for name, data in (("training", dataset), ("test", test)):
+        if data is None:
+            continue
+        bad = np.flatnonzero(np.abs(data.features).max(axis=1) > top)
+        if bad.size:
+            raise NumericError("NON_FINITE_INPUT", f"{name} feature row "
+                               f"{bad[0]} is past the {TRAIN_DTYPE} range "
+                               f"(|x| > {top:.4g})")
 
 
 def run_experiment(dataset: NoisyDataset, config: TrainConfig,
                    test: Optional[NoisyDataset] = None,
                    selection_mode: str = "npk_automatic",
                    tau: Optional[float] = None) -> ExperimentOutcome:
-    """Train from scratch for config.epochs, applying relabel -> select ->
-    train each epoch, and record per-epoch quality metrics."""
-    check_experiment(dataset, config, selection_mode, tau)
+    """Train a TRAIN_DTYPE copy of a fresh float64 model for config.epochs,
+    applying relabel -> select -> train each epoch, and record per-epoch
+    quality metrics."""
+    check_experiment(dataset, config, selection_mode, tau, test)
     select = SELECTORS[selection_mode]
     rng = np.random.default_rng(config.seed)
     model = init_model(dataset.dim, dataset.num_classes, config.hidden_dims,
-                       rng)
+                       rng).astype(TRAIN_DTYPE)
     velocity = np.zeros_like(model.flat)
     feat_std = dataset.features.std(axis=0)
     feat_std[feat_std == 0] = 1.0

@@ -15,6 +15,9 @@ It prints one JSON object of sha256 hex digests:
   head redrawn, so the logits are not all zero; with them the logits, which
   ``forward`` no longer returns, computed here from its embeddings by the
   expression it applies (``emb @ wh + bh``);
+- ``forward_float32``: the same at the dtype ``run_experiment`` trains in
+  (``pipeline.TRAIN_DTYPE``), through a copy of the same model rounded to
+  it, so that sgemm's bits are covered too;
 - ``ties``: per ``KEY_EDGE_KINDS`` kind of ``test_selector``, the ids of 11
   tie-heavy cases drawn by ``hypothesis`` from a fixed seed;
 - ``runs``: ``metrics.csv`` and the ``model.flat`` bytes of criterion 10's
@@ -65,10 +68,11 @@ def index_digests(shapes) -> dict:
     return out
 
 
-def forward_digest(n: int) -> str:
+def forward_digest(n: int, dtype=np.float64) -> str:
     rng = np.random.default_rng(0)
     model = init_model(16, 4, TrainConfig().hidden_dims, rng)
     model.head[0][:] = rng.normal(size=model.head[0].shape)
+    model = model.astype(dtype)
     out = forward(model, rng.normal(size=(n, 16)))
     wh, bh = model.head
     out["logits"] = out["embeddings"] @ wh + bh
@@ -146,8 +150,10 @@ def run_digests(full: bool) -> dict:
 def digests(full: bool = True) -> dict:
     """Every digest; ``full=False`` keeps one small index shape, a forward
     of two trunk blocks, two cases per tie kind and criterion 10's run."""
+    rows = FORWARD_ROWS if full else 2100
     return {"index": index_digests(INDEX_SHAPES if full else ((300, 8, 5),)),
-            "forward": forward_digest(FORWARD_ROWS if full else 2100),
+            "forward": forward_digest(rows),
+            "forward_float32": forward_digest(rows, pipeline.TRAIN_DTYPE),
             "ties": tie_digests(TIE_EXAMPLES if full else 2),
             "runs": run_digests(full)}
 

@@ -30,8 +30,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 MUTANTS = [
     ("the FC's weak view takes the strong jitter", "src/ssrlab/pipeline.py",
-     "v2 = xs[fb] + rng.standard_normal((fb.size, d)) * weak",
-     "v2 = xs[fb] + rng.standard_normal((fb.size, d)) * strong"),
+     "v2 = jitter(fb, weak)", "v2 = jitter(fb, strong)"),
     ("the strong jitter divides sigma by the per-dimension std",
      "src/ssrlab/pipeline.py",
      "strong = config.sigma_strong * feat_std",
@@ -99,7 +98,7 @@ MUTANTS = [
     ("grid runs a point before checking the rest against the data",
      "src/ssrlab/cli.py",
      "    for train in trains:   # and against the data\n"
-     "        check_experiment(data, train)\n", ""),
+     "        check_experiment(data, train, test=test)\n", ""),
     ("main exits 3 for every SsrError", "src/ssrlab/cli.py",
      "        return exc.exit_code\n", "        return 3\n"),
     ("relabel lets a non-finite row through", "src/ssrlab/relabel.py",
@@ -150,6 +149,21 @@ MUTANTS = [
     ("the EM's sums are pairwise", "src/ssrlab/selector.py",
      "nk = np.cumsum(resp, axis=1, out=run)[:, -1].copy()",
      "nk = resp.sum(axis=1)"),
+    ("the softmax reads the float32 logits", "src/ssrlab/model.py",
+     "logits = (emb @ wh + bh).astype(np.float64, copy=False)",
+     "logits = emb @ wh + bh"),
+    ("the one-hot labels are float64", "src/ssrlab/pipeline.py",
+     "eye = np.eye(dataset.num_classes, dtype=dtype)",
+     "eye = np.eye(dataset.num_classes)"),
+    ("the SGD scratch is float64", "src/ssrlab/model.py",
+     "scratch = np.empty(min(_SGD_CHUNK, theta.size), dtype=theta.dtype)",
+     "scratch = np.empty(min(_SGD_CHUNK, theta.size))"),
+    ("a feature past the float32 range reaches the forward",
+     "src/ssrlab/pipeline.py",
+     "        if bad.size:\n"
+     "            raise NumericError(\"NON_FINITE_INPUT\", f\"{name} feature row \"\n",
+     "        if False:\n"
+     "            raise NumericError(\"NON_FINITE_INPUT\", f\"{name} feature row \"\n"),
     ("the variance reads the previous means", "src/ssrlab/selector.py",
      "        mu = np.cumsum(dev, axis=1, out=run)[:, -1] / nk\n"
      "        np.subtract(x, mu[:, None], out=dev)\n"

@@ -372,6 +372,27 @@ def test_grid_checks_k_against_the_data_before_the_first_runs(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb", ["run", "grid"])
+def test_features_past_float32_are_refused_before_training(
+        tmp_path, caplog, monkeypatch, verb):
+    # centres 1e39 apart are finite in float64, but inf in the float32 model
+    def no_init(*args, **kwargs):
+        raise AssertionError("model initialised before the range check")
+    monkeypatch.setattr("ssrlab.pipeline.init_model", no_init)
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(
+        dict(BASE_CONFIG, synth=dict(BASE_CONFIG["synth"], separation=1e39))))
+    out = tmp_path / "o"
+    args = [verb, "-c", str(path), "-o", str(out)]
+    if verb == "grid":
+        args += ["--param", "theta_s", "--values", "0.5,1.0"]
+    assert main(args) == 4
+    assert ("NON_FINITE_INPUT: training feature row 0 is past the float32 "
+            "range") in caplog.text
+    if verb == "grid":
+        assert not out.exists()
+
+
 # --- compare-modes -----------------------------------------------------------
 
 def test_compare_modes_outputs(tmp_path, config_path):

@@ -52,6 +52,39 @@ def test_forward_rejects_non_finite():
     assert exc.value.code == "NON_FINITE_INPUT"
 
 
+def test_astype_rounds_a_copy_of_the_buffer():
+    model = init_model(5, 3, hidden_dims=(6, 4), rng=0)
+    before = model.flat.copy()
+    low = model.astype(np.float32)
+    assert model.flat.tobytes() == before.tobytes()
+    assert low.flat.tobytes() == before.astype(np.float32).tobytes()
+    # every (W, b) pair is a view into the new buffer
+    low.trunk[0][0][0, 0] = 7.0
+    low.predictor[1][-1] = 9.0
+    assert low.flat[0] == 7.0 and low.flat[-1] == 9.0
+    assert model.flat.tobytes() == before.tobytes()
+    assert low.zeros().flat.dtype == np.float32
+
+
+def test_float32_forward_gives_float64_probs_and_float32_embeddings():
+    # the logits are promoted before the softmax: the zero head's uniform
+    # rows are the float64 1/3, not the float32 one, which is above it
+    model = init_model(5, 3, hidden_dims=(6, 4), rng=0).astype(np.float32)
+    out = forward(model, np.random.default_rng(1).normal(size=(7, 5)))
+    assert out["probs"].dtype == np.float64
+    assert out["embeddings"].dtype == np.float32
+    assert np.all(out["probs"] == 1.0 / 3)
+    assert float(np.float32(1.0 / 3)) > 1.0 / 3
+
+
+def test_float32_forward_rejects_values_past_its_range():
+    model = init_model(3, 2, hidden_dims=(4,), rng=0).astype(np.float32)
+    with pytest.raises(NumericError) as exc:
+        forward(model, np.array([[1.0, 1e39, 0.0]]))
+    assert exc.value.code == "NON_FINITE_INPUT"
+    assert "non-finite float32 values" in str(exc.value)
+
+
 def test_trunk_forward_holds_one_array_per_layer():
     # each layer's output is one new array (bias and ReLU in place), so the
     # peak is the hidden activations themselves, N * sum(hidden) float64s
@@ -408,12 +441,14 @@ def test_sgd_momentum_two_steps():
 @given(st.integers(1, 6), st.integers(2, 5),
        st.lists(st.integers(1, 7), min_size=1, max_size=3),
        st.floats(0.0, 0.99), st.floats(0.0, 1e-2), st.floats(1e-4, 1.0),
-       st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 7, 64, 1 << 15]))
-def test_flat_sgd_matches_per_pair_reference(dim, classes, hidden,
-                                             momentum, wd, lr, seed, chunk):
-    # small chunks put chunk edges and a partial last chunk inside the model
+       st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 7, 64, 1 << 15]),
+       st.sampled_from([np.float64, np.float32]))
+def test_flat_sgd_matches_per_pair_reference(dim, classes, hidden, momentum,
+                                             wd, lr, seed, chunk, dtype):
+    # small chunks put chunk edges and a partial last chunk inside the model;
+    # a float32 model's update runs in float32 throughout
     rng = np.random.default_rng(seed)
-    model = init_model(dim, classes, tuple(hidden), rng)
+    model = init_model(dim, classes, tuple(hidden), rng).astype(dtype)
     model.flat[:] = rng.normal(size=model.flat.size)
     ref = model.zeros()
     ref.flat[:] = model.flat

@@ -470,18 +470,19 @@ def test_forced_empty_selection_at_epoch_0_trains_nothing(small_noisy,
     fresh = init_model(noisy.dim, noisy.num_classes, cfg.hidden_dims,
                        np.random.default_rng(cfg.seed))
     assert steps == []
-    assert np.array_equal(out.model.flat, fresh.flat)
+    # run_experiment trains a float32 copy of the initialised model
+    assert out.model.flat.tobytes() == fresh.flat.astype(np.float32).tobytes()
     assert [e.selected_count for e in out.record.epochs] == [0, 0]
 
 
 def test_fc_first_view_is_strong_and_second_weak(small_noisy, monkeypatch):
-    # with sigma_weak = 0 the second view is the raw rows, and the strong
-    # jitter moves every row of the first view off them
+    # with sigma_weak = 0 the second view is the raw rows rounded to float32,
+    # and the strong jitter moves every row of the first view off them
     noisy, _ = small_noisy
     steps = spy_on_steps(monkeypatch)
     run_experiment(noisy, small_config(epochs=1, sigma_strong=0.1,
                                        sigma_weak=0.0))
-    rows = {r.tobytes() for r in noisy.features}
+    rows = {r.tobytes() for r in noisy.features.astype(np.float32)}
     assert steps
     for kw in steps:
         assert all(r.tobytes() in rows for r in kw["fc_view2"])
@@ -504,7 +505,8 @@ class OnesNormal:
 
 def test_jitter_is_sigma_times_the_per_dimension_std(monkeypatch):
     # with unit normal draws each jittered row is a raw row plus sigma times
-    # the per-dimension std, which is not 1 in any dimension here
+    # the per-dimension std, which is not 1 in any dimension here, added in
+    # float64 and rounded once to the float32 model's dtype
     labels = np.repeat(np.arange(3), 20)
     feats = (np.random.default_rng(4).normal(size=(60, 4))
              * np.array([0.5, 2.0, 3.0, 7.0]))
@@ -519,13 +521,16 @@ def test_jitter_is_sigma_times_the_per_dimension_std(monkeypatch):
 
     monkeypatch.setattr(pipeline, "total_loss_grads", spy)
     rng = np.random.default_rng(cfg.seed)
-    model = init_model(ds.dim, ds.num_classes, cfg.hidden_dims, rng)
+    model = init_model(ds.dim, ds.num_classes, cfg.hidden_dims,
+                       rng).astype(np.float32)
     feat_std = feats.std(axis=0)
     pipeline._epoch(0, model, np.zeros_like(model.flat), OnesNormal(rng), ds,
                     None, cfg, pipeline.SELECTORS["whole_dataset"], None,
                     feat_std)
-    strong = {(x + cfg.sigma_strong * feat_std).tobytes() for x in feats}
-    weak = {(x + cfg.sigma_weak * feat_std).tobytes() for x in feats}
+    strong = {(x + cfg.sigma_strong * feat_std).astype(np.float32).tobytes()
+              for x in feats}
+    weak = {(x + cfg.sigma_weak * feat_std).astype(np.float32).tobytes()
+            for x in feats}
     assert steps
     for inputs, view1, view2 in steps:
         assert all(r.tobytes() in strong for r in [*inputs, *view1])
@@ -535,7 +540,7 @@ def test_jitter_is_sigma_times_the_per_dimension_std(monkeypatch):
 def test_fc_views_visit_every_sample_once_before_the_reshuffle(monkeypatch):
     # whole_dataset over equal classes trains N = 96 rows in three full
     # batches of 32, so one pass uses exactly one shuffle of the FC order;
-    # with both sigmas 0 the views are the raw rows
+    # with both sigmas 0 the views are the raw rows rounded to float32
     labels = np.repeat(np.arange(3), 32)
     ds = NoisyDataset(np.random.default_rng(3).normal(size=(96, 8)), labels,
                       3, labels.copy())
@@ -546,7 +551,45 @@ def test_fc_views_visit_every_sample_once_before_the_reshuffle(monkeypatch):
     assert len(steps) == 3
     for view in ("fc_view1", "fc_view2"):
         seen = sorted(r.tobytes() for kw in steps for r in kw[view])
-        assert seen == sorted(r.tobytes() for r in ds.features)
+        assert seen == sorted(r.tobytes()
+                              for r in ds.features.astype(np.float32))
+
+
+@pytest.mark.parametrize("mixup_alpha", [0.0, 1.0])
+def test_train_step_runs_in_float32(small_noisy, monkeypatch, mixup_alpha):
+    # one float64 operand, such as a float64 one-hot, would promote every
+    # GEMM of the step to float64
+    noisy, _ = small_noisy
+    real, seen = pipeline.total_loss_grads, []
+
+    def spy(model, batch, *args, **kwargs):
+        out = real(model, batch, *args, **kwargs)
+        seen.append({model.flat.dtype, batch.inputs.dtype,
+                     batch.soft_labels.dtype, kwargs["fc_view1"].dtype,
+                     kwargs["fc_view2"].dtype, out[1].flat.dtype})
+        return out
+
+    monkeypatch.setattr(pipeline, "total_loss_grads", spy)
+    run_experiment(noisy, small_config(epochs=1, mixup_alpha=mixup_alpha))
+    assert seen and all(dtypes == {np.dtype(np.float32)} for dtypes in seen)
+
+
+@pytest.mark.parametrize("which", ["training", "test"])
+def test_features_past_float32_are_rejected_before_init(small_noisy,
+                                                        monkeypatch, which):
+    # finite in float64, but inf once rounded to the model's float32
+    def no_init(*args, **kwargs):
+        raise AssertionError("model initialised before the range check")
+    monkeypatch.setattr("ssrlab.pipeline.init_model", no_init)
+    noisy, test = small_noisy
+    data = {"training": noisy, "test": test}
+    feats = data[which].features.copy()
+    feats[7, 2] = -1e39
+    data[which] = dataclasses.replace(data[which], features=feats)
+    with pytest.raises(NumericError) as exc:
+        run_experiment(data["training"], small_config(), test=data["test"])
+    assert exc.value.code == "NON_FINITE_INPUT"
+    assert f"{which} feature row 7 is past the float32 range" in str(exc.value)
 
 
 def test_lambda_zero_runs_without_views(small_noisy):
@@ -612,8 +655,8 @@ print(json.dumps([digests(full=False), digests(full=False)]))
 
 def test_determinism_across_blas_threads():
     # the neighbour ids of a tiled index and of every tie kind, a 2-block
-    # forward, and criterion 10's metrics.csv and model.flat, at 1 and 2
-    # BLAS threads
+    # forward at float64 and at float32, and criterion 10's metrics.csv and
+    # model.flat, at 1 and 2 BLAS threads
     tests = Path(__file__).resolve().parent
     path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]
     runs = []
@@ -625,5 +668,6 @@ def test_determinism_across_blas_threads():
                                timeout=300)
         runs.extend(json.loads(child.stdout))
     assert all(run == runs[0] for run in runs)
-    assert set(runs[0]) == {"index", "forward", "ties", "runs"}
+    assert set(runs[0]) == {"index", "forward", "forward_float32", "ties",
+                            "runs"}
     assert runs[0]["runs"]["criterion_10"]["model.flat"]

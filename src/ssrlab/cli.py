@@ -122,9 +122,9 @@ def _cmd_synth(args) -> int:
     parsed = parse_config(args.config)
     if parsed.synth is None:
         raise ConfigError("RANGE_ERROR", "config has no synth section")
+    synth = make_gaussian_dataset(parsed.synth)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    synth = make_gaussian_dataset(parsed.synth)
     write_dataset(out / "train.ssrd", synth.train)
     write_dataset(out / "test.ssrd", synth.test)
     if synth.ood_pool.shape[0]:
@@ -169,8 +169,8 @@ def _with_data(verb, args) -> int:
 
 
 def _cmd_run(args, parsed, data, test) -> Path:
-    out = _run_dir(Path(args.out), parsed.train.seed)
     record = run_experiment(data, parsed.train, test=test).record
+    out = _run_dir(Path(args.out), parsed.train.seed)
     _emit(record, parsed, out)
     accs = ("no test set" if record.last_test_acc is None else
             f"best={record.best_test_acc:.4f} last={record.last_test_acc:.4f}")
@@ -196,7 +196,7 @@ def _cmd_grid(args, parsed, data, test) -> Path:
         raise ConfigError("RANGE_ERROR",
                           f"sweep values {args.values!r} repeat a value")
     for train in trains:   # and against the data
-        check_experiment(data, train, test=test)
+        check_experiment(data, train)
     out_root = Path(args.out)
     summary = []
     for train, value in zip(trains, values):

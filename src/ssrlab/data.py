@@ -13,13 +13,15 @@ from .errors import ConfigError, DataError, NumericError
 # Reserved sentinel for out-of-vocabulary true labels; never a valid working label.
 OPEN_SET = -1
 
+F32_MAX = float(np.finfo(np.float32).max)
+
 
 @dataclass(frozen=True)
 class NoisyDataset:
     """N feature embeddings with observed (possibly wrong) labels.
 
     Checked when built: the first violated invariant raises DataError, or
-    NumericError (NON_FINITE_INPUT) for a NaN or infinite feature.
+    NumericError (NON_FINITE_INPUT) for a feature that is not a finite float32.
     ``true_labels`` is evaluation-only, as is ``is_noisy``, which is derived
     from it: the selection and relabelling machinery reads neither. Class
     indices are 0-based; ``true_labels`` may contain the OPEN_SET sentinel for
@@ -44,10 +46,12 @@ class NoisyDataset:
             raise DataError("EMPTY_DATASET", "dataset has no samples")
         if d == 0:
             raise DataError("SHAPE_MISMATCH", "feature dimension is 0")
-        bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
-        if bad.size:
+        # SSRD stores the features as float32 and the model trains in it; the
+        # two bounds hold no (N, d) temporary, and a NaN fails both
+        if not (feats.max() <= F32_MAX and -F32_MAX <= feats.min()):
+            row = np.flatnonzero(~(np.abs(feats) <= F32_MAX).all(axis=1))[0]
             raise NumericError("NON_FINITE_INPUT",
-                               f"feature row {bad[0]} is not finite")
+                               f"feature row {row} is not finite in float32")
         m = self.num_classes
         if m < 2:
             raise DataError("SHAPE_MISMATCH", f"num_classes must be >= 2, got {m}")

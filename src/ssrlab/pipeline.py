@@ -248,8 +248,7 @@ def _epoch(epoch, model, velocity, rng, dataset, test, config, select, tau,
 
 def check_experiment(dataset: NoisyDataset, config: TrainConfig,
                      selection_mode: str = "npk_automatic",
-                     tau: Optional[float] = None,
-                     test: Optional[NoisyDataset] = None) -> None:
+                     tau: Optional[float] = None) -> None:
     """Raise the error run_experiment would raise before it trains: the
     limits that depend on the data or the selection mode, not on the config
     alone."""
@@ -271,17 +270,6 @@ def check_experiment(dataset: NoisyDataset, config: TrainConfig,
     if selection_mode == "clean_subset" and dataset.true_labels is None:
         raise DataError("MISSING_GROUND_TRUTH",
                         "selection mode 'clean_subset' needs true labels")
-    # a finite float64 feature past TRAIN_DTYPE's range would be inf in the
-    # model's forward
-    top = np.finfo(TRAIN_DTYPE).max
-    for name, data in (("training", dataset), ("test", test)):
-        if data is None:
-            continue
-        bad = np.flatnonzero(np.abs(data.features).max(axis=1) > top)
-        if bad.size:
-            raise NumericError("NON_FINITE_INPUT", f"{name} feature row "
-                               f"{bad[0]} is past the {TRAIN_DTYPE} range "
-                               f"(|x| > {top:.4g})")
 
 
 def run_experiment(dataset: NoisyDataset, config: TrainConfig,
@@ -291,7 +279,7 @@ def run_experiment(dataset: NoisyDataset, config: TrainConfig,
     """Train a TRAIN_DTYPE copy of a fresh float64 model for config.epochs,
     applying relabel -> select -> train each epoch, and record per-epoch
     quality metrics."""
-    check_experiment(dataset, config, selection_mode, tau, test)
+    check_experiment(dataset, config, selection_mode, tau)
     select = SELECTORS[selection_mode]
     rng = np.random.default_rng(config.seed)
     model = init_model(dataset.dim, dataset.num_classes, config.hidden_dims,

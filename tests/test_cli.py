@@ -253,6 +253,16 @@ def test_run_flag_out_of_range(tmp_path, config_path, caplog):
     assert "theta_s=nan, expected float in [0, 1]" in caplog.text
 
 
+def test_refused_run_makes_no_directory(tmp_path, config_path, caplog):
+    # theta_r 0.2 is a valid config value, but below 1/M for M = 3; the run
+    # raises before epoch 0, and its directory is made only after it succeeds
+    out = tmp_path / "o"
+    assert main(["run", "-c", str(config_path), "-o", str(out),
+                 "--theta-r", "0.2"]) == 2
+    assert "theta_r=0.2 is below 1/M = 1/3" in caplog.text
+    assert not out.exists()
+
+
 def test_run_with_input_files(tmp_path, config_path):
     data = tmp_path / "data"
     main(["synth", "-c", str(config_path), "-o", str(data)])
@@ -372,10 +382,11 @@ def test_grid_checks_k_against_the_data_before_the_first_runs(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("verb", ["run", "grid"])
+@pytest.mark.parametrize("verb", ["run", "grid", "synth"])
 def test_features_past_float32_are_refused_before_training(
         tmp_path, caplog, monkeypatch, verb):
-    # centres 1e39 apart are finite in float64, but inf in the float32 model
+    # centres 1e39 apart are finite in float64, but inf in SSRD's float32
+    # and in the float32 model
     def no_init(*args, **kwargs):
         raise AssertionError("model initialised before the range check")
     monkeypatch.setattr("ssrlab.pipeline.init_model", no_init)
@@ -387,10 +398,9 @@ def test_features_past_float32_are_refused_before_training(
     if verb == "grid":
         args += ["--param", "theta_s", "--values", "0.5,1.0"]
     assert main(args) == 4
-    assert ("NON_FINITE_INPUT: training feature row 0 is past the float32 "
-            "range") in caplog.text
-    if verb == "grid":
-        assert not out.exists()
+    assert ("NON_FINITE_INPUT: feature row 0 is not finite in float32"
+            in caplog.text)
+    assert not out.exists()
 
 
 # --- compare-modes -----------------------------------------------------------

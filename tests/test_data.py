@@ -69,14 +69,16 @@ def test_constructor_checks_in_order(args, code, message):
     assert str(exc.value) == f"{code}: {message}"
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39, -1e39])
 def test_non_finite_feature_is_refused(value):
-    # refused when the dataset is built, before any run starts
+    # refused when the dataset is built, before any run starts: +-1e39 is
+    # finite in float64, but inf in SSRD's and the model's float32
     feats = np.ones((4, 2))
     feats[2, 1] = value
     with pytest.raises(NumericError) as exc:
         NoisyDataset(feats, [0, 1, 0, 1], 2)
-    assert str(exc.value) == "NON_FINITE_INPUT: feature row 2 is not finite"
+    assert str(exc.value) == ("NON_FINITE_INPUT: feature row 2 is not finite "
+                              "in float32")
 
 
 def test_is_noisy_is_derived_and_read_only():

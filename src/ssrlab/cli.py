@@ -2,7 +2,8 @@
 
 Verbs: ``synth`` (generate dataset files), ``inject`` (apply noise to an
 embedding file), ``run`` (single experiment), ``grid`` (hyperparameter
-sweep), ``compare-modes`` (selector comparison). Flags override config keys.
+sweep), ``compare-modes`` (selector comparison). Every train value comes
+from the config file, and a sweep's values from ``grid --param/--values``.
 Exit codes: 0 on success, else the ``exit_code`` of the error's class in
 ``ssrlab.errors``; a file that cannot be read or written exits as a DataError.
 """
@@ -32,11 +33,6 @@ log = logging.getLogger("ssrlab")
 
 CSV_COLUMNS = [f.name for f in dataclasses.fields(EpochMetrics)]
 TIMING_COLUMNS = [f.name for f in dataclasses.fields(EpochTimings)]
-
-# flags mirroring the most common config keys; flags win over the file
-_OVERRIDE_FLAGS = ("theta_s", "theta_r", "k_neighbours", "lambda_fc",
-                   "mixup_alpha", "learning_rate", "epochs", "batch_size",
-                   "seed")
 
 
 def _write_csv(path: Path, columns: list, rows) -> None:
@@ -106,18 +102,6 @@ def _prepare_data(parsed: ParsedConfig, data_path=None, test_path=None):
     return dataset, synth.test
 
 
-def _apply_overrides(parsed: ParsedConfig, args) -> ParsedConfig:
-    updates = {}
-    for key in _OVERRIDE_FLAGS:
-        val = getattr(args, key, None)
-        if val is not None:
-            updates[key] = val
-    if not updates:
-        return parsed
-    return dataclasses.replace(parsed,
-                               train=dataclasses.replace(parsed.train, **updates))
-
-
 def _cmd_synth(args) -> int:
     parsed = parse_config(args.config)
     if parsed.synth is None:
@@ -147,11 +131,11 @@ def _cmd_inject(args) -> int:
 
 
 def _with_data(verb, args) -> int:
-    """Shared frame of run, grid and compare-modes: parse the config with the
-    flag overrides, load or generate the data, call verb(args, parsed, data,
-    test), and write manifest.json into the directory it returns."""
+    """Shared frame of run, grid and compare-modes: parse the config, load or
+    generate the data, call verb(args, parsed, data, test), and write
+    manifest.json into the directory it returns."""
     started = time.time()
-    parsed = _apply_overrides(parse_config(args.config), args)
+    parsed = parse_config(args.config)
     data, test = _prepare_data(parsed, args.input, args.test)
     if args.input is not None:   # record.json echoes only what was applied
         parsed = dataclasses.replace(parsed, synth=None, noise=None)
@@ -227,10 +211,6 @@ def _add_common(p):
     p.add_argument("-o", "--out", required=True, help="output directory")
     p.add_argument("-i", "--input", help="SSRD dataset file")
     p.add_argument("--test", help="SSRD holdout dataset file")
-    for key in _OVERRIDE_FLAGS:
-        p.add_argument(f"--{key.replace('_', '-')}", dest=key,
-                       type=TRAIN_PARAMS[key].kind, default=None,
-                       help=str(TRAIN_PARAMS[key]))
 
 
 def build_parser() -> argparse.ArgumentParser:

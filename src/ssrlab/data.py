@@ -174,11 +174,12 @@ class TrainConfig:
     theta_s: float = param(1.0, float, "[0, 1]")  # selection threshold
     theta_r: float = param(0.9, float, "(0, 1]")  # relabel confidence threshold
     k_neighbours: int = param(100, int, "[1, inf)")
-    lambda_fc: float = param(1.0, float, "[0, inf)")  # weight of the FC loss
+    # the float32 train step casts lambda_fc, learning_rate and weight_decay
+    lambda_fc: float = param(1.0, float, f"[0, {F32_MAX!r}]")  # FC loss weight
     mixup_alpha: float = param(0.5, float, "[0, inf)")  # 0 turns mixup off
-    learning_rate: float = param(0.02, float, "(0, inf)")
+    learning_rate: float = param(0.02, float, f"(0, {F32_MAX!r}]")
     momentum: float = param(0.9, float, "[0, 1)")
-    weight_decay: float = param(5e-4, float, "[0, inf)")
+    weight_decay: float = param(5e-4, float, f"[0, {F32_MAX!r}]")
     epochs: int = param(30, int, "[1, inf)")
     batch_size: int = param(128, int, "[1, inf)")
     seed: int = param(0, int, "[0, inf)")

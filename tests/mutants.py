@@ -161,6 +161,10 @@ MUTANTS = [
     ("the SGD scratch is float64", "src/ssrlab/model.py",
      "scratch = np.empty(min(_SGD_CHUNK, theta.size), dtype=theta.dtype)",
      "scratch = np.empty(min(_SGD_CHUNK, theta.size))"),
+    ("a train scalar past the float32 range reaches the train step",
+     "src/ssrlab/data.py",
+     'lambda_fc: float = param(1.0, float, f"[0, {F32_MAX!r}]")',
+     'lambda_fc: float = param(1.0, float, "[0, inf)")'),
     ("a feature past the float32 range reaches the forward",
      "src/ssrlab/data.py",
      "if not (feats.max() <= F32_MAX and -F32_MAX <= feats.min()):",

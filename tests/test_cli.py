@@ -9,6 +9,7 @@ import pytest
 from ssrlab import OPEN_SET, NoisyDataset, load_embeddings, load_pool, ssrd
 from ssrlab.cli import CSV_COLUMNS, TIMING_COLUMNS, _run_dir, main
 from ssrlab.config import parse_config_dict
+from ssrlab.data import TRAIN_PARAMS
 from ssrlab.errors import ConfigError
 
 
@@ -224,41 +225,32 @@ def test_default_run_is_byte_identical(tmp_path, config_path):
         assert (dirs[0] / fname).read_bytes() == (dirs[1] / fname).read_bytes()
 
 
-def test_run_flag_overrides_config(tmp_path, config_path):
-    out = tmp_path / "out"
-    assert main(["run", "-c", str(config_path), "-o", str(out),
-                 "--epochs", "3", "--seed", "7"]) == 0
-    run_dir = run_dir_of(out)
-    _, rows = read_csv(run_dir / "metrics.csv")
-    assert len(rows) == 3
-    record = json.loads((run_dir / "record.json").read_text())
-    assert record["config"]["train"]["seed"] == 7
-    assert run_dir.name.endswith("_s7")
-
-
-def test_override_flags_state_their_range(capsys):
+@pytest.mark.parametrize("verb", ["run", "grid", "compare-modes"])
+def test_train_values_come_only_from_the_config(tmp_path, config_path, capsys,
+                                                verb):
     with pytest.raises(SystemExit):
-        main(["run", "--help"])
-    help_text = " ".join(capsys.readouterr().out.split())
-    for flag, expect in [("--theta-s THETA_S", "float in [0, 1]"),
-                         ("--theta-r THETA_R", "float in (0, 1]"),
-                         ("--epochs EPOCHS", "int in [1, inf)"),
-                         ("--seed SEED", "int in [0, inf)")]:
-        assert f"{flag} {expect}" in help_text
+        main([verb, "--help"])
+    help_text = capsys.readouterr().out
+    assert not [key for key in TRAIN_PARAMS
+                if f"--{key.replace('_', '-')} " in help_text]
+    out = tmp_path / "o"
+    args = [verb, "-c", str(config_path), "-o", str(out), "--epochs", "3"]
+    if verb == "grid":
+        args += ["--param", "theta_s", "--values", "0.5,1.0"]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --epochs 3" in capsys.readouterr().err
+    assert not out.exists()
 
 
-def test_run_flag_out_of_range(tmp_path, config_path, caplog):
-    assert main(["run", "-c", str(config_path), "-o", str(tmp_path / "o"),
-                 "--theta-s", "nan"]) == 2
-    assert "theta_s=nan, expected float in [0, 1]" in caplog.text
-
-
-def test_refused_run_makes_no_directory(tmp_path, config_path, caplog):
+def test_refused_run_makes_no_directory(tmp_path, caplog):
     # theta_r 0.2 is a valid config value, but below 1/M for M = 3; the run
     # raises before epoch 0, and its directory is made only after it succeeds
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({**BASE_CONFIG, "theta_r": 0.2}))
     out = tmp_path / "o"
-    assert main(["run", "-c", str(config_path), "-o", str(out),
-                 "--theta-r", "0.2"]) == 2
+    assert main(["run", "-c", str(config_path), "-o", str(out)]) == 2
     assert "theta_r=0.2 is below 1/M = 1/3" in caplog.text
     assert not out.exists()
 
@@ -455,6 +447,8 @@ CONFIG_PROBES = [
     (None, "epochs", "1.5"), (None, "batch_size", "7.5"),
     (None, "seed", "1.5"), (None, "seed", "-1"), ("noise", "seed", "-3"),
     (None, "theta_s", "true"), (None, "theta_s", '"0.5"'),
+    (None, "theta_s", "NaN"), (None, "lambda_fc", "1e300"),
+    (None, "learning_rate", "1e300"), (None, "weight_decay", "1e300"),
     (None, "mixup_alpha", "NaN"), (None, "learning_rate", "NaN"),
     (None, "learning_rate", "1e400"), (None, "weight_decay", "1e400"),
     (None, "sigma_strong", "NaN"), ("synth", "per_class", "30.5"),

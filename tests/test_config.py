@@ -203,7 +203,7 @@ def test_any_json_value_is_a_config_error_or_runs(changes):
         parsed = parse_config_dict(config)
     except ConfigError:
         return
-    # A huge finite value (lambda_fc 1e308) overflows in NumPy, with a
+    # A huge finite value (sigma_strong 1e308) overflows in NumPy, with a
     # RuntimeWarning, before the run reports it as DIVERGED; the property is
     # about what the caller gets, so those warnings are not raised here.
     with warnings.catch_warnings():

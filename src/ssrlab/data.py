@@ -188,7 +188,6 @@ class TrainConfig:
     sigma_weak: float = param(0.02, float, "[0, inf)")
     balance_voting: bool = param(True, bool)
     oversample: bool = param(True, bool)
-    stop_gradient: bool = param(True, bool)
 
     def __post_init__(self):
         check_fields(self)

@@ -262,10 +262,9 @@ def feature_consistency_loss(model: PmcModel, view1: np.ndarray, view2: np.ndarr
 
 def total_loss_grads(model: PmcModel, batch: MiniBatch, lambda_fc: float,
                      fc_view1: Optional[np.ndarray] = None,
-                     fc_view2: Optional[np.ndarray] = None,
-                     stop_gradient: bool = True):
-    """Composite objective: cross-entropy plus lambda_fc times the consistency
-    loss. With lambda_fc = 0 the consistency branch is never evaluated.
+                     fc_view2: Optional[np.ndarray] = None):
+    """Cross-entropy plus lambda_fc times the stop-gradient consistency loss.
+    With lambda_fc = 0 the consistency branch is never evaluated.
 
     Both gradients go into one buffer: the consistency branch's, scaled by
     lambda_fc in place, then the cross-entropy branch's added to it. Each
@@ -273,8 +272,7 @@ def total_loss_grads(model: PmcModel, batch: MiniBatch, lambda_fc: float,
     grads = model.zeros()
     fc = 0.0
     if lambda_fc > 0:
-        fc = feature_consistency_loss(model, fc_view1, fc_view2, grads,
-                                      stop_gradient)
+        fc = feature_consistency_loss(model, fc_view1, fc_view2, grads)
         grads.flat *= lambda_fc
     ce = classification_grads(model, batch.inputs, batch.soft_labels, grads)
     return ce + lambda_fc * fc, grads, {"ce": ce, "fc": fc}

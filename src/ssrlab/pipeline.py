@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import LabelState, NoisyDataset, TrainConfig
+from .data import F32_MAX, LabelState, NoisyDataset, TrainConfig
 from .errors import ConfigError, DataError, NumericError
 from .model import (MiniBatch, PmcModel, cosine_lr, forward, init_model,
                     mixup_pair, oversample_balanced, sgd_step, total_loss_grads)
@@ -219,8 +219,7 @@ def _epoch(epoch, model, velocity, rng, dataset, test, config, select, tau,
                 v1 = jitter(fb, strong)
                 v2 = jitter(fb, weak)
             loss, grads, _ = total_loss_grads(
-                model, batch, config.lambda_fc, fc_view1=v1, fc_view2=v2,
-                stop_gradient=config.stop_gradient)
+                model, batch, config.lambda_fc, fc_view1=v1, fc_view2=v2)
             if not math.isfinite(loss):
                 raise NumericError("DIVERGED",
                                    f"epoch {epoch} step {step}: loss is {loss}")
@@ -246,6 +245,13 @@ def _epoch(epoch, model, velocity, rng, dataset, test, config, select, tau,
                                  time.perf_counter() - t3)
 
 
+def _feature_std(dataset: NoisyDataset) -> np.ndarray:
+    """The per-dimension std that scales the jitter, a zero std counted as 1."""
+    std = dataset.features.std(axis=0)
+    std[std == 0] = 1.0
+    return std
+
+
 def check_experiment(dataset: NoisyDataset, config: TrainConfig,
                      selection_mode: str = "npk_automatic",
                      tau: Optional[float] = None) -> None:
@@ -256,10 +262,11 @@ def check_experiment(dataset: NoisyDataset, config: TrainConfig,
         raise ConfigError("RANGE_ERROR", f"selection_mode={selection_mode!r} "
                           f"not in {tuple(SELECTORS)}")
     # the predefined modes need tau; pmc_gmm_automatic falls back to it
-    if (tau is None and selection_mode in ("npk_predefined", "pmc_predefined")
-            or tau is not None and not 0.0 <= tau < 1.0):
-        raise ConfigError("RANGE_ERROR", f"selection mode {selection_mode!r} "
-                          f"needs tau in [0, 1), got {tau}")
+    if tau is None and selection_mode in ("npk_predefined", "pmc_predefined"):
+        raise ConfigError("RANGE_ERROR",
+                          f"selection mode {selection_mode!r} needs tau")
+    if tau is not None and not 0.0 <= tau < 1.0:
+        raise ConfigError("RANGE_ERROR", f"tau={tau!r} not in [0, 1)")
     # no softmax row's largest value is below 1/M, so a lower theta_r would
     # relabel every sample in every epoch
     if config.theta_r < 1.0 / dataset.num_classes:
@@ -270,6 +277,15 @@ def check_experiment(dataset: NoisyDataset, config: TrainConfig,
     if selection_mode == "clean_subset" and dataset.true_labels is None:
         raise DataError("MISSING_GROUND_TRUTH",
                         "selection mode 'clean_subset' needs true labels")
+    # the jitter adds sigma * std to each dimension of a float32 row; Python
+    # floats compare the product without an overflow warning
+    top_std = float(_feature_std(dataset).max())
+    for key in ("sigma_strong", "sigma_weak"):
+        sigma = getattr(config, key)
+        if float(sigma) * top_std > F32_MAX:
+            raise ConfigError("RANGE_ERROR", f"{key}={sigma!r} times the "
+                              f"largest feature std {top_std:.4g} is past the "
+                              f"float32 range")
 
 
 def run_experiment(dataset: NoisyDataset, config: TrainConfig,
@@ -285,8 +301,7 @@ def run_experiment(dataset: NoisyDataset, config: TrainConfig,
     model = init_model(dataset.dim, dataset.num_classes, config.hidden_dims,
                        rng).astype(TRAIN_DTYPE)
     velocity = np.zeros_like(model.flat)
-    feat_std = dataset.features.std(axis=0)
-    feat_std[feat_std == 0] = 1.0
+    feat_std = _feature_std(dataset)
     epochs, timings = zip(*(_epoch(epoch, model, velocity, rng, dataset, test,
                                    config, select, tau, feat_std)
                             for epoch in range(config.epochs)))
@@ -304,6 +319,9 @@ def compare_selection_modes(dataset: NoisyDataset, config: TrainConfig,
         raise DataError("MISSING_GROUND_TRUTH",
                         "mode comparison needs true labels for tau")
     tau = float(dataset.is_noisy.mean())
+    if tau == 1.0:
+        raise ConfigError("RANGE_ERROR", "measured noise rate 1.0: every "
+                          "observed label is wrong, so no tau is in [0, 1)")
     # strong augmentation (jitter + mixup), relabelling, and the consistency
     # loss are all switched off so only the selection mechanism differs
     base = replace(config, theta_r=1.0, lambda_fc=0.0, mixup_alpha=0.0,

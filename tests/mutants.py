@@ -165,6 +165,10 @@ MUTANTS = [
      "src/ssrlab/data.py",
      'lambda_fc: float = param(1.0, float, f"[0, {F32_MAX!r}]")',
      'lambda_fc: float = param(1.0, float, "[0, inf)")'),
+    ("a jitter scale past float32 reaches the train step",
+     "src/ssrlab/pipeline.py",
+     "if float(sigma) * top_std > F32_MAX:",
+     "if float(sigma) * top_std > F32_MAX and False:"),
     ("a feature past the float32 range reaches the forward",
      "src/ssrlab/data.py",
      "if not (feats.max() <= F32_MAX and -F32_MAX <= feats.min()):",

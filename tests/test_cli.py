@@ -56,7 +56,7 @@ def test_unknown_key_rejected():
 
 def test_removed_persistent_relabel_key_rejected():
     for key in ("persistent_relabel", "record_timings", "use_mixup",
-                "proj_dim", "fc_distance"):
+                "proj_dim", "fc_distance", "stop_gradient"):
         with pytest.raises(ConfigError) as exc:
             parse_config_dict({key: True})
         assert exc.value.code == "UNKNOWN_KEY"
@@ -221,6 +221,37 @@ def test_default_run_is_byte_identical(tmp_path, config_path):
         assert main(["run", "-c", str(config_path),
                      "-o", str(tmp_path / name)]) == 0
         dirs.append(run_dir_of(tmp_path / name))
+    for fname in ("metrics.csv", "record.json"):
+        assert (dirs[0] / fname).read_bytes() == (dirs[1] / fname).read_bytes()
+
+
+@pytest.mark.parametrize("source", ["synth", "ssrd"])
+def test_run_reruns_from_its_record(tmp_path, source):
+    # record.json's config, written back as a config file (the train keys at
+    # the root, beside its noise and synth sections), repeats the run
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        **BASE_CONFIG, "theta_s": 0.9,
+        "synth": {"num_classes": 3, "class_counts": [50, 40, 30], "dim": 8,
+                  "ood_classes": 0},
+        "noise": {"kind": "asymmetric", "total_ratio": 0.3,
+                  "pair_map": [1, 2, 0], "seed": 2}}))
+    inputs = []
+    if source == "ssrd":
+        data = tmp_path / "data"
+        assert main(["synth", "-c", str(config), "-o", str(data)]) == 0
+        assert main(["inject", "-c", str(config), "-i",
+                     str(data / "train.ssrd"), "-o", str(data / "noisy.ssrd")]) == 0
+        inputs = ["-i", str(data / "noisy.ssrd"),
+                  "--test", str(data / "test.ssrd")]
+    dirs = []
+    for name in ("first", "again"):
+        assert main(["run", "-c", str(config), "-o", str(tmp_path / name),
+                     *inputs]) == 0
+        dirs.append(run_dir_of(tmp_path / name))
+        echo = json.loads((dirs[-1] / "record.json").read_text())["config"]
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps({**echo.pop("train"), **echo}))
     for fname in ("metrics.csv", "record.json"):
         assert (dirs[0] / fname).read_bytes() == (dirs[1] / fname).read_bytes()
 
@@ -438,6 +469,20 @@ def test_compare_modes_needs_true_labels(tmp_path, config_path, caplog):
     assert not out.exists()
 
 
+def test_compare_modes_refuses_a_noise_rate_of_one(tmp_path, caplog):
+    # every label flips, so the measured rate leaves no tau in [0, 1)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        **BASE_CONFIG,
+        "synth": {**BASE_CONFIG["synth"], "per_class": 40, "ood_classes": 0},
+        "noise": {"kind": "asymmetric", "total_ratio": 1.0,
+                  "pair_map": [1, 2, 0], "seed": 0}}))
+    out = tmp_path / "cmp"
+    assert main(["compare-modes", "-c", str(config), "-o", str(out)]) == 2
+    assert "RANGE_ERROR: measured noise rate 1.0" in caplog.text
+    assert not out.exists()
+
+
 # --- exit codes --------------------------------------------------------------
 
 # (section, key, raw JSON value[, other keys of the section]): each probe
@@ -451,12 +496,13 @@ CONFIG_PROBES = [
     (None, "learning_rate", "1e300"), (None, "weight_decay", "1e300"),
     (None, "mixup_alpha", "NaN"), (None, "learning_rate", "NaN"),
     (None, "learning_rate", "1e400"), (None, "weight_decay", "1e400"),
-    (None, "sigma_strong", "NaN"), ("synth", "per_class", "30.5"),
+    (None, "sigma_strong", "NaN"), (None, "sigma_strong", "1e300"),
+    (None, "sigma_weak", "1e300"), ("synth", "per_class", "30.5"),
     ("synth", "separation", "NaN"), ("synth", "dim", "0"),
     ("synth", "dim", "2"), (None, "noise", "null"), (None, "noise", "5"),
     (None, "synth", '"ab"'), (None, "hidden_dims", "[]"),
     ("noise", "pair_map", "[1.5, 0, 1]"), (None, "balance_voting", "0"),
-    (None, "stop_gradient", "null"), ("noise", "kind", '"asymmetric"'),
+    (None, "oversample", "null"), ("noise", "kind", '"asymmetric"'),
     ("noise", "pair_map", "[1, 0]", {"kind": "asymmetric"}),
     ("noise", "pair_map", "[1, 2, 2]", {"kind": "asymmetric"}),
     ("noise", "pair_map", "[1, 2, 3]", {"kind": "asymmetric"}),

@@ -89,7 +89,7 @@ def test_int_seed_from_numpy_runs():
 @pytest.mark.parametrize("cls, kwargs, message", [
     (TrainConfig, {"theta_s": True}, "theta_s=True, expected float in [0, 1]"),
     (TrainConfig, {"epochs": 1.5}, "epochs=1.5, expected int in [1, inf)"),
-    (TrainConfig, {"stop_gradient": None}, "stop_gradient=None, expected bool"),
+    (TrainConfig, {"oversample": None}, "oversample=None, expected bool"),
     (NoiseSpec, {"kind": "salt"},
      "kind='salt', expected one of ('symmetric', 'asymmetric', 'combined')"),
     (NoiseSpec, {"open_ratio": 0.5},
@@ -203,9 +203,9 @@ def test_any_json_value_is_a_config_error_or_runs(changes):
         parsed = parse_config_dict(config)
     except ConfigError:
         return
-    # A huge finite value (sigma_strong 1e308) overflows in NumPy, with a
-    # RuntimeWarning, before the run reports it as DIVERGED; the property is
-    # about what the caller gets, so those warnings are not raised here.
+    # A huge finite value can overflow in NumPy, with a RuntimeWarning, before
+    # the run reports it as DIVERGED; the property is about what the caller
+    # gets, so those warnings are not raised here.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         try:

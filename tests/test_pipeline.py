@@ -13,11 +13,12 @@ import pytest
 
 from ssrlab import (NoiseSpec, NoisyDataset, SynthSpec, TrainConfig,
                     apply_noise, compare_selection_modes, make_gaussian_dataset,
-                    pipeline, run_experiment, selection_metrics)
+                    pipeline, run_experiment)
 from oracles import initial_state, macro_f1
 from ssrlab.cli import emit_metrics
 from ssrlab.errors import ConfigError, DataError, NumericError
 from ssrlab.model import forward, init_model
+from ssrlab.pipeline import selection_metrics
 
 
 def small_config(**kwargs):
@@ -349,7 +350,8 @@ def test_unknown_selection_mode(small_noisy, monkeypatch):
     *((t, m) for t in (None, 1.0, -0.1)
       for m in ("npk_predefined", "pmc_predefined")),
     # the GMM mode runs without tau, but a given tau is its fallback ratio
-    (1.0, "pmc_gmm_automatic"), (-0.1, "pmc_gmm_automatic")])
+    (1.0, "pmc_gmm_automatic"), (-0.1, "pmc_gmm_automatic"),
+    (1.0, "npk_automatic")])
 def test_predefined_modes_need_tau_in_range(small_noisy, monkeypatch, mode, tau):
     def no_init(*args, **kwargs):
         raise AssertionError("model initialised before tau was checked")
@@ -358,6 +360,9 @@ def test_predefined_modes_need_tau_in_range(small_noisy, monkeypatch, mode, tau)
     with pytest.raises(ConfigError) as exc:
         run_experiment(noisy, small_config(), selection_mode=mode, tau=tau)
     assert exc.value.code == "RANGE_ERROR"
+    # an out-of-range tau is named as such, whatever mode reads it
+    assert exc.value.message == (f"selection mode {mode!r} needs tau"
+                                 if tau is None else f"tau={tau} not in [0, 1)")
 
 
 def test_gmm_selector_reraises_other_numeric_errors():
@@ -624,6 +629,46 @@ def test_lambda_zero_runs_without_views(small_noisy):
     noisy, test = small_noisy
     out = run_experiment(noisy, small_config(lambda_fc=0.0), test=test)
     assert len(out.record.epochs) == 3
+
+
+# --- every train setting has an effect ---------------------------------------
+
+# one value per TrainConfig field, each unlike FLIP_BASE's: a field with no
+# entry fails test_every_train_field_has_a_flip, and one whose flip leaves
+# the trained parameters as they were fails test_every_train_flip_changes_a_run
+FLIP_BASE = TrainConfig(epochs=4, k_neighbours=10)
+FLIPS = {
+    "theta_s": 0.5, "theta_r": 0.6, "k_neighbours": 20, "lambda_fc": 0.5,
+    "mixup_alpha": 1.0, "learning_rate": 0.05, "momentum": 0.5,
+    "weight_decay": 1e-3, "epochs": 5, "batch_size": 64, "seed": 1,
+    "hidden_dims": (64, 16), "sigma_strong": 0.2, "sigma_weak": 0.05,
+    "balance_voting": False, "oversample": False,
+}
+
+
+@pytest.fixture(scope="module")
+def flip_runs():
+    synth = make_gaussian_dataset(SynthSpec(
+        num_classes=3, class_counts=(60, 40, 20), dim=8, ood_classes=0))
+    noisy = apply_noise(synth.train, NoiseSpec("symmetric", 0.4))
+
+    def flat(config):
+        return run_experiment(noisy, config).model.flat.tobytes()
+
+    return flat(FLIP_BASE), flat
+
+
+def test_every_train_field_has_a_flip(flip_runs):
+    assert set(FLIPS) == {f.name for f in dataclasses.fields(TrainConfig)}
+    base, flat = flip_runs
+    assert flat(FLIP_BASE) == base   # so a changed byte comes from the flip
+
+
+@pytest.mark.parametrize("key", FLIPS)
+def test_every_train_flip_changes_a_run(flip_runs, key):
+    base, flat = flip_runs
+    assert FLIPS[key] != getattr(FLIP_BASE, key)
+    assert flat(dataclasses.replace(FLIP_BASE, **{key: FLIPS[key]})) != base
 
 
 # --- compare_selection_modes -------------------------------------------------

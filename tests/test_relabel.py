@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from oracles import initial_state
-from ssrlab import OPEN_SET, NoisyDataset, relabel, relabel_metrics
+from ssrlab import OPEN_SET, NoisyDataset, relabel
+from ssrlab.relabel import relabel_metrics
 from ssrlab.data import LabelState
 from ssrlab.errors import ConfigError, DataError, NumericError
 

@@ -137,6 +137,10 @@ def apply_noise(dataset: NoisyDataset, spec: NoiseSpec,
         if pool_size < n_open:
             raise DataError("OOD_POOL_TOO_SMALL",
                             f"need {n_open} pool vectors, have {pool_size}")
+        if ood_pool.shape[1] != dataset.dim:
+            raise DataError("SHAPE_MISMATCH", f"the open-set pool has "
+                            f"{ood_pool.shape[1]} features, the dataset "
+                            f"{dataset.dim}")
         picks = rng.permutation(pool_size)[:n_open]
         open_idx = idx[:n_open]
         feats = feats.copy()

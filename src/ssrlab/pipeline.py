@@ -151,7 +151,7 @@ SELECTORS = {
 
 
 def _epoch(epoch, model, velocity, rng, dataset, test, config, select, tau,
-           feat_std):
+           strong, weak):
     """Relabel and select from one forward pass, train one pass of SGD steps
     over the selection, then evaluate. Raises DIVERGED when relabelling puts
     every sample in one class, on a trained model's non-finite outputs or loss,
@@ -192,8 +192,6 @@ def _epoch(epoch, model, velocity, rng, dataset, test, config, select, tau,
         n, d = xs.shape
         dtype = model.flat.dtype
         eye = np.eye(dataset.num_classes, dtype=dtype)
-        strong = config.sigma_strong * feat_std
-        weak = config.sigma_weak * feat_std
 
         def jitter(rows, sigma):
             # drawn and added in float64, then rounded once to the model's dtype
@@ -245,19 +243,13 @@ def _epoch(epoch, model, velocity, rng, dataset, test, config, select, tau,
                                  time.perf_counter() - t3)
 
 
-def _feature_std(dataset: NoisyDataset) -> np.ndarray:
-    """The per-dimension std that scales the jitter, a zero std counted as 1."""
-    std = dataset.features.std(axis=0)
-    std[std == 0] = 1.0
-    return std
-
-
 def check_experiment(dataset: NoisyDataset, config: TrainConfig,
                      selection_mode: str = "npk_automatic",
-                     tau: Optional[float] = None) -> None:
+                     tau: Optional[float] = None) -> tuple:
     """Raise the error run_experiment would raise before it trains: the
     limits that depend on the data or the selection mode, not on the config
-    alone."""
+    alone. Return the strong and weak jitter scales, each sigma times the
+    per-dimension feature std (a zero std counted as 1)."""
     if selection_mode not in SELECTORS:
         raise ConfigError("RANGE_ERROR", f"selection_mode={selection_mode!r} "
                           f"not in {tuple(SELECTORS)}")
@@ -279,13 +271,16 @@ def check_experiment(dataset: NoisyDataset, config: TrainConfig,
                         "selection mode 'clean_subset' needs true labels")
     # the jitter adds sigma * std to each dimension of a float32 row; Python
     # floats compare the product without an overflow warning
-    top_std = float(_feature_std(dataset).max())
+    std = dataset.features.std(axis=0)
+    std[std == 0] = 1.0
+    top_std = float(std.max())
     for key in ("sigma_strong", "sigma_weak"):
         sigma = getattr(config, key)
         if float(sigma) * top_std > F32_MAX:
             raise ConfigError("RANGE_ERROR", f"{key}={sigma!r} times the "
                               f"largest feature std {top_std:.4g} is past the "
                               f"float32 range")
+    return config.sigma_strong * std, config.sigma_weak * std
 
 
 def run_experiment(dataset: NoisyDataset, config: TrainConfig,
@@ -295,15 +290,19 @@ def run_experiment(dataset: NoisyDataset, config: TrainConfig,
     """Train a TRAIN_DTYPE copy of a fresh float64 model for config.epochs,
     applying relabel -> select -> train each epoch, and record per-epoch
     quality metrics."""
-    check_experiment(dataset, config, selection_mode, tau)
+    strong, weak = check_experiment(dataset, config, selection_mode, tau)
+    if test is not None and (test.dim, test.num_classes) != (
+            dataset.dim, dataset.num_classes):
+        raise DataError("SHAPE_MISMATCH", f"the test set has {test.dim} "
+                        f"features and {test.num_classes} classes, the "
+                        f"training set {dataset.dim} and {dataset.num_classes}")
     select = SELECTORS[selection_mode]
     rng = np.random.default_rng(config.seed)
     model = init_model(dataset.dim, dataset.num_classes, config.hidden_dims,
                        rng).astype(TRAIN_DTYPE)
     velocity = np.zeros_like(model.flat)
-    feat_std = _feature_std(dataset)
     epochs, timings = zip(*(_epoch(epoch, model, velocity, rng, dataset, test,
-                                   config, select, tau, feat_std)
+                                   config, select, tau, strong, weak)
                             for epoch in range(config.epochs)))
     record = ExperimentRecord(config=asdict(config), epochs=list(epochs),
                               timings=list(timings))

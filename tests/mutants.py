@@ -34,12 +34,12 @@ MUTANTS = [
      "v2 = jitter(fb, weak)", "v2 = jitter(fb, strong)"),
     ("the strong jitter divides sigma by the per-dimension std",
      "src/ssrlab/pipeline.py",
-     "strong = config.sigma_strong * feat_std",
-     "strong = config.sigma_strong / feat_std"),
+     "return config.sigma_strong * std,",
+     "return config.sigma_strong / std,"),
     ("the weak jitter divides sigma by the per-dimension std",
      "src/ssrlab/pipeline.py",
-     "weak = config.sigma_weak * feat_std",
-     "weak = config.sigma_weak / feat_std"),
+     ", config.sigma_weak * std\n",
+     ", config.sigma_weak / std\n"),
     ("an epoch's select time adds two clock readings",
      "src/ssrlab/pipeline.py",
      "EpochTimings(epoch, t1 - t0, t2 - t1,",
@@ -165,6 +165,14 @@ MUTANTS = [
      "src/ssrlab/data.py",
      'lambda_fc: float = param(1.0, float, f"[0, {F32_MAX!r}]")',
      'lambda_fc: float = param(1.0, float, "[0, inf)")'),
+    ("a run takes a test set of another width or label space",
+     "src/ssrlab/pipeline.py",
+     "    if test is not None and (test.dim, test.num_classes) != (",
+     "    if False and (test.dim, test.num_classes) != ("),
+    ("apply_noise takes an open-set pool of another width",
+     "src/ssrlab/noise.py",
+     "        if ood_pool.shape[1] != dataset.dim:",
+     "        if False:"),
     ("a jitter scale past float32 reaches the train step",
      "src/ssrlab/pipeline.py",
      "if float(sigma) * top_std > F32_MAX:",

@@ -131,6 +131,24 @@ def test_inject_draws_open_set_vectors_from_the_pool(tmp_path, config_path):
     assert all((pool == row).all(axis=1).any() for row in noisy.features[swapped])
 
 
+def test_inject_refuses_a_pool_of_another_width(tmp_path, config_path,
+                                               caplog):
+    config = {**BASE_CONFIG, "noise": {"kind": "combined", "total_ratio": 0.3,
+                                       "open_ratio": 0.5, "seed": 0}}
+    config_path.write_text(json.dumps(config))
+    data = tmp_path / "data"
+    main(["synth", "-c", str(config_path), "-o", str(data)])
+    narrow = tmp_path / "pool6.ssrd"
+    ssrd.write_pool(narrow, np.ones((60, 6)))
+    noisy_path = tmp_path / "noisy.ssrd"
+    assert main(["inject", "-c", str(config_path), "-i",
+                 str(data / "train.ssrd"), "--ood", str(narrow),
+                 "-o", str(noisy_path)]) == 3
+    assert ("SHAPE_MISMATCH: the open-set pool has 6 features, the dataset 8"
+            in caplog.text)
+    assert not noisy_path.exists()
+
+
 def test_run_verbs_have_no_ood_flag(capsys):
     for verb in ("run", "grid", "compare-modes"):
         with pytest.raises(SystemExit):
@@ -256,6 +274,23 @@ def test_run_reruns_from_its_record(tmp_path, source):
         assert (dirs[0] / fname).read_bytes() == (dirs[1] / fname).read_bytes()
 
 
+def test_grid_point_reruns_from_its_record(tmp_path, config_path):
+    # one point's record.json config, written back as a config file (the
+    # train keys at the root), repeats that point as a run
+    grid = tmp_path / "grid"
+    assert main(["grid", "-c", str(config_path), "-o", str(grid),
+                 "--param", "theta_s", "--values", "0.5,1.0"]) == 0
+    point = grid / "theta_s_0.5"
+    echo = json.loads((point / "record.json").read_text())["config"]
+    config = tmp_path / "point.json"
+    config.write_text(json.dumps({**echo.pop("train"), **echo}))
+    out = tmp_path / "run"
+    assert main(["run", "-c", str(config), "-o", str(out)]) == 0
+    for fname in ("metrics.csv", "record.json"):
+        assert ((run_dir_of(out) / fname).read_bytes()
+                == (point / fname).read_bytes())
+
+
 @pytest.mark.parametrize("verb", ["run", "grid", "compare-modes"])
 def test_train_values_come_only_from_the_config(tmp_path, config_path, capsys,
                                                 verb):
@@ -313,6 +348,27 @@ def test_test_set_without_input_is_refused(tmp_path, config_path, caplog,
         args += ["--param", "theta_s", "--values", "0.5,1.0"]
     assert main(args) == 2
     assert "RANGE_ERROR: --test needs -i" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["run", "grid", "compare-modes"])
+@pytest.mark.parametrize("dim, m", [(6, 3), (8, 5)])
+def test_test_set_of_another_shape_is_refused(tmp_path, config_path, caplog,
+                                              verb, dim, m):
+    data = tmp_path / "data"
+    main(["synth", "-c", str(config_path), "-o", str(data)])
+    labels = np.arange(10) % m
+    test = tmp_path / "test.ssrd"
+    ssrd.write_dataset(test, NoisyDataset(np.ones((10, dim)), labels, m,
+                                          labels.copy()))
+    out = tmp_path / "o"
+    args = [verb, "-c", str(config_path), "-o", str(out),
+            "-i", str(data / "train.ssrd"), "--test", str(test)]
+    if verb == "grid":
+        args += ["--param", "theta_s", "--values", "0.5,1.0"]
+    assert main(args) == 3
+    assert (f"SHAPE_MISMATCH: the test set has {dim} features and {m} "
+            "classes, the training set 8 and 3") in caplog.text
     assert not out.exists()
 
 

@@ -208,6 +208,16 @@ def test_combined_pool_too_small():
                                   f"have {size}")
 
 
+def test_combined_pool_of_another_width():
+    synth = make_gaussian_dataset(SynthSpec(num_classes=3, per_class=100,
+                                            dim=8))
+    with pytest.raises(DataError) as exc:
+        apply_noise(synth.train, NoiseSpec("combined", 0.5, open_ratio=1.0),
+                    np.ones((150, 6)))
+    assert str(exc.value) == ("SHAPE_MISMATCH: the open-set pool has 6 "
+                              "features, the dataset 8")
+
+
 def test_combined_without_open_set_needs_no_ground_truth():
     synth = make_gaussian_dataset(SynthSpec(num_classes=3, per_class=30, dim=8))
     blind = NoisyDataset(synth.train.features, synth.train.observed_labels, 3)

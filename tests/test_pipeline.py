@@ -558,7 +558,7 @@ def test_jitter_is_sigma_times_the_per_dimension_std(monkeypatch):
     feat_std = feats.std(axis=0)
     pipeline._epoch(0, model, np.zeros_like(model.flat), OnesNormal(rng), ds,
                     None, cfg, pipeline.SELECTORS["whole_dataset"], None,
-                    feat_std)
+                    *pipeline.check_experiment(ds, cfg, "whole_dataset"))
     strong = {(x + cfg.sigma_strong * feat_std).astype(np.float32).tobytes()
               for x in feats}
     weak = {(x + cfg.sigma_weak * feat_std).astype(np.float32).tobytes()
@@ -567,6 +567,21 @@ def test_jitter_is_sigma_times_the_per_dimension_std(monkeypatch):
     for inputs, view1, view2 in steps:
         assert all(r.tobytes() in strong for r in [*inputs, *view1])
         assert all(r.tobytes() in weak for r in view2)
+
+
+def test_check_experiment_returns_sigma_times_the_per_dimension_std():
+    # the scales the run trains with are the ones the float32 bound checked;
+    # a constant dimension has std 0, which counts as 1
+    labels = np.repeat(np.arange(3), 10)
+    feats = (np.random.default_rng(5).normal(size=(30, 3))
+             * np.array([2.0, 0.0, 0.5]))
+    ds = NoisyDataset(feats, labels, 3, labels.copy())
+    cfg = small_config(sigma_strong=0.1, sigma_weak=0.02)
+    strong, weak = pipeline.check_experiment(ds, cfg)
+    std = feats.std(axis=0)
+    std[1] = 1.0
+    assert np.array_equal(strong, 0.1 * std)
+    assert np.array_equal(weak, 0.02 * std)
 
 
 def test_fc_views_visit_every_sample_once_before_the_reshuffle(monkeypatch):
@@ -604,6 +619,25 @@ def test_train_step_runs_in_float32(small_noisy, monkeypatch, mixup_alpha):
     monkeypatch.setattr(pipeline, "total_loss_grads", spy)
     run_experiment(noisy, small_config(epochs=1, mixup_alpha=mixup_alpha))
     assert seen and all(dtypes == {np.dtype(np.float32)} for dtypes in seen)
+
+
+@pytest.mark.parametrize("dim, m", [(6, 3), (8, 5)])
+def test_test_set_of_another_shape_is_refused_before_init(small_noisy,
+                                                          monkeypatch, dim, m):
+    # a narrower test set would fail in the first test forward, and one with
+    # more classes would be scored against another label space
+    def no_init(*args, **kwargs):
+        raise AssertionError("model initialised before the test set's shape "
+                             "was checked")
+    monkeypatch.setattr("ssrlab.pipeline.init_model", no_init)
+    noisy, _ = small_noisy
+    labels = np.arange(10) % m
+    test = NoisyDataset(np.ones((10, dim)), labels, m, labels.copy())
+    with pytest.raises(DataError) as exc:
+        run_experiment(noisy, small_config(), test=test)
+    assert str(exc.value) == (f"SHAPE_MISMATCH: the test set has {dim} "
+                              f"features and {m} classes, the training set "
+                              "8 and 3")
 
 
 @pytest.mark.parametrize("which", ["training", "test"])

@@ -12,11 +12,16 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import hashlib
 import json
 import logging
+import os
+import platform
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .config import ParsedConfig, parse_config
@@ -133,18 +138,29 @@ def _cmd_inject(args) -> int:
 def _with_data(verb, args) -> int:
     """Shared frame of run, grid and compare-modes: parse the config, load or
     generate the data, call verb(args, parsed, data, test), and write
-    manifest.json into the directory it returns."""
+    manifest.json into the directory it returns: the input files with the
+    sha256 of their bytes, the versions and the BLAS thread settings."""
     started = time.time()
     parsed = parse_config(args.config)
     data, test = _prepare_data(parsed, args.input, args.test)
+    inputs = {}
+    for name, path in (("input", args.input), ("test", args.test)):
+        inputs[f"{name}_path"] = path
+        inputs[f"{name}_sha256"] = path and hashlib.sha256(
+            Path(path).read_bytes()).hexdigest()
     if args.input is not None:   # record.json echoes only what was applied
         parsed = dataclasses.replace(parsed, synth=None, noise=None)
     out = verb(args, parsed, data, test)
     manifest = {
         "config_path": str(args.config) if args.config else None,
+        **inputs,
         "output_dir": str(out),
         "seed": parsed.train.seed,
         "artifact_version": __version__,
+        "numpy_version": np.__version__,
+        "python_version": platform.python_version(),
+        "blas_threads": {name: os.environ.get(name) for name in (
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
         "started": started,
         "finished": time.time(),
     }
@@ -162,7 +178,17 @@ def _cmd_run(args, parsed, data, test) -> Path:
     return out
 
 
-_SWEEPABLE = ("theta_s", "theta_r", "k_neighbours")
+def _emit_points(out, parsed, summary, column, points, prefix="") -> Path:
+    """Emit each (value, record) point into out/<prefix><value> as the
+    iterable yields it, so a sweep that fails keeps its finished points;
+    then the summary CSV of their accuracies."""
+    rows = []
+    for value, record in points:
+        _emit(record, parsed, out / f"{prefix}{value}")
+        rows.append((value, record.best_test_acc, record.last_test_acc))
+    _write_csv(out / summary, [column, "best_test_acc", "last_test_acc"], rows)
+    log.info("%d runs finished -> %s", len(rows), out / summary)
+    return out
 
 
 def _cmd_grid(args, parsed, data, test) -> Path:
@@ -181,29 +207,16 @@ def _cmd_grid(args, parsed, data, test) -> Path:
                           f"sweep values {args.values!r} repeat a value")
     for train in trains:   # and against the data
         check_experiment(data, train)
-    out_root = Path(args.out)
-    summary = []
-    for train, value in zip(trains, values):
-        record = run_experiment(data, train, test=test).record
-        _emit(record, parsed, out_root / f"{args.param}_{value}")
-        summary.append((value, record.best_test_acc, record.last_test_acc))
-    _write_csv(out_root / "summary.csv",
-               [args.param, "best_test_acc", "last_test_acc"], summary)
-    log.info("grid finished: %d points -> %s", len(trains), out_root)
-    return out_root
+    points = ((value, run_experiment(data, train, test=test).record)
+              for train, value in zip(trains, values))
+    return _emit_points(Path(args.out), parsed, "summary.csv", args.param,
+                        points, f"{args.param}_")
 
 
 def _cmd_compare_modes(args, parsed, data, test) -> Path:
-    out = Path(args.out)
     runs = compare_selection_modes(data, parsed.train, test=test)
-    summary = []
-    for name, record in runs.items():
-        _emit(record, parsed, out / name)
-        summary.append((name, record.best_test_acc, record.last_test_acc))
-    _write_csv(out / "comparison.csv",
-               ["mode", "best_test_acc", "last_test_acc"], summary)
-    log.info("mode comparison -> %s", out)
-    return out
+    return _emit_points(Path(args.out), parsed, "comparison.csv", "mode",
+                        runs.items())
 
 
 def _add_common(p):
@@ -236,8 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grid", help="sweep one hyperparameter")
     _add_common(p)
-    p.add_argument("--param", required=True,
-                   choices=sorted(_SWEEPABLE))
+    # the caster is the kind, so a bool key is left out: bool("false") is True
+    p.add_argument("--param", required=True, choices=sorted(
+        k for k, param in TRAIN_PARAMS.items() if param.kind in (int, float)))
     p.add_argument("--values", required=True,
                    help="comma-separated sweep values")
     p.set_defaults(func=functools.partial(_with_data, _cmd_grid))

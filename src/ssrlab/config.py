@@ -64,13 +64,24 @@ def parse_config_dict(obj: dict) -> ParsedConfig:
     return ParsedConfig(train, noise, synth)
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object whose keys are all distinct: json keeps a repeated
+    key's last value without a word."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError("PARSE_ERROR", f"key {key!r} is given twice")
+        obj[key] = value
+    return obj
+
+
 def parse_config(path) -> ParsedConfig:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError("PARSE_ERROR", f"cannot read {path}: {exc}") from exc
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError("PARSE_ERROR",
                           f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc

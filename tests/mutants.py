@@ -130,6 +130,13 @@ MUTANTS = [
     ("grid runs a repeated sweep value", "src/ssrlab/cli.py",
      "    if len(set(values)) < len(values):",
      "    if False:"),
+    ("the point loop collects every record before it emits",
+     "src/ssrlab/cli.py",
+     "    rows = []\n", "    points = list(points)\n    rows = []\n"),
+    ("grid sweeps the bool keys", "src/ssrlab/cli.py",
+     "if param.kind in (int, float))", "if param.kind in (int, float, bool))"),
+    ("a repeated config key keeps the last value", "src/ssrlab/config.py",
+     "object_pairs_hook=_unique_keys", "object_pairs_hook=dict"),
     ("a run without a test set records test_acc 0.0",
      "src/ssrlab/pipeline.py",
      "    test_acc = None\n", "    test_acc = 0.0\n"),

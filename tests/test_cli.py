@@ -1,6 +1,9 @@
 import errno
+import hashlib
 import json
 import math
+import platform
+import re
 from pathlib import Path
 
 import numpy as np
@@ -270,8 +273,40 @@ def test_run_reruns_from_its_record(tmp_path, source):
         echo = json.loads((dirs[-1] / "record.json").read_text())["config"]
         config = tmp_path / f"{name}.json"
         config.write_text(json.dumps({**echo.pop("train"), **echo}))
+        # and manifest.json names the input files
+        manifest = json.loads((dirs[-1] / "manifest.json").read_text())
+        inputs = [arg for flag, key in (("-i", "input_path"),
+                                        ("--test", "test_path"))
+                  if manifest[key] is not None for arg in (flag, manifest[key])]
     for fname in ("metrics.csv", "record.json"):
         assert (dirs[0] / fname).read_bytes() == (dirs[1] / fname).read_bytes()
+
+
+@pytest.mark.parametrize("source", ["synth", "ssrd"])
+def test_manifest_names_its_inputs(tmp_path, config_path, monkeypatch, source):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    data = tmp_path / "data"
+    assert main(["synth", "-c", str(config_path), "-o", str(data)]) == 0
+    files = {"input": data / "train.ssrd", "test": data / "test.ssrd"}
+    inputs = ["-i", str(files["input"]), "--test", str(files["test"])]
+    out = tmp_path / "o"
+    assert main(["run", "-c", str(config_path), "-o", str(out),
+                 *(inputs if source == "ssrd" else [])]) == 0
+    manifest = json.loads((run_dir_of(out) / "manifest.json").read_text())
+    for name, path in files.items():
+        if source == "synth":
+            assert manifest[f"{name}_path"] is manifest[f"{name}_sha256"] is None
+        else:
+            assert manifest[f"{name}_path"] == str(path)
+            assert (manifest[f"{name}_sha256"]
+                    == hashlib.sha256(path.read_bytes()).hexdigest())
+    assert manifest["numpy_version"] == np.__version__
+    assert manifest["python_version"] == platform.python_version()
+    assert manifest["blas_threads"] == {"OPENBLAS_NUM_THREADS": None,
+                                        "OMP_NUM_THREADS": "2",
+                                        "MKL_NUM_THREADS": None}
 
 
 def test_grid_point_reruns_from_its_record(tmp_path, config_path):
@@ -461,6 +496,37 @@ def test_grid_checks_k_against_the_data_before_the_first_runs(
     assert not out.exists()
 
 
+def test_grid_keeps_the_points_before_a_failing_one(tmp_path, config_path,
+                                                   caplog):
+    # learning rate 30 diverges in the second point's epoch 0
+    out = tmp_path / "g"
+    assert main(["grid", "-c", str(config_path), "-o", str(out),
+                 "--param", "learning_rate", "--values", "0.02,30"]) == 4
+    assert ("DIVERGED: epoch 0 step 2: max |parameter| 3.3e+07 is past 1e+06 "
+            "after the pass") in caplog.text
+    # the first point is whole; no summary.csv, no manifest.json
+    assert [p.name for p in out.iterdir()] == ["learning_rate_0.02"]
+    assert sorted(p.name for p in (out / "learning_rate_0.02").iterdir()) == [
+        "metrics.csv", "record.json", "timings.csv"]
+
+
+def test_grid_sweeps_the_int_and_float_train_keys(tmp_path, config_path,
+                                                 capsys):
+    out = tmp_path / "g"
+    for key in ("oversample", "hidden_dims"):
+        with pytest.raises(SystemExit) as exc:
+            main(["grid", "-c", str(config_path), "-o", str(out),
+                  "--param", key, "--values", "0,1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --param: invalid choice: '{key}'" in err
+        choices = set(re.findall(r"\w+", err.split("choose from")[1]))
+        # a bool key would be cast by bool(), and bool("false") is True
+        assert choices == set(TRAIN_PARAMS) - {"hidden_dims", "balance_voting",
+                                                "oversample"}
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("verb", ["run", "grid", "synth"])
 def test_features_past_float32_are_refused_before_training(
         tmp_path, caplog, monkeypatch, verb):
@@ -598,6 +664,27 @@ def test_exit_code_unusable_config_file(tmp_path, caplog, text, message):
         path.write_text(text)
     assert main(["run", "-c", str(path), "-o", str(tmp_path / "o")]) == 2
     assert f"PARSE_ERROR: {message}" in caplog.text
+
+
+@pytest.mark.parametrize("verb", ["run", "grid", "synth"])
+@pytest.mark.parametrize("old, new, key", [
+    ('"epochs": 2', '"epochs": 2, "epochs": 3', "epochs"),
+    ('"seed": 0, "ood_classes"', '"seed": 0, "seed": 4, "ood_classes"', "seed")],
+    ids=["root", "synth"])
+def test_a_config_key_given_twice_is_refused(tmp_path, caplog, verb, old, new,
+                                             key):
+    # json.loads alone would keep the last value
+    text = json.dumps(BASE_CONFIG)
+    assert text.count(old) == 1
+    path = tmp_path / "config.json"
+    path.write_text(text.replace(old, new))
+    out = tmp_path / "o"
+    args = [verb, "-c", str(path), "-o", str(out)]
+    if verb == "grid":
+        args += ["--param", "theta_s", "--values", "0.5,1.0"]
+    assert main(args) == 2
+    assert f"PARSE_ERROR: key '{key}' is given twice" in caplog.text
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("verb, section, message", [

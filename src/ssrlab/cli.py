@@ -206,7 +206,7 @@ def _cmd_grid(args, parsed, data, test) -> Path:
         raise ConfigError("RANGE_ERROR",
                           f"sweep values {args.values!r} repeat a value")
     for train in trains:   # and against the data
-        check_experiment(data, train)
+        check_experiment(data, train, test=test)
     points = ((value, run_experiment(data, train, test=test).record)
               for train, value in zip(trains, values))
     return _emit_points(Path(args.out), parsed, "summary.csv", args.param,

@@ -28,10 +28,17 @@ class ParsedConfig:
         return out
 
 
+def _refuse_repeat(obj, prefix: str) -> None:
+    key = getattr(obj, "repeated", None)
+    if key is not None:
+        raise ConfigError("PARSE_ERROR", f"key {prefix + key!r} is given twice")
+
+
 def _build(cls, obj, context: str):
     if not isinstance(obj, dict):
         raise ConfigError("PARSE_ERROR",
                           f"{context} section must be a JSON object, got {obj!r}")
+    _refuse_repeat(obj, f"{context}.")
     allowed = {f.name for f in dataclasses.fields(cls)}
     unknown = set(obj) - allowed
     if unknown:
@@ -50,6 +57,7 @@ def _build(cls, obj, context: str):
 def parse_config_dict(obj: dict) -> ParsedConfig:
     if not isinstance(obj, dict):
         raise ConfigError("PARSE_ERROR", "config root must be a JSON object")
+    _refuse_repeat(obj, "")   # the train keys are the root's, named bare
     train_kwargs = {k: v for k, v in obj.items() if k not in ("noise", "synth")}
     train = _build(TrainConfig, train_kwargs, "train")
     noise = _build(NoiseSpec, obj["noise"], "noise") if "noise" in obj else None
@@ -64,15 +72,19 @@ def parse_config_dict(obj: dict) -> ParsedConfig:
     return ParsedConfig(train, noise, synth)
 
 
-def _unique_keys(pairs) -> dict:
-    """A JSON object whose keys are all distinct: json keeps a repeated
-    key's last value without a word."""
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ConfigError("PARSE_ERROR", f"key {key!r} is given twice")
-        obj[key] = value
-    return obj
+class _JsonObject(dict):
+    """A JSON object that remembers its first repeated key, whose last value
+    json would keep without a word. The hook knows no section, so the root
+    and each section refuse their repeat when they are read; an object
+    anywhere else is refused as an unknown key or a value of the wrong kind."""
+    repeated = None
+
+    def __init__(self, pairs):
+        super().__init__()
+        for key, value in pairs:
+            if key in self and self.repeated is None:
+                self.repeated = key
+            self[key] = value
 
 
 def parse_config(path) -> ParsedConfig:
@@ -81,7 +93,7 @@ def parse_config(path) -> ParsedConfig:
     except OSError as exc:
         raise ConfigError("PARSE_ERROR", f"cannot read {path}: {exc}") from exc
     try:
-        obj = json.loads(text, object_pairs_hook=_unique_keys)
+        obj = json.loads(text, object_pairs_hook=_JsonObject)
     except json.JSONDecodeError as exc:
         raise ConfigError("PARSE_ERROR",
                           f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc

@@ -203,9 +203,24 @@ def classification_grads(model: PmcModel, inputs: np.ndarray,
     return loss
 
 
-def _fc_head_grad(h1, h2, stop_gradient: bool):
-    """Per-batch negative cosine loss, d(loss)/d(h1) and d(loss)/d(h2); the
-    last is None under stop_gradient, whose h2 branch takes no gradient."""
+def feature_consistency_loss(model: PmcModel, view1: np.ndarray, view2: np.ndarray,
+                             grads: PmcModel) -> float:
+    """Negative cosine between predictor(projector(f(view1))) and
+    projector(f(view2)), averaged over the batch; its gradients are added to
+    what ``grads`` holds.
+
+    The view2 branch is held constant (SimSiam's stop-gradient): its trunk
+    and projector activations receive no gradient.
+    """
+    wp, bp = model.projector
+    wq, bq = model.predictor
+    emb1, cache1 = trunk_forward(model, view1)
+    z1 = emb1 @ wp
+    z1 += bp
+    h1 = z1 @ wq
+    h1 += bq
+    h2 = trunk_forward(model, view2)[0] @ wp
+    h2 += bp
     b = h1.shape[0]
     n1 = np.linalg.norm(h1, axis=1)
     n2 = np.linalg.norm(h2, axis=1)
@@ -215,37 +230,12 @@ def _fc_head_grad(h1, h2, stop_gradient: bool):
     u = h1 / n1[:, None]
     v = h2 / n2[:, None]
     cos = (u * v).sum(axis=1)
-    # -1.0 * (v - cos * u) / n1 / b, one operation at a time in one array
+    # d(loss)/d(h1) = -1.0 * (v - cos * u) / n1 / b, one operation at a time
     gh1 = cos[:, None] * u
     np.subtract(v, gh1, out=gh1)
     gh1 *= -1.0
     gh1 /= n1[:, None]
     gh1 /= b
-    gh2 = None
-    if not stop_gradient:
-        gh2 = -1.0 * (u - cos[:, None] * v) / n2[:, None] / b
-    return float(-cos.mean()), gh1, gh2
-
-
-def feature_consistency_loss(model: PmcModel, view1: np.ndarray, view2: np.ndarray,
-                             grads: PmcModel, stop_gradient: bool = True) -> float:
-    """Consistency between predictor(projector(f(view1))) and projector(f(view2));
-    its gradients are added to what ``grads`` holds.
-
-    With stop_gradient (the default) the view2 branch is treated as a constant:
-    its trunk and projector activations receive no gradient.
-    """
-    wp, bp = model.projector
-    wq, bq = model.predictor
-    emb1, cache1 = trunk_forward(model, view1)
-    z1 = emb1 @ wp
-    z1 += bp
-    h1 = z1 @ wq
-    h1 += bq
-    emb2, cache2 = trunk_forward(model, view2)
-    h2 = emb2 @ wp
-    h2 += bp
-    loss, gh1, gh2 = _fc_head_grad(h1, h2, stop_gradient)
 
     grads.predictor[0][:] += z1.T @ gh1
     grads.predictor[1][:] += gh1.sum(axis=0)
@@ -253,11 +243,7 @@ def feature_consistency_loss(model: PmcModel, view1: np.ndarray, view2: np.ndarr
     grads.projector[0][:] += emb1.T @ gz1
     grads.projector[1][:] += gz1.sum(axis=0)
     trunk_backward(model, cache1, gz1 @ wp.T, grads)
-    if not stop_gradient:
-        grads.projector[0][:] += emb2.T @ gh2
-        grads.projector[1][:] += gh2.sum(axis=0)
-        trunk_backward(model, cache2, gh2 @ wp.T, grads)
-    return loss
+    return float(-cos.mean())
 
 
 def total_loss_grads(model: PmcModel, batch: MiniBatch, lambda_fc: float,

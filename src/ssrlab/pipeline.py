@@ -245,11 +245,12 @@ def _epoch(epoch, model, velocity, rng, dataset, test, config, select, tau,
 
 def check_experiment(dataset: NoisyDataset, config: TrainConfig,
                      selection_mode: str = "npk_automatic",
-                     tau: Optional[float] = None) -> tuple:
+                     tau: Optional[float] = None,
+                     test: Optional[NoisyDataset] = None) -> tuple:
     """Raise the error run_experiment would raise before it trains: the
-    limits that depend on the data or the selection mode, not on the config
-    alone. Return the strong and weak jitter scales, each sigma times the
-    per-dimension feature std (a zero std counted as 1)."""
+    limits that depend on the data, the test set or the selection mode, not
+    on the config alone. Return the strong and weak jitter scales, each
+    sigma times the per-dimension feature std (a zero std counted as 1)."""
     if selection_mode not in SELECTORS:
         raise ConfigError("RANGE_ERROR", f"selection_mode={selection_mode!r} "
                           f"not in {tuple(SELECTORS)}")
@@ -280,6 +281,11 @@ def check_experiment(dataset: NoisyDataset, config: TrainConfig,
             raise ConfigError("RANGE_ERROR", f"{key}={sigma!r} times the "
                               f"largest feature std {top_std:.4g} is past the "
                               f"float32 range")
+    if test is not None and (test.dim, test.num_classes) != (
+            dataset.dim, dataset.num_classes):
+        raise DataError("SHAPE_MISMATCH", f"the test set has {test.dim} "
+                        f"features and {test.num_classes} classes, the "
+                        f"training set {dataset.dim} and {dataset.num_classes}")
     return config.sigma_strong * std, config.sigma_weak * std
 
 
@@ -290,12 +296,7 @@ def run_experiment(dataset: NoisyDataset, config: TrainConfig,
     """Train a TRAIN_DTYPE copy of a fresh float64 model for config.epochs,
     applying relabel -> select -> train each epoch, and record per-epoch
     quality metrics."""
-    strong, weak = check_experiment(dataset, config, selection_mode, tau)
-    if test is not None and (test.dim, test.num_classes) != (
-            dataset.dim, dataset.num_classes):
-        raise DataError("SHAPE_MISMATCH", f"the test set has {test.dim} "
-                        f"features and {test.num_classes} classes, the "
-                        f"training set {dataset.dim} and {dataset.num_classes}")
+    strong, weak = check_experiment(dataset, config, selection_mode, tau, test)
     select = SELECTORS[selection_mode]
     rng = np.random.default_rng(config.seed)
     model = init_model(dataset.dim, dataset.num_classes, config.hidden_dims,

@@ -64,11 +64,10 @@ MUTANTS = [
     ("the chunk loop drops the partial last chunk", "src/ssrlab/model.py",
      "for lo in range(0, theta.size, _SGD_CHUNK):",
      "for lo in range(0, theta.size // _SGD_CHUNK * _SGD_CHUNK, _SGD_CHUNK):"),
-    ("gh2 is skipped even without the stop", "src/ssrlab/model.py",
-     "    if not stop_gradient:\n"
-     "        gh2 = ",
-     "    if False:\n"
-     "        gh2 = "),
+    ("the consistency loss reads view1 for both branches",
+     "src/ssrlab/model.py",
+     "h2 = trunk_forward(model, view2)[0] @ wp",
+     "h2 = trunk_forward(model, view1)[0] @ wp"),
     ("the CE head gradient is assigned, not added", "src/ssrlab/model.py",
      "grads.head[0][:] += emb.T @ grad_logits",
      "grads.head[0][:] = emb.T @ grad_logits"),
@@ -99,7 +98,7 @@ MUTANTS = [
     ("grid runs a point before checking the rest against the data",
      "src/ssrlab/cli.py",
      "    for train in trains:   # and against the data\n"
-     "        check_experiment(data, train)\n", ""),
+     "        check_experiment(data, train, test=test)\n", ""),
     ("run makes its directory before it trains", "src/ssrlab/cli.py",
      "    record = run_experiment(data, parsed.train, test=test).record\n"
      "    out = _run_dir(Path(args.out), parsed.train.seed)\n",
@@ -136,7 +135,10 @@ MUTANTS = [
     ("grid sweeps the bool keys", "src/ssrlab/cli.py",
      "if param.kind in (int, float))", "if param.kind in (int, float, bool))"),
     ("a repeated config key keeps the last value", "src/ssrlab/config.py",
-     "object_pairs_hook=_unique_keys", "object_pairs_hook=dict"),
+     "object_pairs_hook=_JsonObject", "object_pairs_hook=dict"),
+    ("a section's repeated key is reported without its section",
+     "src/ssrlab/config.py",
+     '_refuse_repeat(obj, f"{context}.")', '_refuse_repeat(obj, "")'),
     ("a run without a test set records test_acc 0.0",
      "src/ssrlab/pipeline.py",
      "    test_acc = None\n", "    test_acc = 0.0\n"),

@@ -123,7 +123,7 @@ def test_criterion_2_gradients():
 
             # (b) consistency loss, stop-gradient branch held frozen
             g = model.zeros()
-            feature_consistency_loss(model, v1, v2, g, stop_gradient=True)
+            feature_consistency_loss(model, v1, v2, g)
             num = numeric_grad(
                 lambda: fc_loss_frozen_h2(model, v1, h2_base),
                 [model.flat])
@@ -138,15 +138,6 @@ def test_criterion_2_gradients():
                                              batch.soft_labels, model.zeros())
                 + lam * fc_loss_frozen_h2(model, v1, h2_base),
                 [model.flat])
-            worst = max(worst, rel_err([g.flat], num))
-            checks += 1
-
-            # (d) both-branch gradients without the stop
-            loss_fn = lambda: feature_consistency_loss(
-                model, v1, v2, model.zeros(), stop_gradient=False)
-            g = model.zeros()
-            feature_consistency_loss(model, v1, v2, g, stop_gradient=False)
-            num = numeric_grad(loss_fn, [model.flat])
             worst = max(worst, rel_err([g.flat], num))
             checks += 1
             instances += 1

@@ -321,20 +321,6 @@ def test_fc_zero_norm_embedding():
     assert exc.value.code == "ZERO_NORM_EMBEDDING"
 
 
-def test_stop_gradient_blocks_second_branch(tiny_model):
-    rng = np.random.default_rng(7)
-    v1 = rng.normal(size=(3, 5))
-    v2 = rng.normal(size=(3, 5))
-    g_stop, g_full = tiny_model.zeros(), tiny_model.zeros()
-    feature_consistency_loss(tiny_model, v1, v2, g_stop, stop_gradient=True)
-    feature_consistency_loss(tiny_model, v1, v2, g_full, stop_gradient=False)
-    # the predictor sits only on the view1 branch: identical either way
-    assert np.array_equal(g_stop.predictor[0], g_full.predictor[0])
-    # the shared trunk/projector do receive extra gradient without the block
-    assert not np.allclose(g_stop.projector[0], g_full.projector[0])
-    assert not np.allclose(g_stop.trunk[0][0], g_full.trunk[0][0])
-
-
 # --- composite loss ----------------------------------------------------------
 
 def test_total_loss_lambda_zero_is_pure_ce(tiny_model):

@@ -19,13 +19,13 @@ from typing import Optional
 
 import numpy as np
 
-from .data import F32_MAX, LabelState, NoisyDataset, TrainConfig
+from .data import F32_MAX, LabelState, NoisyDataset, Param, TrainConfig
 from .errors import ConfigError, DataError, NumericError
 from .model import (MiniBatch, PmcModel, cosine_lr, forward, init_model,
                     mixup_pair, oversample_balanced, sgd_step, total_loss_grads)
 from .model import trunk_forward  # noqa: F401 (uncalled; perfbench patches it)
 from .relabel import relabel, relabel_metrics
-from .selector import (baseline_gmm_loss, baseline_small_loss_predefined,
+from .selector import (TAU, baseline_gmm_loss, baseline_small_loss_predefined,
                        build_neighbour_index, check_k, compute_selection)
 
 log = logging.getLogger(__name__)
@@ -251,15 +251,13 @@ def check_experiment(dataset: NoisyDataset, config: TrainConfig,
     limits that depend on the data, the test set or the selection mode, not
     on the config alone. Return the strong and weak jitter scales, each
     sigma times the per-dimension feature std (a zero std counted as 1)."""
-    if selection_mode not in SELECTORS:
-        raise ConfigError("RANGE_ERROR", f"selection_mode={selection_mode!r} "
-                          f"not in {tuple(SELECTORS)}")
+    Param(tuple(SELECTORS)).check("selection_mode", selection_mode)
     # the predefined modes need tau; pmc_gmm_automatic falls back to it
     if tau is None and selection_mode in ("npk_predefined", "pmc_predefined"):
         raise ConfigError("RANGE_ERROR",
                           f"selection mode {selection_mode!r} needs tau")
-    if tau is not None and not 0.0 <= tau < 1.0:
-        raise ConfigError("RANGE_ERROR", f"tau={tau!r} not in [0, 1)")
+    if tau is not None:
+        TAU.check("tau", tau)
     # no softmax row's largest value is below 1/M, so a lower theta_r would
     # relabel every sample in every epoch
     if config.theta_r < 1.0 / dataset.num_classes:

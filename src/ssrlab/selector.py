@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TRAIN_PARAMS, LabelState
-from .errors import ConfigError, DataError, NumericError
+from .data import TRAIN_PARAMS, LabelState, Param
+from .errors import DataError, NumericError
 
 _NORM_EPS = 1e-12
 # a similarity tile of build_neighbour_index is at most _TILE_ROWS rows and
@@ -30,10 +30,13 @@ _TILE_ELEMS = 1 << 20
 _KEY_ELEMS = 1 << 17    # tile values keyed and partitioned at a time
 _GMM_MAX_ITER = 100     # EM iterations of baseline_gmm_loss, at most
 _GMM_TOL = 1e-6         # EM stops when the mean log-likelihood moves less
+TAU = Param(float, "[0, 1)")   # the noisy fraction the predefined modes drop
 
 
 def check_k(k: int, n: int) -> None:
-    """Raise K_TOO_LARGE unless each of n samples has k neighbours besides itself."""
+    """Raise RANGE_ERROR unless k is an int, and K_TOO_LARGE unless each of n
+    samples has k neighbours besides itself."""
+    Param(int).check("k", k)
     if not 1 <= k <= n - 1:
         raise DataError("K_TOO_LARGE", f"k_neighbours={k} must be in [1, {n - 1}]")
 
@@ -197,6 +200,7 @@ def compute_selection(counts: np.ndarray, state: LabelState, theta_s: float,
     returns given ``state``; each row sums to K. Without ``balance`` every
     class count is taken as 1; dividing by 1 is exact, so one path serves
     both votes."""
+    Param(bool).check("balance", balance)
     pi = state.class_counts if balance else np.ones_like(state.class_counts)
     q = balance_distribution(counts / counts[0].sum(), pi)
     lab = state.working_labels
@@ -217,8 +221,7 @@ def select_clean(consistency: np.ndarray, theta_s: float) -> np.ndarray:
 def baseline_small_loss_predefined(losses: np.ndarray, tau: float) -> np.ndarray:
     """Select the ceil((1-tau)*N) smallest-loss samples, the product rounded to
     9 decimals so that tau = k/N keeps N - k; ties by ascending index."""
-    if not 0.0 <= tau < 1.0:
-        raise ConfigError("RANGE_ERROR", f"tau={tau} not in [0, 1)")
+    TAU.check("tau", tau)
     losses = np.asarray(losses, dtype=np.float64)
     n = losses.shape[0]
     m = math.ceil(round((1.0 - tau) * n, 9))

@@ -1,12 +1,9 @@
 """SSRD binary embedding format.
 
 Layout (little-endian): magic "SSRD", u16 version, u32 N, u32 d, u32 M,
-u8 flags (bit0 = has true labels, bit1 = has noisy mask), then N*d float32
-features row-major, N u32 observed labels, optionally N int32 true labels
-(-1 = open-set sentinel) and N u8 noisy mask. Pools are stored with M = 0.
-Bit1 is read, never written: the mask needs true labels and must equal
-true != observed in 0/1 bytes. Other flag bits and bytes past the payload
-are errors.
+u8 flags (bit0 = has true labels), then N*d float32 features row-major,
+N u32 observed labels and optionally N int32 true labels (-1 = open-set
+sentinel); pools have M = 0. Other flag bits and trailing bytes are errors.
 """
 from __future__ import annotations
 
@@ -24,7 +21,6 @@ VERSION = 1
 _HEADER = struct.Struct("<4sHIIIB")
 
 FLAG_TRUE_LABELS = 0x01
-FLAG_NOISY_MASK = 0x02
 
 
 def write_atomic(path, payload: bytes) -> None:
@@ -73,8 +69,9 @@ def _read(path) -> dict:
     magic, version, n, d, m, flags = _HEADER.unpack_from(data)
     if version != VERSION:
         raise DataError("BAD_MAGIC", f"unsupported SSRD version {version}")
-    if flags & ~(FLAG_TRUE_LABELS | FLAG_NOISY_MASK):
-        raise DataError("BAD_FLAGS", f"{path} sets unknown flag bits {flags:#04x}")
+    if flags & ~FLAG_TRUE_LABELS:
+        raise DataError("BAD_FLAGS", f"{path} sets unknown flag bits "
+                        f"{flags & ~FLAG_TRUE_LABELS:#04x}")
     off = _HEADER.size
 
     def take(dtype, count):
@@ -90,13 +87,9 @@ def _read(path) -> dict:
     feats = take("<f4", n * d).reshape(n, d).astype(np.float64)
     obs = take("<u4", n).astype(np.int64)
     true = take("<i4", n).astype(np.int64) if flags & FLAG_TRUE_LABELS else None
-    mask = take(np.uint8, n) if flags & FLAG_NOISY_MASK else None
     if off != len(data):
         raise DataError("TRAILING_BYTES", f"{path} has {len(data) - off} bytes "
                         "past its declared payload")
-    if mask is not None and (true is None or np.any(mask != (true != obs))):
-        raise DataError("SHAPE_MISMATCH", f"{path}: the noisy mask needs true "
-                        "labels and must equal true != observed")
     return {"features": feats, "observed_labels": obs, "num_classes": int(m),
             "true_labels": true}
 

@@ -5,7 +5,8 @@ change, on the same machine, and compare the two outputs:
 
     python3 tests/digests.py > digests.json
 
-It prints one JSON object of sha256 hex digests:
+It prints one JSON object of sha256 hex digests (the CLI logs to standard
+error, so standard output holds the object alone):
 
 - ``index``: the ``build_neighbour_index`` ids on ``default_rng(0).normal``
   features at (N, d, k) = (2000, 16, 100), (10000, 16, 100) and (3000, 8, 1);
@@ -22,7 +23,14 @@ It prints one JSON object of sha256 hex digests:
   tie-heavy cases drawn by ``hypothesis`` from a fixed seed;
 - ``runs``: ``metrics.csv`` and the ``model.flat`` bytes of criterion 10's
   run, sym50 at the default ``TrainConfig``, and the six
-  ``compare_selection_modes`` runs at criterion 8's seed 0.
+  ``compare_selection_modes`` runs at criterion 8's seed 0;
+- ``trees``: every file that the CLI writes for ``TREE_CONFIG`` through
+  ``synth``, ``inject --ood``, ``run``, ``grid --param theta_s --values
+  0.5,1.0`` and ``compare-modes`` on the injected file (``-i``, with
+  ``--test``), keyed by verb and by path relative to the verb's ``-o``
+  (``inject``'s by its file name). ``run``'s ``run_<stamp>_s<seed>``
+  directory is named ``run``, and the wall-clock ``manifest.json`` and
+  ``timings.csv`` are left out.
 
 The ids and the trained parameters depend on the BLAS kernel, so no golden
 values are kept; tier-1's ``test_determinism_across_blas_threads`` only
@@ -47,13 +55,17 @@ from hypothesis import HealthCheck, Phase, given, settings  # noqa: E402
 from ssrlab import (NoiseSpec, SynthSpec, TrainConfig, apply_noise,  # noqa: E402
                     build_neighbour_index, compare_selection_modes,
                     make_gaussian_dataset, pipeline, run_experiment, selector)
-from ssrlab.cli import emit_metrics  # noqa: E402
+from ssrlab.cli import emit_metrics, main  # noqa: E402
 from ssrlab.model import forward, init_model  # noqa: E402
 from test_selector import KEY_EDGE_KINDS, key_edge_case  # noqa: E402
 
 INDEX_SHAPES = ((2000, 16, 100), (10000, 16, 100), (3000, 8, 1))
 FORWARD_ROWS = 5000
 TIE_EXAMPLES = 11
+TREE_CONFIG = {"epochs": 3, "k_neighbours": 10,
+               "synth": {"num_classes": 3, "per_class": 40, "dim": 8},
+               "noise": {"kind": "combined", "total_ratio": 0.4,
+                         "open_ratio": 0.5}}
 
 
 def _sha(blob: bytes) -> str:
@@ -147,15 +159,43 @@ def run_digests(full: bool) -> dict:
     return out
 
 
+def tree_digests() -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        config = tmp / "config.json"
+        config.write_text(json.dumps(TREE_CONFIG))
+        (tmp / "inject").mkdir()
+        data, noisy = tmp / "synth", tmp / "inject" / "noisy.ssrd"
+        verbs = {"synth": ["synth", "-o", data],
+                 "inject": ["inject", "-i", data / "train.ssrd", "--ood",
+                            data / "ood.ssrd", "-o", noisy],
+                 "run": ["run", "-o", tmp / "run"],
+                 "grid": ["grid", "-o", tmp / "grid", "--param", "theta_s",
+                          "--values", "0.5,1.0"],
+                 "compare-modes": ["compare-modes", "-o", tmp / "compare-modes",
+                                   "-i", noisy, "--test", data / "test.ssrd"]}
+        for verb, argv in verbs.items():
+            if main([*map(str, argv), "-c", str(config)]) != 0:
+                raise RuntimeError(f"ssrlab {verb} failed")
+        next((tmp / "run").glob("run_*")).rename(tmp / "run" / "run")
+        return {verb: {str(path.relative_to(tmp / verb)): _sha(path.read_bytes())
+                       for path in sorted((tmp / verb).rglob("*"))
+                       if path.is_file() and path.name not in (
+                           "manifest.json", "timings.csv")}
+                for verb in verbs}
+
+
 def digests(full: bool = True) -> dict:
     """Every digest; ``full=False`` keeps one small index shape, a forward
-    of two trunk blocks, two cases per tie kind and criterion 10's run."""
+    of two trunk blocks, two cases per tie kind, criterion 10's run and the
+    CLI trees, which take a fraction of a second."""
     rows = FORWARD_ROWS if full else 2100
     return {"index": index_digests(INDEX_SHAPES if full else ((300, 8, 5),)),
             "forward": forward_digest(rows),
             "forward_float32": forward_digest(rows, pipeline.TRAIN_DTYPE),
             "ties": tie_digests(TIE_EXAMPLES if full else 2),
-            "runs": run_digests(full)}
+            "runs": run_digests(full),
+            "trees": tree_digests()}
 
 
 if __name__ == "__main__":

@@ -8,13 +8,14 @@ A mutant is a (label, file, old, new) replacement of one exact piece of
 source. For each one the script copies ``src/``, ``tests/``, ``perfbench/``
 (whose tracer a test imports) and ``pyproject.toml`` into a temporary
 directory, applies the mutant there, runs tier-1 with ``-x`` and the ``ci``
-hypothesis profile (so a kill repeats) and prints ``killed`` with the first
-failing test, or
+hypothesis profile (so a kill repeats), the mutated module's own test file
+first, and prints ``killed`` with the first failing test, or
 ``survived`` when every test passes; ``error`` means pytest stopped for
 another reason. A mutant whose ``old`` text is not found exactly once is
 ``stale``: the code it names has moved. The working tree is never changed.
-The exit status is 1 unless every mutant is killed. The file name keeps
-it out of pytest's collection.
+The exit status is 1 unless every mutant is killed. Before the first
+mutant the script checks that the test files it names collect as many
+tests as tier-1 does. The file name keeps it out of pytest's collection.
 
 A change that adds a guard adds its mutant here.
 """
@@ -28,6 +29,10 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# each file is named: `pytest tests/test_x.py tests` still runs the
+# directory's order
+TEST_FILES = sorted(p.relative_to(ROOT).as_posix()
+                    for p in (ROOT / "tests").glob("test_*.py"))
 
 MUTANTS = [
     ("the FC's weak view takes the strong jitter", "src/ssrlab/pipeline.py",
@@ -202,7 +207,32 @@ MUTANTS = [
      "        dev *= resp\n"
      "        var = np.cumsum(dev, axis=1, out=run)[:, -1] / nk\n"
      "        mu = mu_next\n"),
+    ("the reader accepts flag bit 1 again", "src/ssrlab/ssrd.py",
+     "    if flags & ~FLAG_TRUE_LABELS:\n",
+     "    if flags & ~FLAG_TRUE_LABELS & ~0x02:\n"),
+    ("a run takes a selection mode of any kind", "src/ssrlab/pipeline.py",
+     '    Param(tuple(SELECTORS)).check("selection_mode", selection_mode)\n',
+     ""),
+    ("a run takes any tau", "src/ssrlab/pipeline.py",
+     '        TAU.check("tau", tau)\n', "        pass\n"),
+    ("the fixed-ratio selector takes any tau",
+     "src/ssrlab/selector.py",
+     '    TAU.check("tau", tau)\n', ""),
+    ("check_k takes a k of any kind", "src/ssrlab/selector.py",
+     '    Param(int).check("k", k)\n', ""),
+    ("the vote takes a balance of any kind", "src/ssrlab/selector.py",
+     '    Param(bool).check("balance", balance)\n', ""),
 ]
+
+
+def collected(files) -> int:
+    """The number of tests that pytest collects from files (all of tier-1
+    when files is empty)."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p",
+         "no:cacheprovider", *files], cwd=ROOT, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    return int(proc.stdout.strip().splitlines()[-1].split()[0])
 
 
 def run_mutant(path: str, old: str, new: str) -> tuple[str, str]:
@@ -217,9 +247,11 @@ def run_mutant(path: str, old: str, new: str) -> tuple[str, str]:
         shutil.copy(ROOT / "pyproject.toml", tmp)
         (Path(tmp) / path).write_text(source.replace(old, new))
         env = dict(os.environ, PYTHONPATH=str(Path(tmp) / "src"))
+        own = f"tests/test_{Path(path).stem}.py"
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p",
-             "no:cacheprovider", "--hypothesis-profile=ci"], cwd=tmp,
+             "no:cacheprovider", "--hypothesis-profile=ci",
+             *sorted(TEST_FILES, key=lambda name: name != own)], cwd=tmp,
             env=env, capture_output=True, text=True)
     if proc.returncode == 0:
         return "survived", ""
@@ -232,6 +264,9 @@ def run_mutant(path: str, old: str, new: str) -> tuple[str, str]:
 
 
 def main() -> int:
+    if collected(TEST_FILES) != collected([]):
+        print("the test files collect another number of tests than tier-1")
+        return 1
     bad = 0
     for label, path, old, new in MUTANTS:
         verdict, detail = run_mutant(path, old, new)

@@ -10,15 +10,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ssrlab import (NoiseSpec, NoisyDataset, SynthSpec, TrainConfig,
-                    apply_noise, compare_selection_modes, make_gaussian_dataset,
-                    pipeline, run_experiment)
+                    apply_noise, build_neighbour_index, compare_selection_modes,
+                    make_gaussian_dataset, pipeline, run_experiment)
 from oracles import initial_state, macro_f1
 from ssrlab.cli import emit_metrics
-from ssrlab.errors import ConfigError, DataError, NumericError
+from ssrlab.errors import ConfigError, DataError, NumericError, SsrError
 from ssrlab.model import forward, init_model
 from ssrlab.pipeline import selection_metrics
+from ssrlab.selector import baseline_small_loss_predefined, compute_selection
+from test_config import HUGE_INTS, json_values
 
 
 def small_config(**kwargs):
@@ -338,12 +341,14 @@ def test_unknown_selection_mode(small_noisy, monkeypatch):
         raise AssertionError("model initialised before the mode was checked")
     monkeypatch.setattr("ssrlab.pipeline.init_model", no_init)
     noisy, _ = small_noisy
-    with pytest.raises(ConfigError) as exc:
-        run_experiment(noisy, small_config(), selection_mode="magic")
-    assert exc.value.code == "RANGE_ERROR"
-    assert "'magic' not in" in str(exc.value)
-    for mode in pipeline.SELECTORS:
-        assert repr(mode) in str(exc.value)
+    # a name outside SELECTORS, and a value that is no name at all
+    for bad in ("magic", ["npk_automatic"]):
+        with pytest.raises(ConfigError) as exc:
+            run_experiment(noisy, small_config(), selection_mode=bad)
+        assert exc.value.code == "RANGE_ERROR"
+        assert f"selection_mode={bad!r}, expected one of" in str(exc.value)
+        for mode in pipeline.SELECTORS:
+            assert repr(mode) in str(exc.value)
 
 
 @pytest.mark.parametrize("tau, mode", [
@@ -351,7 +356,10 @@ def test_unknown_selection_mode(small_noisy, monkeypatch):
       for m in ("npk_predefined", "pmc_predefined")),
     # the GMM mode runs without tau, but a given tau is its fallback ratio
     (1.0, "pmc_gmm_automatic"), (-0.1, "pmc_gmm_automatic"),
-    (1.0, "npk_automatic")])
+    (1.0, "npk_automatic"),
+    # a string or a bool is no noise rate: False would keep every sample
+    *((t, m) for t in ("0.5", False, True, [0.5])
+      for m in ("pmc_predefined", "npk_automatic"))])
 def test_predefined_modes_need_tau_in_range(small_noisy, monkeypatch, mode, tau):
     def no_init(*args, **kwargs):
         raise AssertionError("model initialised before tau was checked")
@@ -360,9 +368,36 @@ def test_predefined_modes_need_tau_in_range(small_noisy, monkeypatch, mode, tau)
     with pytest.raises(ConfigError) as exc:
         run_experiment(noisy, small_config(), selection_mode=mode, tau=tau)
     assert exc.value.code == "RANGE_ERROR"
-    # an out-of-range tau is named as such, whatever mode reads it
-    assert exc.value.message == (f"selection mode {mode!r} needs tau"
-                                 if tau is None else f"tau={tau} not in [0, 1)")
+    # a tau out of range or of another kind is named, whatever mode reads it
+    expected = (f"selection mode {mode!r} needs tau" if tau is None
+                else f"tau={tau!r}, expected float in [0, 1)")
+    assert exc.value.message == expected
+
+
+LIBRARY_VALUES = json_values(HUGE_INTS)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mode=LIBRARY_VALUES | st.sampled_from(list(pipeline.SELECTORS)),
+       tau=LIBRARY_VALUES | st.floats(0, 1),
+       k=LIBRARY_VALUES | st.integers(0, 12), balance=LIBRARY_VALUES)
+def test_any_json_argument_is_an_ssr_error_or_runs(small_noisy, mode, tau, k,
+                                                   balance):
+    # the library arguments that are no config key: selection_mode and tau
+    # of a run, k of the index, balance of the vote, tau of the fixed ratio
+    noisy, test = small_noisy
+    labels = noisy.observed_labels
+    state = initial_state(labels, noisy.num_classes)
+    counts = build_neighbour_index(noisy.features, 5, state)
+    for call in (lambda: run_experiment(noisy, small_config(epochs=1), test=test,
+                                        selection_mode=mode, tau=tau),
+                 lambda: build_neighbour_index(noisy.features, k, state),
+                 lambda: compute_selection(counts, state, 1.0, balance=balance),
+                 lambda: baseline_small_loss_predefined(labels, tau)):
+        try:
+            call()
+        except SsrError:
+            pass
 
 
 def test_gmm_selector_reraises_other_numeric_errors():
@@ -762,8 +797,8 @@ print(json.dumps([digests(full=False), digests(full=False)]))
 
 def test_determinism_across_blas_threads():
     # the neighbour ids of a tiled index and of every tie kind, a 2-block
-    # forward at float64 and at float32, and criterion 10's metrics.csv and
-    # model.flat, at 1 and 2 BLAS threads
+    # forward at float64 and at float32, criterion 10's metrics.csv and
+    # model.flat, and the CLI's output trees, at 1 and 2 BLAS threads
     tests = Path(__file__).resolve().parent
     path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]
     runs = []
@@ -776,5 +811,5 @@ def test_determinism_across_blas_threads():
         runs.extend(json.loads(child.stdout))
     assert all(run == runs[0] for run in runs)
     assert set(runs[0]) == {"index", "forward", "forward_float32", "ties",
-                            "runs"}
+                            "runs", "trees"}
     assert runs[0]["runs"]["criterion_10"]["model.flat"]

@@ -482,6 +482,21 @@ def test_index_k_too_large():
     assert exc.value.code == "K_TOO_LARGE"
 
 
+# a k that is no int never reaches the bound check or the partition
+@pytest.mark.parametrize("k", ["5", 2.5, True, None, np.float64(2.0)])
+def test_index_k_of_wrong_kind(k):
+    with pytest.raises(ConfigError) as exc:
+        build_neighbour_index(np.eye(3), k)
+    assert exc.value.code == "RANGE_ERROR"
+    assert exc.value.message == f"k={k!r}, expected int in (-inf, inf)"
+
+
+def test_index_takes_a_numpy_int_k():
+    feats = np.random.default_rng(0).normal(size=(20, 4))
+    assert np.array_equal(build_neighbour_index(feats, np.int64(3)),
+                          build_neighbour_index(feats, 3))
+
+
 def test_index_zero_norm_row():
     feats = np.eye(3)
     feats[1] = 0.0
@@ -757,6 +772,18 @@ def test_unbalanced_selection_equals_raw_vote_oracle(case):
     assert np.allclose(result.consistency, own / top, rtol=1e-12, atol=0.0)
 
 
+# "no" is truthy and 0 falsy: neither is taken for a vote
+@pytest.mark.parametrize("balance", ["no", 0, 1, None])
+def test_selection_balance_of_wrong_kind(balance):
+    labels = np.array([0, 0, 1, 1])
+    state = LabelState.from_working(labels, labels, 2)
+    counts = np.array([[1, 0], [1, 0], [0, 1], [0, 1]])
+    with pytest.raises(ConfigError) as exc:
+        compute_selection(counts, state, theta_s=1.0, balance=balance)
+    assert exc.value.code == "RANGE_ERROR"
+    assert exc.value.message == f"balance={balance!r}, expected bool"
+
+
 # --- loss-based baselines ----------------------------------------------------
 
 def test_predefined_tau_zero():
@@ -785,11 +812,13 @@ def test_predefined_tau_k_over_n_keeps_n_minus_k():
             assert kept.sum() == n - k, (n, k)
 
 
-@pytest.mark.parametrize("tau", [-0.1, 1.0, np.nan])
+# a value of another kind too: False would keep all of N
+@pytest.mark.parametrize("tau", [-0.1, 1.0, np.nan, "0.5", False, None, [0.5]])
 def test_predefined_tau_out_of_range(tau):
     with pytest.raises(ConfigError) as exc:
         baseline_small_loss_predefined(np.ones(4), tau)
     assert exc.value.code == "RANGE_ERROR"
+    assert exc.value.message == f"tau={tau!r}, expected float in [0, 1)"
 
 
 @settings(max_examples=200, deadline=None)

@@ -115,14 +115,19 @@ def test_trailing_bytes_rejected(tmp_path):
 
 
 def test_unknown_flag_bit_rejected(tmp_path):
+    # 0x02 marked the noisy-mask section of earlier writers: a file that sets
+    # it is refused like any other unknown bit, and the message names only
+    # the unknown bits
     path = tmp_path / "flags.ssrd"
     write_dataset(path, f32_dataset())
     blob = bytearray(path.read_bytes())
-    blob[_HEADER.size - 1] |= 0x80   # flags are the last header byte
-    path.write_bytes(bytes(blob))
-    with pytest.raises(DataError) as exc:
-        load_embeddings(path)
-    assert exc.value.code == "BAD_FLAGS"
+    for bits in (0x02, 0x80, 0xfe):
+        blob[_HEADER.size - 1] = 0x01 | bits   # flags are the last header byte
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError) as exc:
+            load_embeddings(path)
+        assert exc.value.code == "BAD_FLAGS"
+        assert exc.value.message.endswith(f"unknown flag bits {bits:#04x}")
 
 
 def test_written_file_has_no_mask_section(tmp_path):
@@ -135,53 +140,40 @@ def test_written_file_has_no_mask_section(tmp_path):
     assert len(blob) == _HEADER.size + 4 * n * d + 4 * n + 4 * n
 
 
-def legacy_blob(ds, flags=0x03):
-    """ds in the layout of earlier writers: flags 0x03, the true labels, then
-    the noisy mask, one byte per sample; flags 0x02 leaves out the labels."""
-    n, d = ds.features.shape
-    parts = [_HEADER.pack(MAGIC, 1, n, d, ds.num_classes, flags),
-             ds.features.astype("<f4").tobytes(),
-             ds.observed_labels.astype("<u4").tobytes()]
-    if flags & 0x01:
-        parts.append(ds.true_labels.astype("<i4").tobytes())
-    parts.append(ds.is_noisy.astype(np.uint8).tobytes())
+@st.composite
+def ssrd_blobs(draw):
+    """The bytes of a valid dataset file, packed here, not by write_dataset:
+    finite float32 features (signed zeros and subnormals included), observed
+    labels in [0, M), and with flags 0x01 true labels in [-1, M)."""
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    m = draw(st.integers(2, 5))
+    feats = draw(st.lists(st.floats(width=32, allow_nan=False,
+                                    allow_infinity=False),
+                          min_size=n * d, max_size=n * d))
+    obs = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    true = draw(st.none() | st.lists(st.integers(OPEN_SET, m - 1),
+                                     min_size=n, max_size=n))
+    parts = [_HEADER.pack(MAGIC, 1, n, d, m, 0 if true is None else 0x01),
+             np.array(feats, dtype="<f4").tobytes(),
+             np.array(obs, dtype="<u4").tobytes()]
+    if true is not None:
+        parts.append(np.array(true, dtype="<i4").tobytes())
     return b"".join(parts)
 
 
-def test_file_with_mask_section_loads(tmp_path):
-    ds = f32_dataset()
-    path = tmp_path / "old.ssrd"
-    path.write_bytes(legacy_blob(ds))
-    back = load_embeddings(path)
-    assert np.array_equal(back.features, ds.features)
-    assert np.array_equal(back.observed_labels, ds.observed_labels)
-    assert np.array_equal(back.true_labels, ds.true_labels)
-    assert back.is_noisy.tolist() == [True] * 4 + [False] * 21
-
-
-# sample 0 is noisy and sample 24 clean; earlier writers wrote only 0 and 1
-@pytest.mark.parametrize("index, byte", [(0, 0), (24, 1), (0, 2)])
-def test_bad_mask_byte_rejected(tmp_path, index, byte):
-    ds = f32_dataset()
-    blob = bytearray(legacy_blob(ds))
-    blob[len(blob) - ds.n_samples + index] = byte
-    path = tmp_path / "flip.ssrd"
-    path.write_bytes(bytes(blob))
-    with pytest.raises(DataError) as exc:
-        load_embeddings(path)
-    assert "noisy mask" in str(exc.value)
-
-
-def test_mask_without_true_labels_rejected(tmp_path):
-    path = tmp_path / "mask_only.ssrd"
-    path.write_bytes(legacy_blob(f32_dataset(), flags=0x02))
-    with pytest.raises(DataError) as exc:
-        load_embeddings(path)
-    assert "noisy mask needs true labels" in str(exc.value)
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(blob=ssrd_blobs())
+def test_rewritten_file_is_byte_identical(tmp_path, blob):
+    # SSRD has one layout: what the reader accepts, the writer writes back
+    src, dst = tmp_path / "in.ssrd", tmp_path / "out.ssrd"
+    src.write_bytes(blob)
+    write_dataset(dst, load_embeddings(src))
+    assert dst.read_bytes() == blob
 
 
 def _payload_size(n, d, flags):
-    return 4 * n * d + 4 * n + 4 * n * (flags & 1) + n * ((flags >> 1) & 1)
+    return 4 * n * d + 4 * n + 4 * n * (flags & 1)
 
 
 @settings(max_examples=300, deadline=None,
@@ -209,7 +201,7 @@ def test_read_fuzz_raises_only_data_error(tmp_path, version, n, d, m, flags,
         raw = _read(path)
     except DataError:
         return
-    assert version == 1 and flags & ~0x03 == 0
+    assert version == 1 and flags & ~0x01 == 0
     assert len(blob) == _HEADER.size + size
     assert raw["features"].shape == (n, d)
     assert raw["observed_labels"].shape == (n,)

@@ -155,7 +155,6 @@ def _with_data(verb, args) -> int:
         "config_path": str(args.config) if args.config else None,
         **inputs,
         "output_dir": str(out),
-        "seed": parsed.train.seed,
         "artifact_version": __version__,
         "numpy_version": np.__version__,
         "python_version": platform.python_version(),
@@ -214,9 +213,8 @@ def _cmd_grid(args, parsed, data, test) -> Path:
 
 
 def _cmd_compare_modes(args, parsed, data, test) -> Path:
-    runs = compare_selection_modes(data, parsed.train, test=test)
     return _emit_points(Path(args.out), parsed, "comparison.csv", "mode",
-                        runs.items())
+                        compare_selection_modes(data, parsed.train, test=test))
 
 
 def _add_common(p):

@@ -35,9 +35,7 @@ class NoisyDataset:
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=np.float64)
-        obs = np.asarray(self.observed_labels, dtype=np.int64)
         object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "observed_labels", obs)
         if feats.ndim != 2:
             raise DataError("SHAPE_MISMATCH",
                             f"features must be 2-D, got ndim={feats.ndim}")
@@ -53,27 +51,32 @@ class NoisyDataset:
             raise NumericError("NON_FINITE_INPUT",
                                f"feature row {row} is not finite in float32")
         m = self.num_classes
-        if m < 2:
-            raise DataError("SHAPE_MISMATCH", f"num_classes must be >= 2, got {m}")
-        if obs.shape != (n,):
+        if not Param(int, "[2, inf)").accepts(m):
             raise DataError("SHAPE_MISMATCH",
-                            f"observed_labels shape {obs.shape} != ({n},)")
-        bad = np.flatnonzero((obs < 0) | (obs >= m))
-        if bad.size:
-            i = int(bad[0])
-            raise DataError("LABEL_OUT_OF_RANGE",
-                            f"observed label {obs[i]} at index {i} not in [0, {m})")
-        if self.true_labels is not None:
-            tl = np.asarray(self.true_labels, dtype=np.int64)
-            object.__setattr__(self, "true_labels", tl)
-            if tl.shape != (n,):
+                            f"num_classes={m!r}, expected int in [2, inf)")
+        for name in ("observed", "true"):
+            labels = getattr(self, f"{name}_labels")
+            if labels is None:   # only the true labels are optional
+                continue
+            # checked before the cast, which would turn 0.7, "1" or NaN into
+            # a class without a word
+            labels = np.asarray(labels)
+            if not np.issubdtype(labels.dtype, np.integer):
+                raise DataError("LABEL_OUT_OF_RANGE", f"{name}_labels have "
+                                f"dtype {labels.dtype}, expected integers")
+            if labels.shape != (n,):
                 raise DataError("SHAPE_MISMATCH",
-                                f"true_labels shape {tl.shape} != ({n},)")
-            bad = np.flatnonzero((tl != OPEN_SET) & ((tl < 0) | (tl >= m)))
+                                f"{name}_labels shape {labels.shape} != ({n},)")
+            out = (labels < 0) | (labels >= m)
+            if name == "true":
+                out &= labels != OPEN_SET
+            bad = np.flatnonzero(out)
             if bad.size:
                 i = int(bad[0])
-                raise DataError("LABEL_OUT_OF_RANGE",
-                                f"true label {tl[i]} at index {i} not in [0, {m})")
+                raise DataError("LABEL_OUT_OF_RANGE", f"{name} label "
+                                f"{labels[i]} at index {i} not in [0, {m})")
+            object.__setattr__(self, f"{name}_labels",
+                               labels.astype(np.int64, copy=False))
 
     @property
     def is_noisy(self) -> Optional[np.ndarray]:

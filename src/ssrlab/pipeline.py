@@ -15,7 +15,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, asdict, replace
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -309,10 +309,10 @@ def run_experiment(dataset: NoisyDataset, config: TrainConfig,
 
 
 def compare_selection_modes(dataset: NoisyDataset, config: TrainConfig,
-                            test: Optional[NoisyDataset] = None) -> dict:
-    """Run the four selector variants plus the whole-dataset and oracle-clean
-    references, all with relabelling, strong jitter, and the consistency loss
-    disabled so only the selection mechanism differs."""
+                            test: Optional[NoisyDataset] = None) -> Iterator:
+    """(mode, record) of the four selector variants plus the whole-dataset and
+    oracle-clean references in SELECTORS order, each run only when asked for;
+    the refusals of the whole comparison raise at the call."""
     if dataset.true_labels is None:
         raise DataError("MISSING_GROUND_TRUTH",
                         "mode comparison needs true labels for tau")
@@ -324,6 +324,6 @@ def compare_selection_modes(dataset: NoisyDataset, config: TrainConfig,
     # loss are all switched off so only the selection mechanism differs
     base = replace(config, theta_r=1.0, lambda_fc=0.0, mixup_alpha=0.0,
                    sigma_strong=0.0, sigma_weak=0.0)
-    return {mode: run_experiment(dataset, base, test=test, selection_mode=mode,
-                                 tau=tau).record
-            for mode in SELECTORS}
+    return ((mode, run_experiment(dataset, base, test=test,
+                                  selection_mode=mode, tau=tau).record)
+            for mode in SELECTORS)

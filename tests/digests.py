@@ -128,11 +128,12 @@ def _compare_mode_digests(base, tmp: Path) -> dict:
         models.append(outcome.model)
         return outcome
 
+    # the pairs are run as they are drawn, so they are drawn inside the patch
     with mock.patch.object(pipeline, "run_experiment", keep):
-        records = compare_selection_modes(sym80, TrainConfig(seed=0),
-                                          test=base.test)
+        records = list(compare_selection_modes(sym80, TrainConfig(seed=0),
+                                               test=base.test))
     return {name: _run_digest(record, model, tmp / name)
-            for (name, record), model in zip(records.items(), models)}
+            for (name, record), model in zip(records, models)}
 
 
 def run_digests(full: bool) -> dict:

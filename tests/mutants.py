@@ -137,6 +137,16 @@ MUTANTS = [
     ("the point loop collects every record before it emits",
      "src/ssrlab/cli.py",
      "    rows = []\n", "    points = list(points)\n    rows = []\n"),
+    ("compare-modes runs every mode before it emits", "src/ssrlab/pipeline.py",
+     "    return ((mode, run_experiment(dataset, base, test=test,\n"
+     "                                  selection_mode=mode, tau=tau).record)\n"
+     "            for mode in SELECTORS)\n",
+     "    return [(mode, run_experiment(dataset, base, test=test,\n"
+     "                                  selection_mode=mode, tau=tau).record)\n"
+     "            for mode in SELECTORS]\n"),
+    ("the manifest names the config's seed again", "src/ssrlab/cli.py",
+     '        "output_dir": str(out),\n',
+     '        "output_dir": str(out),\n        "seed": parsed.train.seed,\n'),
     ("grid sweeps the bool keys", "src/ssrlab/cli.py",
      "if param.kind in (int, float))", "if param.kind in (int, float, bool))"),
     ("a repeated config key keeps the last value", "src/ssrlab/config.py",
@@ -191,6 +201,12 @@ MUTANTS = [
      "src/ssrlab/pipeline.py",
      "if float(sigma) * top_std > F32_MAX:",
      "if float(sigma) * top_std > F32_MAX and False:"),
+    ("a dataset casts labels of any dtype to int64", "src/ssrlab/data.py",
+     "            if not np.issubdtype(labels.dtype, np.integer):\n",
+     "            if False:\n"),
+    ("a dataset takes num_classes of any kind", "src/ssrlab/data.py",
+     '        if not Param(int, "[2, inf)").accepts(m):\n',
+     "        if m < 2:\n"),
     ("a feature past the float32 range reaches the forward",
      "src/ssrlab/data.py",
      "if not (feats.max() <= F32_MAX and -F32_MAX <= feats.min()):",

@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 from ssrlab import (OPEN_SET, NoisyDataset, cli, load_embeddings, load_pool,
-                    ssrd)
+                    pipeline, ssrd)
 from ssrlab.cli import CSV_COLUMNS, TIMING_COLUMNS, _run_dir, main
 from ssrlab.config import parse_config_dict
 from ssrlab.data import TRAIN_PARAMS
-from ssrlab.errors import ConfigError
+from ssrlab.errors import ConfigError, NumericError
 
 
 BASE_CONFIG = {
@@ -224,7 +224,9 @@ def test_run_emits_artifacts(tmp_path, config_path):
         expect = 0.0 if p + r == 0 else 2 * p * r / (p + r)
         assert math.isclose(float(row["sel_fscore"]), expect, abs_tol=1e-12)
     manifest = json.loads((run_dir / "manifest.json").read_text())
-    assert manifest["seed"] == 0
+    # record.json holds the seed each run trained with; a sweep of seeds has
+    # no one seed
+    assert "seed" not in manifest
     assert manifest["finished"] >= manifest["started"]
     header, rows = read_csv(run_dir / "timings.csv")
     assert header == TIMING_COLUMNS == ["epoch", "relabel_s", "select_s",
@@ -614,6 +616,37 @@ def test_compare_modes_refuses_a_noise_rate_of_one(tmp_path, caplog):
     out = tmp_path / "cmp"
     assert main(["compare-modes", "-c", str(config), "-o", str(out)]) == 2
     assert "RANGE_ERROR: measured noise rate 1.0" in caplog.text
+    assert not out.exists()
+
+
+def test_compare_modes_keeps_the_modes_before_a_failing_one(
+        tmp_path, config_path, caplog, monkeypatch):
+    # the fourth mode diverges; the three before it are whole, as grid keeps
+    # the points before a failing one
+    def diverge(*args):
+        raise NumericError("DIVERGED", "pmc_predefined diverged")
+    assert list(pipeline.SELECTORS)[3] == "pmc_predefined"
+    monkeypatch.setitem(pipeline.SELECTORS, "pmc_predefined", diverge)
+    out = tmp_path / "cmp"
+    assert main(["compare-modes", "-c", str(config_path),
+                 "-o", str(out)]) == 4
+    assert "DIVERGED: pmc_predefined diverged" in caplog.text
+    # no comparison.csv, no manifest.json
+    assert sorted(p.name for p in out.iterdir()) == [
+        "npk_automatic", "npk_predefined", "pmc_gmm_automatic"]
+    for mode in out.iterdir():
+        assert sorted(p.name for p in mode.iterdir()) == [
+            "metrics.csv", "record.json", "timings.csv"]
+
+
+def test_compare_modes_refuses_k_before_the_first_mode(tmp_path, caplog):
+    # only the NPK modes bound k, and the first mode is one: the comparison
+    # is refused before any mode runs, with nothing written
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**BASE_CONFIG, "k_neighbours": 10_000}))
+    out = tmp_path / "cmp"
+    assert main(["compare-modes", "-c", str(config), "-o", str(out)]) == 3
+    assert "K_TOO_LARGE: k_neighbours=10000 must be in" in caplog.text
     assert not out.exists()
 
 

@@ -51,7 +51,7 @@ def test_open_set_true_label_allowed():
      "features must be 2-D, got ndim=1"),
     ((np.ones((2, 0)), [0, 1], 2), "SHAPE_MISMATCH", "feature dimension is 0"),
     ((np.ones((2, 2)), [0, 0], 1), "SHAPE_MISMATCH",
-     "num_classes must be >= 2, got 1"),
+     "num_classes=1, expected int in [2, inf)"),
     ((np.ones((2, 2)), [0, -1], 2), "LABEL_OUT_OF_RANGE",
      "observed label -1 at index 1 not in [0, 2)"),
     ((np.ones((2, 2)), [0, 1], 2, [0]), "SHAPE_MISMATCH",
@@ -61,12 +61,43 @@ def test_open_set_true_label_allowed():
     # the checks run in order: the empty features are reported, not the
     # labels that do not match them
     ((np.ones((0, 2)), [5], 2), "EMPTY_DATASET", "dataset has no samples"),
+    # num_classes is an int, never converted to one
+    ((np.ones((3, 2)), [0, 1, 2], 3.0), "SHAPE_MISMATCH",
+     "num_classes=3.0, expected int in [2, inf)"),
+    ((np.ones((3, 2)), [0, 1, 2], "3"), "SHAPE_MISMATCH",
+     "num_classes='3', expected int in [2, inf)"),
+    ((np.ones((3, 2)), [0, 1, 0], True), "SHAPE_MISMATCH",
+     "num_classes=True, expected int in [2, inf)"),
+    # the label kind is checked before the cast, which would make 0.7 class
+    # 0 and "1" class 1 without a word, and warn on a NaN (tier-1 turns a
+    # RuntimeWarning into an error, so that case fails on the warning too)
+    ((np.ones((4, 2)), [0.7, 1.2, 0.0, 1.0], 2), "LABEL_OUT_OF_RANGE",
+     "observed_labels have dtype float64, expected integers"),
+    ((np.ones((4, 2)), [0, 1, 0, 1], 2, [0.5, 1, 0, 1]), "LABEL_OUT_OF_RANGE",
+     "true_labels have dtype float64, expected integers"),
+    ((np.ones((4, 2)), ["0", "1", "0", "1"], 2), "LABEL_OUT_OF_RANGE",
+     "observed_labels have dtype <U1, expected integers"),
+    ((np.ones((2, 2)), [True, False], 2), "LABEL_OUT_OF_RANGE",
+     "observed_labels have dtype bool, expected integers"),
+    ((np.ones((2, 2)), [0, np.nan], 2), "LABEL_OUT_OF_RANGE",
+     "observed_labels have dtype float64, expected integers"),
+    ((np.ones((2, 2)), [0, 1], 2, [np.nan, 1]), "LABEL_OUT_OF_RANGE",
+     "true_labels have dtype float64, expected integers"),
 ], ids=["ndim", "no_columns", "one_class", "negative_label", "true_shape",
-        "true_range", "order"])
+        "true_range", "order", "float_classes", "str_classes", "bool_classes",
+        "float_label", "float_true_label", "str_label", "bool_label",
+        "nan_label", "nan_true_label"])
 def test_constructor_checks_in_order(args, code, message):
     with pytest.raises(DataError) as exc:
         NoisyDataset(*args)
     assert str(exc.value) == f"{code}: {message}"
+
+
+def test_integer_labels_of_any_width_load_as_int64():
+    ds = NoisyDataset(np.ones((3, 2)), np.array([0, 1, 2], dtype=np.uint32),
+                      np.int64(3), np.array([0, OPEN_SET, 2], dtype=np.int8))
+    assert ds.observed_labels.dtype == ds.true_labels.dtype == np.int64
+    assert ds.true_labels.tolist() == [0, OPEN_SET, 2]
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39, -1e39])

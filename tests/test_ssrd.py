@@ -105,6 +105,18 @@ def test_loaded_dataset_validates(tmp_path):
     assert exc.value.code == "LABEL_OUT_OF_RANGE"
 
 
+def test_one_class_file_is_refused(tmp_path):
+    path = tmp_path / "one.ssrd"
+    write_dataset(path, f32_dataset())
+    blob = bytearray(path.read_bytes())
+    blob[_HEADER.size - 5:_HEADER.size - 1] = struct.pack("<I", 1)   # M
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DataError) as exc:
+        load_embeddings(path)
+    assert str(exc.value) == ("SHAPE_MISMATCH: num_classes=1, expected int "
+                              "in [2, inf)")
+
+
 def test_trailing_bytes_rejected(tmp_path):
     path = tmp_path / "tail.ssrd"
     write_dataset(path, f32_dataset())

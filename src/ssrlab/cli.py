@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import logging
 import os
@@ -78,15 +79,19 @@ def _emit(record: ExperimentRecord, parsed: ParsedConfig, out: Path) -> None:
 
 
 def _run_dir(root: Path, seed: int) -> Path:
+    """root/run_<stamp>_s<seed>, else the first of its _1, _2, ... that is
+    free; the mkdir that makes a directory claims it, so two runs of one
+    seed that finish in the same second never take the same one."""
     stamp = time.strftime("%Y%m%d-%H%M%S")
     base = root / f"run_{stamp}_s{seed}"
-    out = base
-    suffix = 1
-    while out.exists():
-        out = Path(f"{base}_{suffix}")
-        suffix += 1
-    out.mkdir(parents=True)
-    return out
+    root.mkdir(parents=True, exist_ok=True)
+    for suffix in itertools.count():
+        out = Path(f"{base}_{suffix}") if suffix else base
+        try:
+            out.mkdir()
+        except FileExistsError:
+            continue
+        return out
 
 
 def _prepare_data(parsed: ParsedConfig, data_path=None, test_path=None):
@@ -178,11 +183,12 @@ def _cmd_run(args, parsed, data, test) -> Path:
 
 
 def _emit_points(out, parsed, summary, column, points, prefix="") -> Path:
-    """Emit each (value, record) point into out/<prefix><value> as the
-    iterable yields it, so a sweep that fails keeps its finished points;
-    then the summary CSV of their accuracies."""
+    """Emit the record of each (value, outcome) point into
+    out/<prefix><value> as the iterable yields it, so a sweep that fails
+    keeps its finished points; then the summary CSV of their accuracies."""
     rows = []
-    for value, record in points:
+    for value, outcome in points:
+        record = outcome.record
         _emit(record, parsed, out / f"{prefix}{value}")
         rows.append((value, record.best_test_acc, record.last_test_acc))
     _write_csv(out / summary, [column, "best_test_acc", "last_test_acc"], rows)
@@ -206,7 +212,7 @@ def _cmd_grid(args, parsed, data, test) -> Path:
                           f"sweep values {args.values!r} repeat a value")
     for train in trains:   # and against the data
         check_experiment(data, train, test=test)
-    points = ((value, run_experiment(data, train, test=test).record)
+    points = ((value, run_experiment(data, train, test=test))
               for train, value in zip(trains, values))
     return _emit_points(Path(args.out), parsed, "summary.csv", args.param,
                         points, f"{args.param}_")

@@ -89,12 +89,18 @@ class _JsonObject(dict):
 
 def parse_config(path) -> ParsedConfig:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")   # as JSON must be
     except OSError as exc:
         raise ConfigError("PARSE_ERROR", f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError("PARSE_ERROR",
+                          f"cannot decode {path} as UTF-8: {exc}") from exc
     try:
         obj = json.loads(text, object_pairs_hook=_JsonObject)
     except json.JSONDecodeError as exc:
         raise ConfigError("PARSE_ERROR",
                           f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:
+        # nested past the recursion limit, or an int of too many digits
+        raise ConfigError("PARSE_ERROR", f"cannot parse {path}: {exc}") from exc
     return parse_config_dict(obj)

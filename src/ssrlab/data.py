@@ -21,7 +21,8 @@ class NoisyDataset:
     """N feature embeddings with observed (possibly wrong) labels.
 
     Checked when built: the first violated invariant raises DataError, or
-    NumericError (NON_FINITE_INPUT) for a feature that is not a finite float32.
+    NumericError (NON_FINITE_INPUT) for features that are not integers or
+    floats, or a feature that is not a finite float32.
     ``true_labels`` is evaluation-only, as is ``is_noisy``, which is derived
     from it: the selection and relabelling machinery reads neither. Class
     indices are 0-based; ``true_labels`` may contain the OPEN_SET sentinel for
@@ -34,7 +35,13 @@ class NoisyDataset:
     true_labels: Optional[np.ndarray] = None   # (N,) int64, OPEN_SET allowed
 
     def __post_init__(self):
-        feats = np.asarray(self.features, dtype=np.float64)
+        # checked before the cast, which would parse "1.5", take a bool as
+        # 0/1 and drop an imaginary part
+        feats = np.asarray(self.features)
+        if feats.dtype.kind not in "iuf":
+            raise NumericError("NON_FINITE_INPUT", f"features have dtype "
+                               f"{feats.dtype}, expected integers or floats")
+        feats = feats.astype(np.float64, copy=False)
         object.__setattr__(self, "features", feats)
         if feats.ndim != 2:
             raise DataError("SHAPE_MISMATCH",

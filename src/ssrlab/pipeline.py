@@ -310,7 +310,7 @@ def run_experiment(dataset: NoisyDataset, config: TrainConfig,
 
 def compare_selection_modes(dataset: NoisyDataset, config: TrainConfig,
                             test: Optional[NoisyDataset] = None) -> Iterator:
-    """(mode, record) of the four selector variants plus the whole-dataset and
+    """(mode, outcome) of the four selector variants plus the whole-dataset and
     oracle-clean references in SELECTORS order, each run only when asked for;
     the refusals of the whole comparison raise at the call."""
     if dataset.true_labels is None:
@@ -325,5 +325,5 @@ def compare_selection_modes(dataset: NoisyDataset, config: TrainConfig,
     base = replace(config, theta_r=1.0, lambda_fc=0.0, mixup_alpha=0.0,
                    sigma_strong=0.0, sigma_weak=0.0)
     return ((mode, run_experiment(dataset, base, test=test,
-                                  selection_mode=mode, tau=tau).record)
+                                  selection_mode=mode, tau=tau))
             for mode in SELECTORS)

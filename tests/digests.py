@@ -23,7 +23,9 @@ error, so standard output holds the object alone):
   tie-heavy cases drawn by ``hypothesis`` from a fixed seed;
 - ``runs``: ``metrics.csv`` and the ``model.flat`` bytes of criterion 10's
   run, sym50 at the default ``TrainConfig``, and the six
-  ``compare_selection_modes`` runs at criterion 8's seed 0;
+  ``compare_selection_modes`` runs at criterion 8's seed 0, each read from
+  the ``ExperimentOutcome`` that ``run_experiment`` returns or that
+  ``compare_selection_modes`` yields with its mode;
 - ``trees``: every file that the CLI writes for ``TREE_CONFIG`` through
   ``synth``, ``inject --ood``, ``run``, ``grid --param theta_s --values
   0.5,1.0`` and ``compare-modes`` on the injected file (``-i``, with
@@ -119,21 +121,11 @@ def _run_digest(record, model, out_dir: Path) -> dict:
 
 
 def _compare_mode_digests(base, tmp: Path) -> dict:
-    """Criterion 8 at seed 0; the wrapper keeps each mode's model."""
+    """Criterion 8 at seed 0."""
     sym80 = apply_noise(base.train, NoiseSpec("symmetric", 0.8, seed=0))
-    models = []
-
-    def keep(*args, **kwargs):
-        outcome = run_experiment(*args, **kwargs)
-        models.append(outcome.model)
-        return outcome
-
-    # the pairs are run as they are drawn, so they are drawn inside the patch
-    with mock.patch.object(pipeline, "run_experiment", keep):
-        records = list(compare_selection_modes(sym80, TrainConfig(seed=0),
-                                               test=base.test))
-    return {name: _run_digest(record, model, tmp / name)
-            for (name, record), model in zip(records, models)}
+    return {name: _run_digest(outcome.record, outcome.model, tmp / name)
+            for name, outcome in compare_selection_modes(
+                sym80, TrainConfig(seed=0), test=base.test)}
 
 
 def run_digests(full: bool) -> dict:

@@ -109,6 +109,10 @@ MUTANTS = [
      "    out = _run_dir(Path(args.out), parsed.train.seed)\n",
      "    out = _run_dir(Path(args.out), parsed.train.seed)\n"
      "    record = run_experiment(data, parsed.train, test=test).record\n"),
+    ("run loses its directory to a run that claimed it first",
+     "src/ssrlab/cli.py",
+     "        except FileExistsError:\n            continue\n",
+     "        except FileExistsError:\n            raise\n"),
     ("main exits 3 for every SsrError", "src/ssrlab/cli.py",
      "        return exc.exit_code\n", "        return 3\n"),
     ("relabel lets a non-finite row through", "src/ssrlab/relabel.py",
@@ -139,11 +143,14 @@ MUTANTS = [
      "    rows = []\n", "    points = list(points)\n    rows = []\n"),
     ("compare-modes runs every mode before it emits", "src/ssrlab/pipeline.py",
      "    return ((mode, run_experiment(dataset, base, test=test,\n"
-     "                                  selection_mode=mode, tau=tau).record)\n"
+     "                                  selection_mode=mode, tau=tau))\n"
      "            for mode in SELECTORS)\n",
      "    return [(mode, run_experiment(dataset, base, test=test,\n"
-     "                                  selection_mode=mode, tau=tau).record)\n"
+     "                                  selection_mode=mode, tau=tau))\n"
      "            for mode in SELECTORS]\n"),
+    ("a set of runs hands over the record again", "src/ssrlab/pipeline.py",
+     "selection_mode=mode, tau=tau))\n",
+     "selection_mode=mode, tau=tau).record)\n"),
     ("the manifest names the config's seed again", "src/ssrlab/cli.py",
      '        "output_dir": str(out),\n',
      '        "output_dir": str(out),\n        "seed": parsed.train.seed,\n'),
@@ -151,6 +158,16 @@ MUTANTS = [
      "if param.kind in (int, float))", "if param.kind in (int, float, bool))"),
     ("a repeated config key keeps the last value", "src/ssrlab/config.py",
      "object_pairs_hook=_JsonObject", "object_pairs_hook=dict"),
+    ("a config file that is not UTF-8 escapes as UnicodeDecodeError",
+     "src/ssrlab/config.py",
+     "    except UnicodeDecodeError as exc:\n"
+     "        raise ConfigError(\"PARSE_ERROR\",\n"
+     "                          f\"cannot decode {path} as UTF-8: {exc}\") from exc\n",
+     ""),
+    ("a config file nested too deep escapes as RecursionError",
+     "src/ssrlab/config.py",
+     "    except (RecursionError, ValueError) as exc:",
+     "    except ValueError as exc:"),
     ("a section's repeated key is reported without its section",
      "src/ssrlab/config.py",
      '_refuse_repeat(obj, f"{context}.")', '_refuse_repeat(obj, "")'),
@@ -204,6 +221,8 @@ MUTANTS = [
     ("a dataset casts labels of any dtype to int64", "src/ssrlab/data.py",
      "            if not np.issubdtype(labels.dtype, np.integer):\n",
      "            if False:\n"),
+    ("a dataset casts features of any dtype to float64", "src/ssrlab/data.py",
+     '        if feats.dtype.kind not in "iuf":\n', "        if False:\n"),
     ("a dataset takes num_classes of any kind", "src/ssrlab/data.py",
      '        if not Param(int, "[2, inf)").accepts(m):\n',
      "        if m < 2:\n"),

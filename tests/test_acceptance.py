@@ -252,7 +252,7 @@ def test_criterion_8_mode_comparison(sym80_data):
     for seed in (0, 1, 2):
         runs = compare_selection_modes(noisy80, TrainConfig(seed=seed),
                                        test=test)
-        last = {name: r.last_test_acc for name, r in runs}
+        last = {name: r.record.last_test_acc for name, r in runs}
         ordered = (last["clean_subset"] > last["npk_automatic"]
                    >= last["pmc_gmm_automatic"] > last["whole_dataset"])
         votes += ordered

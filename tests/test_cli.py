@@ -204,6 +204,10 @@ def test_run_dir_takes_the_next_free_suffix(tmp_path, monkeypatch):
                                       "run_20260101-000000_s3_1",
                                       "run_20260101-000000_s3_2"]
     assert all(d.is_dir() for d in dirs)
+    # a run that finds the name free and then loses it to another run's
+    # mkdir takes the next suffix, not FileExistsError after its training
+    monkeypatch.setattr("pathlib.Path.exists", lambda self: False)
+    assert _run_dir(tmp_path / "out", 3).name == "run_20260101-000000_s3_3"
 
 
 def test_run_emits_artifacts(tmp_path, config_path):
@@ -702,13 +706,25 @@ def test_exit_code_config_error(tmp_path):
 
 @pytest.mark.parametrize("text, message", [
     ("[1, 2]", "config root must be a JSON object"),
-    (None, "cannot read")])
+    (None, "cannot read"),
+    # JSON is UTF-8; a file nested past the recursion limit and an int
+    # past Python's digit limit fail in json.loads, but not as JSONDecodeError
+    pytest.param(b"\xff\xfe{}", "cannot decode {path} as UTF-8",
+                 id="not_utf8"),
+    pytest.param("[" * 100_000, "cannot parse {path}: maximum recursion depth",
+                 id="nested"),
+    pytest.param('{"epochs": ' + "1" * 5000 + "}",
+                 "cannot parse {path}: Exceeds the limit", id="long_int")])
 def test_exit_code_unusable_config_file(tmp_path, caplog, text, message):
     path = tmp_path / "config.json"
-    if text is not None:
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    elif text is not None:
         path.write_text(text)
-    assert main(["run", "-c", str(path), "-o", str(tmp_path / "o")]) == 2
-    assert f"PARSE_ERROR: {message}" in caplog.text
+    out = tmp_path / "o"
+    assert main(["run", "-c", str(path), "-o", str(out)]) == 2
+    assert f"PARSE_ERROR: {message.format(path=path)}" in caplog.text
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("verb", ["run", "grid", "synth"])

@@ -3,7 +3,7 @@ import pytest
 
 from oracles import initial_state
 from ssrlab import OPEN_SET, LabelState, NoisyDataset, TrainConfig
-from ssrlab.errors import ConfigError, DataError, NumericError
+from ssrlab.errors import ConfigError, DataError, NumericError, SsrError
 
 
 def make_ds(n=4, d=3, m=2, seed=0):
@@ -83,14 +83,37 @@ def test_open_set_true_label_allowed():
      "observed_labels have dtype float64, expected integers"),
     ((np.ones((2, 2)), [0, 1], 2, [np.nan, 1]), "LABEL_OUT_OF_RANGE",
      "true_labels have dtype float64, expected integers"),
+    # the feature kind is checked first (the bool case's label 5 is not
+    # reported), before the cast, which would parse "1.5", take a bool as
+    # 0/1, drop an imaginary part (with a warning that tier-1 turns into an
+    # error) and read an object array's numbers
+    ((np.array([["1.5", "2"], ["0.5", "1"]]), [0, 1], 2), "NON_FINITE_INPUT",
+     "features have dtype <U3, expected integers or floats"),
+    ((np.ones((2, 2), dtype=bool), [0, 5], 2), "NON_FINITE_INPUT",
+     "features have dtype bool, expected integers or floats"),
+    ((np.full((2, 2), 1 + 2j), [0, 1], 2), "NON_FINITE_INPUT",
+     "features have dtype complex128, expected integers or floats"),
+    ((np.array([[1.5, 2], [0.5, 1]], dtype=object), [0, 1], 2),
+     "NON_FINITE_INPUT", "features have dtype object, expected integers or "
+     "floats"),
 ], ids=["ndim", "no_columns", "one_class", "negative_label", "true_shape",
         "true_range", "order", "float_classes", "str_classes", "bool_classes",
         "float_label", "float_true_label", "str_label", "bool_label",
-        "nan_label", "nan_true_label"])
+        "nan_label", "nan_true_label", "str_features", "bool_features",
+        "complex_features", "object_features"])
 def test_constructor_checks_in_order(args, code, message):
-    with pytest.raises(DataError) as exc:
+    with pytest.raises(SsrError) as exc:
         NoisyDataset(*args)
+    assert type(exc.value) is (NumericError if code == "NON_FINITE_INPUT"
+                               else DataError)
     assert str(exc.value) == f"{code}: {message}"
+
+
+def test_integer_features_load_as_float64():
+    for dtype in (np.int64, np.uint8):
+        ds = NoisyDataset(np.array([[1, 2], [3, 250]], dtype=dtype), [0, 1], 2)
+        assert ds.features.dtype == np.float64
+        assert ds.features.tolist() == [[1.0, 2.0], [3.0, 250.0]]
 
 
 def test_integer_labels_of_any_width_load_as_int64():

@@ -745,8 +745,8 @@ def test_every_train_flip_changes_a_run(flip_runs, key):
 @pytest.fixture(scope="module")
 def comparison(small_noisy):
     noisy, test = small_noisy
-    return dict(compare_selection_modes(noisy, small_config(epochs=6),
-                                        test=test))
+    return {mode: outcome.record for mode, outcome in compare_selection_modes(
+        noisy, small_config(epochs=6), test=test)}
 
 
 def test_comparison_contains_all_modes(comparison):
